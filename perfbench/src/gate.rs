@@ -8,7 +8,9 @@ use mega_graph::GraphDelta;
 use mega_serve::http::json::Json;
 use mega_serve::{batch_logits_with_mode, ModelArtifacts};
 
-use crate::gen::Rng;
+use rand::rngs::StdRng;
+use rand::Rng;
+
 use crate::workloads::same_bits;
 
 #[derive(Debug, Default)]
@@ -52,11 +54,11 @@ impl GateOutcome {
 
 /// Up to `k` served nodes, chosen by `rng` (a partial Fisher–Yates over the
 /// sorted served set).
-pub fn sample(served: &BTreeMap<u32, Vec<f32>>, k: usize, rng: &mut Rng) -> Vec<u32> {
+pub fn sample(served: &BTreeMap<u32, Vec<f32>>, k: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut nodes: Vec<u32> = served.keys().copied().collect();
     let k = k.min(nodes.len());
     for i in 0..k {
-        let j = i + rng.below((nodes.len() - i) as u64) as usize;
+        let j = rng.gen_range(i..nodes.len());
         nodes.swap(i, j);
     }
     nodes.truncate(k);
@@ -89,7 +91,7 @@ pub fn compare(
 /// state a delta leaves is a function of the final graph alone (the
 /// incremental adjacency equals a rebuild; tiers and quantized rows follow
 /// final degrees), so this reaches the state the engine reached one edge
-/// at a time.
+/// at a time. The test below checks that on the workload's edge stream.
 pub fn apply_all(reference: &mut ModelArtifacts, edges: &[(u32, u32)]) -> Result<(), String> {
     if edges.is_empty() {
         return Ok(());
@@ -104,16 +106,47 @@ pub fn apply_all(reference: &mut ModelArtifacts, edges: &[(u32, u32)]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{stream, Zipf};
+    use crate::workloads::update_edge;
+    use mega_gnn::GnnKind;
+    use mega_graph::DatasetSpec;
+    use mega_serve::ModelSpec;
 
     #[test]
     fn sample_is_seeded_sorted_and_bounded() {
         let served: BTreeMap<u32, Vec<f32>> = (0..100).map(|v| (v * 3, vec![])).collect();
-        let a = sample(&served, 10, &mut Rng::stream(1, 0));
-        assert_eq!(a, sample(&served, 10, &mut Rng::stream(1, 0)));
-        assert_ne!(a, sample(&served, 10, &mut Rng::stream(2, 0)));
+        let a = sample(&served, 10, &mut stream(1, 0));
+        assert_eq!(a, sample(&served, 10, &mut stream(1, 0)));
+        assert_ne!(a, sample(&served, 10, &mut stream(2, 0)));
         assert_eq!(a.len(), 10);
         assert!(a.windows(2).all(|w| w[0] < w[1]));
         assert!(a.iter().all(|v| served.contains_key(v)));
-        assert_eq!(sample(&served, 500, &mut Rng::stream(1, 0)).len(), 100);
+        assert_eq!(sample(&served, 500, &mut stream(1, 0)).len(), 100);
+    }
+
+    #[test]
+    fn one_delta_reaches_the_state_of_edge_by_edge_updates() {
+        let nodes = 3_000;
+        let spec = ModelSpec::standard(DatasetSpec::synth(nodes).with_seed(9), GnnKind::Gcn);
+        let zipf = Zipf::new(nodes, 1.0, &mut stream(9, 2));
+        let mut rng = stream(9, 3);
+        let edges: Vec<(u32, u32)> = (0..300)
+            .map(|_| update_edge(&zipf, &mut rng, nodes as u64))
+            .collect();
+        let mut each = ModelArtifacts::build(&spec);
+        for &(src, dst) in &edges {
+            let mut delta = GraphDelta::new();
+            delta.insert_edge(src, dst);
+            each.apply_delta(&delta, &[])
+                .expect("an edge insert applies");
+        }
+        let mut once = ModelArtifacts::build(&spec);
+        apply_all(&mut once, &edges).expect("the edges apply as one delta");
+        let all: Vec<u32> = (0..nodes as u32).collect();
+        let (a, _) = batch_logits_with_mode(&each, &all, KernelMode::Scalar);
+        let (b, _) = batch_logits_with_mode(&once, &all, KernelMode::Scalar);
+        for row in 0..nodes {
+            assert!(same_bits(a.row(row), b.row(row)), "node {row}");
+        }
     }
 }

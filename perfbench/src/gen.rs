@@ -1,51 +1,21 @@
 //! Seeded input generators: every request and delta stream the benchmark
 //! sends is a pure function of `--seed`.
 
-/// SplitMix64: small, fast, and fully determined by its seed.
-#[derive(Debug, Clone)]
-pub struct Rng(u64);
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-impl Rng {
-    /// A generator for one named stream of `seed`, so the streams a run
-    /// draws (targets, update endpoints, gate samples) stay independent.
-    pub fn stream(seed: u64, stream: u64) -> Self {
-        let mut rng = Rng(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        rng.next_u64();
-        rng
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `0..n` (`n > 0`), by rejection so no value is favoured.
-    pub fn below(&mut self, n: u64) -> u64 {
-        assert!(n > 0, "empty range");
-        let zone = u64::MAX - u64::MAX % n;
-        loop {
-            let x = self.next_u64();
-            if x < zone {
-                return x % n;
-            }
-        }
-    }
-
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
+/// The generator for one named stream of `seed`, so the streams a run
+/// draws (targets, update endpoints, gate samples) stay independent.
+pub fn stream(seed: u64, stream: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// A seeded permutation of `0..n` (Fisher–Yates): `cold_http` walks it so
 /// no target repeats and every lookup misses the logits cache.
-pub fn permutation(n: usize, rng: &mut Rng) -> Vec<u32> {
+pub fn permutation(n: usize, rng: &mut StdRng) -> Vec<u32> {
     let mut nodes: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
-        nodes.swap(i, rng.below(i as u64 + 1) as usize);
+        nodes.swap(i, rng.gen_range(0..=i));
     }
     nodes
 }
@@ -60,7 +30,7 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    pub fn new(n: usize, s: f64, rng: &mut Rng) -> Self {
+    pub fn new(n: usize, s: f64, rng: &mut StdRng) -> Self {
         let mut total = 0.0;
         let cumulative = (0..n)
             .map(|r| {
@@ -74,9 +44,9 @@ impl Zipf {
         }
     }
 
-    pub fn sample(&self, rng: &mut Rng) -> u32 {
+    pub fn sample(&self, rng: &mut StdRng) -> u32 {
         let total = *self.cumulative.last().expect("non-empty population");
-        let x = rng.unit() * total;
+        let x = rng.gen::<f64>() * total;
         let rank = self.cumulative.partition_point(|&c| c < x);
         self.nodes[rank.min(self.nodes.len() - 1)]
     }
@@ -92,8 +62,8 @@ mod tests {
     use super::*;
 
     fn zipf_draws(seed: u64) -> Vec<u32> {
-        let zipf = Zipf::new(1000, 1.0, &mut Rng::stream(seed, 1));
-        let mut rng = Rng::stream(seed, 2);
+        let zipf = Zipf::new(1000, 1.0, &mut stream(seed, 1));
+        let mut rng = stream(seed, 2);
         (0..200).map(|_| zipf.sample(&mut rng)).collect()
     }
 
@@ -105,8 +75,8 @@ mod tests {
 
     #[test]
     fn zipf_is_skewed_towards_its_hottest_nodes() {
-        let zipf = Zipf::new(1000, 1.0, &mut Rng::stream(3, 1));
-        let mut rng = Rng::stream(3, 2);
+        let zipf = Zipf::new(1000, 1.0, &mut stream(3, 1));
+        let mut rng = stream(3, 2);
         let hot = zipf.hottest(10).to_vec();
         let draws = 10_000;
         let hits = (0..draws)
@@ -118,23 +88,17 @@ mod tests {
 
     #[test]
     fn permutation_is_deterministic_per_seed_and_changes_with_it() {
-        let a = permutation(500, &mut Rng::stream(11, 0));
-        assert_eq!(a, permutation(500, &mut Rng::stream(11, 0)));
-        assert_ne!(a, permutation(500, &mut Rng::stream(12, 0)));
+        let a = permutation(500, &mut stream(11, 0));
+        assert_eq!(a, permutation(500, &mut stream(11, 0)));
+        assert_ne!(a, permutation(500, &mut stream(12, 0)));
     }
 
     #[test]
     fn permutation_never_repeats_a_node() {
         for seed in 0..20 {
-            let mut nodes = permutation(1000, &mut Rng::stream(seed, 0));
+            let mut nodes = permutation(1000, &mut stream(seed, 0));
             nodes.sort_unstable();
             assert_eq!(nodes, (0..1000).collect::<Vec<u32>>());
         }
-    }
-
-    #[test]
-    fn below_stays_in_range() {
-        let mut rng = Rng::stream(5, 0);
-        assert!((0..10_000).all(|_| rng.below(7) < 7));
     }
 }

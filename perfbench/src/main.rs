@@ -25,7 +25,6 @@ use mega_serve::http::json::{self, Json};
 use mega_serve::{process_memory, ModelArtifacts};
 
 use crate::gate::GateOutcome;
-use crate::gen::Rng;
 use crate::layers::Counters;
 use crate::report::{MetricSet, DETAIL_ONLY, END_TO_END, PER_LAYER};
 use crate::spans::SpanLog;
@@ -153,10 +152,18 @@ fn run(settings: &Settings) -> Outcome {
 
     let mut e2e = MetricSet::new(END_TO_END);
     let predicts = Samples::new(timed_phase.predict_ms.clone());
+    let updates = timed_phase.update_ms.len();
+    let timed_cpu_ms = (cpu_after - cpu_before) * 1e3;
+    let update_cpu_ms = timed_phase.update_cpu_s * 1e3;
     e2e.set_counted(
         "cpu_ms_per_predict",
-        (cpu_after - cpu_before) * 1e3 / predicts.count().max(1) as f64,
+        (timed_cpu_ms - update_cpu_ms) / predicts.count().max(1) as f64,
         predicts.count(),
+    );
+    e2e.set_counted(
+        "cpu_ms_per_op",
+        timed_cpu_ms / (predicts.count() + updates).max(1) as f64,
+        predicts.count() + updates,
     );
     e2e.set_counted(
         "predict_rps",
@@ -178,6 +185,13 @@ fn run(settings: &Settings) -> Outcome {
     );
 
     let mut per_layer = MetricSet::new(PER_LAYER);
+    if updates > 0 {
+        per_layer.set_counted(
+            "cache.update_cpu_ms",
+            update_cpu_ms / updates as f64,
+            updates,
+        );
+    }
     layers::engine_layers(&mut per_layer, &before, &after, served.http.is_some());
     layers::memory_layers(&mut per_layer, &memory, process.rss_bytes);
     let mut missing_traces = 0;
@@ -216,12 +230,18 @@ fn run(settings: &Settings) -> Outcome {
             .take(settings.replay_targets)
             .collect();
         layers::replay_targets(&mut log, &mut per_layer, &reference, &replayed);
-        if let Err(e) =
-            layers::replay_updates(&mut log, &mut per_layer, &mut reference, &timed_phase.edges)
-        {
-            reference_error = Some(e);
+        if !timed_phase.edges.is_empty() {
+            // The update replay runs on artifacts of its own, so the gate's
+            // reference reaches its state the same way in both modes.
+            let mut replay = ModelArtifacts::build(&settings.spec);
+            if let Err(e) =
+                layers::replay_updates(&mut log, &mut per_layer, &mut replay, &timed_phase.edges)
+            {
+                reference_error = Some(e);
+            }
         }
-    } else if let Err(e) = gate::apply_all(&mut reference, &timed_phase.edges) {
+    }
+    if let Err(e) = gate::apply_all(&mut reference, &timed_phase.edges) {
         reference_error = Some(e);
     }
 
@@ -233,7 +253,7 @@ fn run(settings: &Settings) -> Outcome {
     let nodes = gate::sample(
         checked,
         settings.gate_sample,
-        &mut Rng::stream(settings.seed, GATE),
+        &mut gen::stream(settings.seed, GATE),
     );
     let mut gate = if reference_error.is_none() {
         gate::compare(&reference, checked, &nodes)
@@ -314,7 +334,7 @@ fn steal_frac(before: Option<(u64, u64)>, after: Option<(u64, u64)>) -> Json {
 }
 
 /// Where the run happened: commit (when run from a git checkout), build
-/// features, and the machine's parallelism.
+/// features (fixed by `Cargo.toml`), and the machine's parallelism.
 fn run_info() -> Json {
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
@@ -326,18 +346,16 @@ fn run_info() -> Json {
             || "unknown (not a git checkout)".to_string(),
             |s| s.trim().to_string(),
         );
-    let features: Vec<Json> = [cfg!(feature = "avx2").then_some("avx2")]
-        .into_iter()
-        .flatten()
-        .map(|f| Json::from(f.to_string()))
-        .collect();
     #[cfg(target_arch = "x86_64")]
     let avx2_detected = std::arch::is_x86_feature_detected!("avx2");
     #[cfg(not(target_arch = "x86_64"))]
     let avx2_detected = false;
     Json::Obj(vec![
         ("commit".into(), Json::from(commit)),
-        ("cargo_features".into(), Json::Arr(features)),
+        (
+            "cargo_features".into(),
+            Json::Arr(vec![Json::from("mega-serve/avx2".to_string())]),
+        ),
         ("cpu_avx2".into(), Json::Bool(avx2_detected)),
         (
             "profile".into(),

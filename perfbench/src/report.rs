@@ -11,6 +11,7 @@ use crate::stats::Stat;
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("cpu_ms_per_predict", "ms"),
+    ("cpu_ms_per_op", "ms"),
     ("peak_rss_mb", "MB"),
     ("model_bytes_per_node", "B"),
     ("predict_rps", "1/s"),
@@ -70,6 +71,7 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("gnn.field_rows", "count"),
     ("shard.hw_estimate_ms", "ms"),
     ("shard.halo_rows_in_us", "us"),
+    ("cache.update_cpu_ms", "ms"),
     ("cache.apply_delta_ms", "ms"),
     ("cache.invalidation_closure_ms", "ms"),
 ];

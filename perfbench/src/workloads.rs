@@ -12,11 +12,14 @@ use mega_serve::{
     HttpServer, HttpServerConfig, ModelKey, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig,
     ServeEngine, ServeError, Ticket, TraceConfig, WaitError,
 };
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::client::Client;
-use crate::gen::{permutation, Rng, Zipf};
+use crate::gen::{permutation, stream, Zipf};
+use crate::layers::process_cpu_s;
 
-/// Stream ids for [`Rng::stream`]: one independent stream per input kind.
+/// Stream ids for [`stream`]: one independent stream per input kind.
 pub const TARGETS: u64 = 1;
 pub const POPULARITY: u64 = 2;
 pub const UPDATES: u64 = 3;
@@ -319,6 +322,8 @@ pub struct ClientRecord {
 pub struct Timed {
     pub predict_ms: Vec<f64>,
     pub update_ms: Vec<f64>,
+    /// Process CPU seconds spent while updates were in flight.
+    pub update_cpu_s: f64,
     pub wall_s: f64,
     pub ops: Ops,
     /// The first logits served for each node.
@@ -354,7 +359,7 @@ pub fn popularity(settings: &Settings) -> Zipf {
     Zipf::new(
         settings.nodes(),
         settings.zipf_exponent,
-        &mut Rng::stream(settings.seed, POPULARITY),
+        &mut stream(settings.seed, POPULARITY),
     )
 }
 
@@ -378,7 +383,7 @@ fn cold_http(settings: &Settings, served: &Served) -> Timed {
         .http
         .as_ref()
         .expect("cold_http has an ingress config");
-    let targets = permutation(settings.nodes(), &mut Rng::stream(settings.seed, TARGETS));
+    let targets = permutation(settings.nodes(), &mut stream(settings.seed, TARGETS));
     let path = format!("/v1/{}/gcn/predict", settings.spec.dataset.name);
     let mut client = Client::new(http.local_addr(), config.idle_timeout);
     let mut timed = Timed::default();
@@ -434,7 +439,7 @@ fn parse_prediction(body: &[u8]) -> Option<(u64, Vec<f32>)> {
 
 fn zipf_window(settings: &Settings, served: &Served) -> Timed {
     let zipf = popularity(settings);
-    let mut rng = Rng::stream(settings.seed, TARGETS);
+    let mut rng = stream(settings.seed, TARGETS);
     let mut warmup = Timed::default();
     for _ in 0..settings.warmup_windows {
         window(settings, served, &zipf, &mut rng, &mut warmup);
@@ -449,7 +454,7 @@ fn zipf_window(settings: &Settings, served: &Served) -> Timed {
 }
 
 /// Submits `settings.window` Zipf targets, then waits for each in order.
-fn window(settings: &Settings, served: &Served, zipf: &Zipf, rng: &mut Rng, timed: &mut Timed) {
+fn window(settings: &Settings, served: &Served, zipf: &Zipf, rng: &mut StdRng, timed: &mut Timed) {
     let submitted: Vec<(u32, Instant, Result<Ticket, ServeError>)> = (0..settings.window)
         .map(|_| {
             let node = zipf.sample(rng);
@@ -489,8 +494,8 @@ fn window(settings: &Settings, served: &Served, zipf: &Zipf, rng: &mut Rng, time
 
 fn churn_serial(settings: &Settings, served: &Served) -> Timed {
     let zipf = popularity(settings);
-    let mut targets = Rng::stream(settings.seed, TARGETS);
-    let mut endpoints = Rng::stream(settings.seed, UPDATES);
+    let mut targets = stream(settings.seed, TARGETS);
+    let mut endpoints = stream(settings.seed, UPDATES);
     let nodes = settings.nodes() as u64;
     let mut timed = Timed::default();
     let (start, end) = deadline(settings);
@@ -505,16 +510,11 @@ fn churn_serial(settings: &Settings, served: &Served) -> Timed {
             predict_one(settings, served, node, "predict", &mut timed);
             continue;
         }
-        // One edge into a Zipf-popular node, so hot cache entries go stale.
-        let dst = zipf.sample(&mut endpoints);
-        let mut src = endpoints.below(nodes) as u32;
-        if src == dst {
-            src = (src + 1) % nodes as u32;
-        }
+        let (src, dst) = update_edge(&zipf, &mut endpoints, nodes);
         timed.ops.attempt("update");
         let mut delta = GraphDelta::new();
         delta.insert_edge(src, dst);
-        let submit = Instant::now();
+        let (submit, cpu) = (Instant::now(), process_cpu_s());
         let answer = served
             .engine
             .submit_update(&served.key, delta, Vec::new())
@@ -525,6 +525,10 @@ fn churn_serial(settings: &Settings, served: &Served) -> Timed {
                     .map_err(ServeError::Wait)
             });
         let done = Instant::now();
+        // One operation is in flight, so the process's CPU over this
+        // interval is the update's. An update takes about 200 ms, so the
+        // 10 ms resolution of the CPU clock is fine enough.
+        timed.update_cpu_s += process_cpu_s() - cpu;
         match answer {
             Ok((_, ack)) if !ack.applied() => timed.ops.fail("update", "rejected"),
             Ok((id, ack)) => {
@@ -545,6 +549,19 @@ fn churn_serial(settings: &Settings, served: &Served) -> Timed {
     }
     timed.wall_s = start.elapsed().as_secs_f64();
     timed
+}
+
+/// One `churn_serial` update edge: into a Zipf-popular node, so hot cache
+/// entries go stale, from a uniform source other than itself.
+pub fn update_edge(zipf: &Zipf, rng: &mut StdRng, nodes: u64) -> (u32, u32) {
+    let dst = zipf.sample(rng);
+    let src = rng.gen_range(0..nodes) as u32;
+    let src = if src == dst {
+        (src + 1) % nodes as u32
+    } else {
+        src
+    };
+    (src, dst)
 }
 
 /// One blocking predict through a ticket: a timed `"predict"`, or a
