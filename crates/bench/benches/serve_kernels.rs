@@ -146,7 +146,6 @@ fn bench_serve_forward(c: &mut Criterion) {
         let targets: Vec<u32> = (0..artifacts.num_nodes() as u32).step_by(13).collect();
         for (label, mode) in [
             ("blocked", KernelMode::Blocked),
-            ("packed", KernelMode::Packed),
             ("scalar", KernelMode::Scalar),
         ] {
             group.bench_function(&format!("{kind:?}/{label}"), |b| {

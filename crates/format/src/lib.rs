@@ -22,7 +22,8 @@
 //! * [`sizes`] — exact bit-level size accounting for Dense / COO / CSR /
 //!   Bitmap / Adaptive-Package / Ideal (regenerates Fig. 4);
 //! * [`dse`] — the package-length design-space exploration of Fig. 21;
-//! * [`planes`] — bit-plane popcount kernels and the tier-contiguous
+//! * [`planes`] — the bit-plane combination kernels (plane walk at
+//!   ≤ 2 bits, sparse level MACs at 3+ bits) and the tier-contiguous
 //!   packed-at-rest feature store the serving engine executes against.
 
 // The optional `avx2` feature compiles the plane kernels a second time
@@ -42,5 +43,5 @@ pub mod sizes;
 
 pub use map::{QuantizedFeatureMap, QuantizedRow};
 pub use package::{EncodedFeatures, PackageConfig};
-pub use planes::{PlaneMatrix, PlaneRow, PlaneRows, TierPackedFeatures};
+pub use planes::{PlaneRow, PlaneRows, TierPackedFeatures};
 pub use sizes::{format_sizes, FormatSizes};

@@ -20,17 +20,13 @@
 //!   accumulate. Low-bit quantization zeroes every value below `α/2`, so
 //!   sparsity (and therefore speed) grows as tiers shrink.
 //!
-//! Both accumulate exact integer sums, so they are *bit-exact* with the
+//! Each has a register-blocked multi-row form ([`ternary_dot_multi`] /
+//! [`levels_dot_multi`]) that streams every weight row once per block of
+//! up to [`MAX_MULTI_ROWS`] same-tier rows; the serving forward pass runs
+//! those, and a one-row block delegates to the single-row kernel. All of
+//! them accumulate exact integer sums, so they are *bit-exact* with the
 //! scalar reference ([`dot_levels`]) by construction — the property the
-//! serving engine's packed-vs-scalar equivalence tests pin down.
-//!
-//! [`plane_dot`] / [`PlaneMatrix`] additionally provide the popcount
-//! plane-pair formulation (both operands plane-packed, reduced with two
-//! `popcount`s per word per plane pair). It validates the at-rest layout
-//! and mirrors the hardware most literally, but its cost scales with the
-//! *product* of the two bitwidths, which measures slower than the tiered
-//! kernels above for 3+ bit activations against multi-bit weights — see
-//! `BENCH_pr7.json` at the repo root for the per-tier numbers.
+//! serving engine's blocked-vs-scalar equivalence tests pin down.
 //!
 //! [`TierPackedFeatures`] keeps rows packed at rest in **tier-contiguous
 //! arenas**: one flat `Vec<u64>` per bitwidth with fixed-size slots and a
@@ -174,50 +170,15 @@ pub fn unpack_levels(words: &[u64], bits: u8, dim: usize, out: &mut [i32]) {
     }
 }
 
-/// Scalar integer reference: `Σ_j x_j · w_j` in `i64`. The packed kernel
-/// ([`plane_dot`]) computes the identical sum, term-reordered — both are
-/// exact integer arithmetic, so they agree bit-for-bit.
+/// Scalar integer reference: `Σ_j x_j · w_j` in `i64`. The plane kernels
+/// compute the identical sum, term-reordered — both are exact integer
+/// arithmetic, so they agree bit-for-bit.
 pub fn dot_levels(x: &[i32], w: &[i16]) -> i64 {
     debug_assert_eq!(x.len(), w.len());
     let mut acc = 0i64;
     for (&xj, &wj) in x.iter().zip(w) {
         if xj != 0 {
             acc += xj as i64 * wj as i64;
-        }
-    }
-    acc
-}
-
-/// The popcount plane-pair dot product. `x` and `w` are plane-packed rows
-/// over the same dimension (`wpp` words per plane), `x_mask`/`w_mask`
-/// their magnitude masks from [`pack_levels`]. Runs word-outer so each
-/// word's sign-disagreement mask `xsign ^ wsign` is computed once and
-/// shared across all plane pairs, and skips empty planes/words via the
-/// masks — on 2–5 b tiers this retires 8–16 MACs per word-pair operation.
-#[inline(always)]
-pub fn plane_dot(x: &[u64], x_mask: u16, w: &[u64], w_mask: u16, wpp: usize) -> i64 {
-    let mut acc = 0i64;
-    for k in 0..wpp {
-        let neg = x[k] ^ w[k]; // sign planes live at offset 0
-        let mut xm = x_mask;
-        while xm != 0 {
-            let px = xm.trailing_zeros() as usize;
-            xm &= xm - 1;
-            let xw = x[(1 + px) * wpp + k];
-            if xw == 0 {
-                continue;
-            }
-            let mut wm = w_mask;
-            while wm != 0 {
-                let pw = wm.trailing_zeros() as usize;
-                wm &= wm - 1;
-                let a = xw & w[(1 + pw) * wpp + k];
-                if a == 0 {
-                    continue;
-                }
-                let signed = a.count_ones() as i64 - 2 * (a & neg).count_ones() as i64;
-                acc += signed << (px + pw);
-            }
         }
     }
     acc
@@ -667,131 +628,20 @@ fn ternary_multi_lanes<const M: usize>(
     }
 }
 
-/// A weight matrix in column-major plane layout: one plane-packed column
-/// per output channel, so a combination row computes `out_dim` plane dots
-/// against one packed activation row (the activation planes stay in cache
-/// across the whole column sweep).
-pub struct PlaneMatrix {
-    in_dim: usize,
-    out_dim: usize,
-    bits: u8,
-    wpp: usize,
-    slot: usize,
-    words: Vec<u64>,
-    masks: Vec<u16>,
-}
-
-impl PlaneMatrix {
-    /// Packs a row-major `in_dim × out_dim` level matrix (`levels[j * out_dim + c]`)
-    /// into per-column planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `levels` is mis-sized or a level exceeds the `bits` range.
-    pub fn from_levels(in_dim: usize, out_dim: usize, bits: u8, levels: &[i32]) -> Self {
-        assert_eq!(levels.len(), in_dim * out_dim, "level matrix mis-sized");
-        let wpp = words_for(in_dim);
-        let slot = planes_for(bits) * wpp;
-        let mut words = vec![0u64; out_dim * slot];
-        let mut masks = Vec::with_capacity(out_dim);
-        let mut column = vec![0i32; in_dim];
-        for c in 0..out_dim {
-            for (j, slot_val) in column.iter_mut().enumerate() {
-                *slot_val = levels[j * out_dim + c];
-            }
-            masks.push(pack_levels(&column, bits, &mut words[c * slot..][..slot]));
-        }
-        Self {
-            in_dim,
-            out_dim,
-            bits,
-            wpp,
-            slot,
-            words,
-            masks,
-        }
-    }
-
-    /// Input dimension (rows of the level matrix).
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output dimension (columns / output channels).
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Weight bitwidth.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Words per plane (callers size activation rows with this).
-    pub fn words_per_plane(&self) -> usize {
-        self.wpp
-    }
-
-    /// Column `c`'s packed planes and magnitude mask.
-    pub fn col(&self, c: usize) -> (&[u64], u16) {
-        (&self.words[c * self.slot..][..self.slot], self.masks[c])
-    }
-
-    /// Computes all `out_dim` integer dots of one packed activation row
-    /// against this matrix, dispatching to the AVX2/POPCNT build of the
-    /// kernel when the `avx2` feature is on and the CPU supports it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `out` is mis-sized.
-    pub fn dot_row_into(&self, x: &[u64], x_mask: u16, out: &mut [i64]) {
-        assert_eq!(out.len(), self.out_dim, "dot buffer mis-sized");
-        assert_eq!(x.len() % self.wpp, 0, "activation planes mis-sized");
-        #[cfg(all(feature = "avx2", target_arch = "x86_64"))]
-        if accel::try_dot_row_cols(self, x, x_mask, out) {
-            return;
-        }
-        dot_row_cols(self, x, x_mask, out);
-    }
-}
-
-/// Portable column sweep: one [`plane_dot`] per output channel.
-#[inline(always)]
-fn dot_row_cols(matrix: &PlaneMatrix, x: &[u64], x_mask: u16, out: &mut [i64]) {
-    for (c, slot) in out.iter_mut().enumerate() {
-        let (col, mask) = matrix.col(c);
-        *slot = plane_dot(x, x_mask, col, mask, matrix.wpp);
-    }
-}
-
 #[cfg(all(feature = "avx2", target_arch = "x86_64"))]
 mod accel {
-    //! The same column sweep compiled with AVX2 + POPCNT enabled: the
-    //! `#[target_feature]` recompile lets LLVM emit hardware `popcnt` (not
-    //! guaranteed at the x86-64 baseline) and vectorize the word loop. No
-    //! hand-written intrinsics — the kernel body is shared with the
-    //! portable build, so the two cannot diverge numerically.
+    //! The same combination kernels compiled with AVX2 + POPCNT enabled:
+    //! the `#[target_feature]` recompile lets LLVM vectorize the weight-row
+    //! loops wider than the x86-64 baseline allows. No hand-written
+    //! intrinsics — each kernel body is shared with the portable build, so
+    //! the two cannot diverge numerically.
     #![allow(unsafe_code)]
-
-    use super::PlaneMatrix;
 
     /// Whether the running CPU supports the features the accelerated
     /// kernel bodies were compiled for.
     #[inline]
     fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
-    }
-
-    /// Runs the accelerated column sweep if the CPU supports it; returns
-    /// `false` so the caller falls back to the portable body otherwise.
-    #[inline]
-    pub fn try_dot_row_cols(matrix: &PlaneMatrix, x: &[u64], x_mask: u16, out: &mut [i64]) -> bool {
-        if !available() {
-            return false;
-        }
-        // SAFETY: gated on runtime detection of the enabled features.
-        unsafe { dot_row_cols(matrix, x, x_mask, out) };
-        true
     }
 
     /// Accelerated [`super::levels_dot_rows`]; `false` means fall back.
@@ -864,14 +714,6 @@ mod accel {
         // SAFETY: gated on runtime detection of the enabled features.
         unsafe { ternary_dot_multi(words, m, dim, weight_rows, out_dim, acc, out) };
         true
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified [`available`] on the running CPU.
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn dot_row_cols(matrix: &PlaneMatrix, x: &[u64], x_mask: u16, out: &mut [i64]) {
-        super::dot_row_cols(matrix, x, x_mask, out);
     }
 
     /// # Safety
@@ -1238,27 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn plane_dot_matches_scalar_reference_exactly() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for (bx, bw) in [(1u8, 2u8), (2, 4), (3, 4), (4, 4), (5, 4), (8, 8), (6, 1)] {
-            for dim in [5usize, 64, 127, 190] {
-                let x = random_levels(&mut rng, dim, bx, 0.5);
-                let w: Vec<i32> = random_levels(&mut rng, dim, bw, 0.7);
-                let mut xw = vec![0u64; planes_for(bx) * words_for(dim)];
-                let mut ww = vec![0u64; planes_for(bw) * words_for(dim)];
-                let xm = pack_levels(&x, bx, &mut xw);
-                let wm = pack_levels(&w, bw, &mut ww);
-                let w16: Vec<i16> = w.iter().map(|&l| l as i16).collect();
-                assert_eq!(
-                    plane_dot(&xw, xm, &ww, wm, words_for(dim)),
-                    dot_levels(&x, &w16),
-                    "bx={bx} bw={bw} dim={dim}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn levels_dot_rows_matches_scalar_reference_exactly() {
         let mut rng = StdRng::seed_from_u64(29);
         // 9000 > ACC_BLOCK exercises the blocked i32 → i64 fold.
@@ -1426,25 +1247,6 @@ mod tests {
         let mut acc = vec![0i32; 2];
         let mut out = vec![0i64; 2];
         ternary_dot_multi(&[], 0, 64, &[0i16; 128], 2, &mut acc, &mut out);
-    }
-
-    #[test]
-    fn plane_matrix_columns_round_trip() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (in_dim, out_dim, bits) = (70usize, 9usize, 4u8);
-        let levels = random_levels(&mut rng, in_dim * out_dim, bits, 0.8);
-        let m = PlaneMatrix::from_levels(in_dim, out_dim, bits, &levels);
-        let x = random_levels(&mut rng, in_dim, 5, 0.6);
-        let mut xw = vec![0u64; planes_for(5) * words_for(in_dim)];
-        let xm = pack_levels(&x, 5, &mut xw);
-        let mut out = vec![0i64; out_dim];
-        m.dot_row_into(&xw, xm, &mut out);
-        for c in 0..out_dim {
-            let col: Vec<i16> = (0..in_dim)
-                .map(|j| levels[j * out_dim + c] as i16)
-                .collect();
-            assert_eq!(out[c], dot_levels(&x, &col), "column {c}");
-        }
     }
 
     #[test]

@@ -1,30 +1,15 @@
-//! Neighborhood-sliced inference: logits for a *subset* of nodes without a
-//! full-graph forward pass.
+//! The receptive field of a target set: which rows each layer of an
+//! `L`-layer GNN must materialize to produce logits for just those targets.
 //!
 //! An `L`-layer GNN only needs the `L`-hop in-neighborhood of a node to
-//! classify it, so an online serving engine should pay per-request cost
-//! proportional to that neighborhood — not to the whole graph. This module
-//! provides the reusable entry point `mega-serve` batches on: it expands
-//! the target set's receptive field layer by layer through the normalized
-//! adjacency and evaluates exactly the required rows.
-//!
-//! **Bit-exactness contract:** every arithmetic path is per-node and runs
-//! in a fixed order (dense dot products in column order, aggregation in CSR
-//! row order), so the logits of a node are *identical* no matter which
-//! other nodes share its batch — the property the serving engine's
-//! batched-vs-sequential equivalence test asserts.
+//! classify it, so serving pays per-request cost proportional to that
+//! neighborhood — not to the whole graph. [`ReceptiveField::expand`] walks
+//! the normalized adjacency from the targets inward; the forward pass over
+//! the field lives in [`crate::kernel`].
 
-use mega_graph::datasets::Features;
 use mega_graph::NodeId;
-use mega_tensor::Matrix;
 
-use crate::adjacency::{AdjacencyView, LocalAdjacency};
-use crate::model::Gnn;
-
-/// Elementwise per-node activation transform (e.g. degree-aware fake
-/// quantization). Called once per hidden activation row with the layer the
-/// activation feeds (`1..layers`), the node id, and the row values.
-pub type ActivationTransform<'a> = &'a mut dyn FnMut(usize, NodeId, &mut [f32]);
+use crate::adjacency::AdjacencyView;
 
 /// The receptive field of a target set: which rows each layer must
 /// materialize. `needed[l]` holds the nodes whose layer-`l` activations are
@@ -88,215 +73,25 @@ impl ReceptiveField {
     }
 }
 
-/// Computes logits for `targets` only, touching just their receptive field.
-///
-/// `transform` is applied to every hidden activation row (after ReLU),
-/// mirroring `ForwardHook::transform_activation` in the full forward pass;
-/// pass a no-op closure for FP32 serving. Input features are consumed
-/// as-is — quantize them offline (they are constant) if mixed-precision
-/// inputs are wanted.
-///
-/// Returns a `(targets.len(), out_dim)` matrix in the order of `targets`
-/// (duplicates allowed).
-///
-/// # Panics
-///
-/// Panics if `features` rows mismatch the adjacency, or a target is out of
-/// range.
-pub fn forward_targets<A: AdjacencyView + ?Sized>(
-    model: &Gnn,
-    features: &Features,
-    adjacency: &A,
-    targets: &[NodeId],
-    transform: ActivationTransform<'_>,
-) -> Matrix {
-    forward_targets_with_field(model, features, adjacency, targets, transform).0
-}
-
-/// Like [`forward_targets`], but also returns the [`ReceptiveField`] the
-/// pass materialized — callers that account for per-batch compute (e.g.
-/// the serving engine's metrics) get it without re-expanding.
-pub fn forward_targets_with_field<A: AdjacencyView + ?Sized>(
-    model: &Gnn,
-    features: &Features,
-    adjacency: &A,
-    targets: &[NodeId],
-    transform: ActivationTransform<'_>,
-) -> (Matrix, ReceptiveField) {
-    let n = adjacency.rows();
-    assert_eq!(features.rows(), n, "features/adjacency row mismatch");
-    for &t in targets {
-        assert!((t as usize) < n, "target {t} out of range ({n} nodes)");
-    }
-    let layers = model.config().layers;
-    let field = ReceptiveField::expand(adjacency, targets, layers);
-
-    // h holds the activations of the previous level, indexed by position in
-    // field.needed[l]. The level lists are sorted and deduped, so node →
-    // position is a binary search on the list itself — no hash maps.
-    let mut h: Vec<Vec<f32>> = Vec::new();
-    let mut out_dim = 0;
-
-    for l in 0..layers {
-        let w = &model.weights()[l];
-        let b = &model.biases()[l];
-        out_dim = w.cols();
-        // Combination: (H_l · W_l + b_l) for every row this level needs.
-        // `h` is already in `needed[l]` order, so position == enumerate
-        // index.
-        let combined: Vec<Vec<f32>> = field.needed[l]
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| {
-                let mut row = vec![0.0f32; out_dim];
-                if l == 0 {
-                    // Sparse input row: only nonzero features contribute.
-                    for (j, &x) in features.row(u as usize).iter().enumerate() {
-                        if x != 0.0 {
-                            let wrow = w.row(j);
-                            for c in 0..out_dim {
-                                row[c] += x * wrow[c];
-                            }
-                        }
-                    }
-                } else {
-                    let hrow = &h[i];
-                    for (j, &x) in hrow.iter().enumerate() {
-                        if x != 0.0 {
-                            let wrow = w.row(j);
-                            for c in 0..out_dim {
-                                row[c] += x * wrow[c];
-                            }
-                        }
-                    }
-                }
-                let brow = b.row(0);
-                for c in 0..out_dim {
-                    row[c] += brow[c];
-                }
-                row
-            })
-            .collect();
-
-        // Aggregation: Ã·combined, row by row in CSR order.
-        let level_nodes = &field.needed[l];
-        let next: Vec<Vec<f32>> = field.needed[l + 1]
-            .iter()
-            .map(|&v| {
-                let mut row = vec![0.0f32; out_dim];
-                let cols = adjacency.row_indices(v as usize);
-                let vals = adjacency.row_values(v as usize);
-                for (&u, &a) in cols.iter().zip(vals) {
-                    let ui = level_nodes
-                        .binary_search(&u)
-                        .expect("aggregation source is in the receptive field");
-                    let src = &combined[ui];
-                    for c in 0..out_dim {
-                        row[c] += a * src[c];
-                    }
-                }
-                if l + 1 < layers {
-                    for x in row.iter_mut() {
-                        *x = x.max(0.0);
-                    }
-                    transform(l + 1, v, &mut row);
-                }
-                row
-            })
-            .collect();
-        h = next;
-    }
-
-    let final_nodes = &field.needed[layers];
-    let mut data = Vec::with_capacity(targets.len() * out_dim);
-    for &t in targets {
-        let pos = final_nodes
-            .binary_search(&t)
-            .expect("targets are the final level of their field");
-        data.extend_from_slice(&h[pos]);
-    }
-    (Matrix::from_vec(targets.len(), out_dim, data), field)
-}
-
-/// [`forward_targets_with_field`] over a *shard-local* adjacency slice:
-/// `targets` are **global** node ids that must be resident in `local`, and
-/// `transform` likewise receives global ids (so a degree-aware quantizer
-/// keyed by global per-node state plugs in unchanged). `local_features`
-/// holds one row per local node, aligned with `local.locals()` — the
-/// spliced-in halo feature rows ride in the same matrix as the owned rows.
-///
-/// The returned [`ReceptiveField`] is in *local* ids (callers translate
-/// through [`LocalAdjacency::global_of`], e.g. to count how many rows of a
-/// batch resolved from halo copies).
-///
-/// Bit-exactness with the global pass follows from two invariants: local
-/// ids ascend in global order (so every remapped row aggregates in the
-/// global summation order), and feature/value payloads are verbatim copies.
-///
-/// # Panics
-///
-/// Panics if a target is not resident in the slice, or if the receptive
-/// field escapes the slice (the slice's halo is shallower than the model's
-/// layer count).
-pub fn forward_targets_local(
-    model: &Gnn,
-    local_features: &Features,
-    local: &LocalAdjacency,
-    targets: &[NodeId],
-    transform: ActivationTransform<'_>,
-) -> (Matrix, ReceptiveField) {
-    let local_targets: Vec<NodeId> = targets
-        .iter()
-        .map(|&t| {
-            local
-                .local_of(t)
-                .unwrap_or_else(|| panic!("target {t} is not resident in the shard slice"))
-        })
-        .collect();
-    // Guard the halo-depth invariant *before* aggregating: every row the
-    // pass will aggregate (levels >= 1) must be complete. An outer-halo
-    // row is stored empty — silently aggregating it would fabricate
-    // all-zero activations for a target the slice cannot actually serve
-    // (e.g. a halo node passed as a target).
-    let field = ReceptiveField::expand(local, &local_targets, model.config().layers);
-    for level in &field.needed[1..] {
-        for &v in level {
-            assert!(
-                !local.row_indices(v as usize).is_empty(),
-                "receptive field escapes the shard slice at global node {} \
-                 (target set reaches beyond the halo depth)",
-                local.global_of(v)
-            );
-        }
-    }
-    let mut relabeled = |layer: usize, v: NodeId, row: &mut [f32]| {
-        transform(layer, local.global_of(v), row);
-    };
-    forward_targets_with_field(model, local_features, local, &local_targets, &mut relabeled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adjacency::build_adjacency;
-    use crate::model::{GnnKind, IdentityHook, ModelConfig};
+    use crate::model::GnnKind;
     use mega_graph::datasets::DatasetSpec;
-    use mega_tensor::{CsrMatrix, Tape};
+    use mega_tensor::CsrMatrix;
 
-    fn setup() -> (mega_graph::Dataset, Gnn, std::rc::Rc<CsrMatrix>) {
+    fn setup() -> std::rc::Rc<CsrMatrix> {
         let d = DatasetSpec::cora()
             .scaled(0.05)
             .with_feature_dim(48)
             .materialize();
-        let cfg = ModelConfig::for_dataset(GnnKind::Gcn, &d);
-        let model = Gnn::new(cfg.clone());
-        let adj = build_adjacency(&d.graph, cfg.kind.aggregator(1));
-        (d, model, adj)
+        build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1))
     }
 
     #[test]
     fn receptive_field_shrinks_toward_input() {
-        let (_d, _m, adj) = setup();
+        let adj = setup();
         let field = ReceptiveField::expand(&adj, &[0, 1], 2);
         assert_eq!(field.needed[2], vec![0, 1]);
         // Each level expands (or at least keeps) the frontier.
@@ -307,7 +102,7 @@ mod tests {
 
     #[test]
     fn field_nodes_and_intersection_track_levels() {
-        let (_d, _m, adj) = setup();
+        let adj = setup();
         let field = ReceptiveField::expand(&adj, &[0, 1], 2);
         let nodes = field.nodes();
         assert!(nodes.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
@@ -322,128 +117,5 @@ mod tests {
             .collect();
         assert!(!field.intersects(&outside));
         assert!(!field.intersects(&[]));
-    }
-
-    #[test]
-    fn sliced_forward_matches_full_forward() {
-        let (d, model, adj) = setup();
-        let mut tape = Tape::new();
-        let full = model.forward(&mut tape, &d, &adj, &mut IdentityHook, None);
-        let full_logits = tape.value(full.logits).clone();
-
-        let targets: Vec<NodeId> = vec![3, 0, 17, 3];
-        let sliced = forward_targets(&model, d.features(), &adj, &targets, &mut |_l, _v, _row| {});
-        assert_eq!(sliced.shape(), (4, d.spec.num_classes));
-        for (i, &t) in targets.iter().enumerate() {
-            for c in 0..d.spec.num_classes {
-                let a = sliced.get(i, c);
-                let b = full_logits.get(t as usize, c);
-                assert!(
-                    (a - b).abs() < 1e-4,
-                    "mismatch at target {t} class {c}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_composition_does_not_change_logits() {
-        let (d, model, adj) = setup();
-        let mut noop = |_l: usize, _v: NodeId, _row: &mut [f32]| {};
-        let alone = forward_targets(&model, d.features(), &adj, &[5], &mut noop);
-        let together = forward_targets(&model, d.features(), &adj, &[9, 5, 33], &mut noop);
-        for c in 0..d.spec.num_classes {
-            // Bit-exact: same f32 bits, not just close.
-            assert_eq!(alone.get(0, c).to_bits(), together.get(1, c).to_bits());
-        }
-    }
-
-    #[test]
-    fn local_slice_forward_is_bit_exact_with_global() {
-        let (d, model, adj) = setup();
-        let layers = model.config().layers;
-        // "Owned" nodes plus their L-hop in-closure = the shard's locals.
-        let owned: Vec<NodeId> = (0..d.graph.num_nodes() as NodeId).step_by(5).collect();
-        let closure = ReceptiveField::expand(&adj, &owned, layers);
-        let mut locals: Vec<NodeId> = closure.needed.concat();
-        locals.sort_unstable();
-        locals.dedup();
-        let slice = LocalAdjacency::slice(&adj, &locals);
-        let local_rows: Vec<f32> = locals
-            .iter()
-            .flat_map(|&g| d.features().row(g as usize).iter().copied())
-            .collect();
-        let local_features = Features::from_vec(locals.len(), d.features().dim(), local_rows);
-
-        let targets: Vec<NodeId> = owned.iter().copied().take(7).collect();
-        let mut seen_globals = Vec::new();
-        let (local_logits, field) = forward_targets_local(
-            &model,
-            &local_features,
-            &slice,
-            &targets,
-            &mut |_l, v, _row| seen_globals.push(v),
-        );
-        let global_logits =
-            forward_targets(&model, d.features(), &adj, &targets, &mut |_l, _v, _row| {});
-        assert_eq!(local_logits.shape(), global_logits.shape());
-        for (r, &t) in targets.iter().enumerate() {
-            for c in 0..d.spec.num_classes {
-                assert_eq!(
-                    local_logits.get(r, c).to_bits(),
-                    global_logits.get(r, c).to_bits(),
-                    "target {t} diverged between sliced and global execution"
-                );
-            }
-        }
-        // The transform saw *global* ids, and the field is in local ids.
-        assert!(seen_globals.iter().all(|v| locals.binary_search(v).is_ok()));
-        assert!(field
-            .needed
-            .iter()
-            .flatten()
-            .all(|&v| (v as usize) < locals.len()));
-    }
-
-    #[test]
-    #[should_panic(expected = "escapes the shard slice")]
-    fn local_forward_rejects_field_escaping_the_slice() {
-        // A slice holding only the target: its in-neighbors are missing,
-        // so its row is stored empty and the guard must fire instead of
-        // silently aggregating zeros.
-        let (d, model, adj) = setup();
-        let t = (0..d.graph.num_nodes())
-            .find(|&v| d.graph.in_degree(v) > 0)
-            .expect("a non-isolated node exists") as NodeId;
-        let slice = LocalAdjacency::slice(&adj, &[t]);
-        let features =
-            Features::from_vec(1, d.features().dim(), d.features().row(t as usize).to_vec());
-        let _ = forward_targets_local(&model, &features, &slice, &[t], &mut |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "not resident")]
-    fn local_forward_rejects_foreign_targets() {
-        let (d, model, adj) = setup();
-        let locals: Vec<NodeId> = vec![0, 1, 2];
-        let slice = LocalAdjacency::slice(&adj, &locals);
-        let rows: Vec<f32> = locals
-            .iter()
-            .flat_map(|&g| d.features().row(g as usize).iter().copied())
-            .collect();
-        let features = Features::from_vec(locals.len(), d.features().dim(), rows);
-        let _ = forward_targets_local(&model, &features, &slice, &[40], &mut |_, _, _| {});
-    }
-
-    #[test]
-    fn transform_sees_every_hidden_activation() {
-        let (d, model, adj) = setup();
-        let mut seen = 0usize;
-        let _ = forward_targets(&model, d.features(), &adj, &[2, 4], &mut |l, _v, _row| {
-            assert_eq!(l, 1);
-            seen += 1;
-        });
-        let field = ReceptiveField::expand(&adj, &[2, 4], model.config().layers);
-        assert_eq!(seen, field.needed[1].len());
     }
 }

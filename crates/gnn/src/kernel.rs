@@ -1,34 +1,28 @@
-//! Tier-contiguous bit-plane kernels for the serving forward pass.
+//! The serving forward pass: tier-contiguous bit-plane kernels over a
+//! target set's receptive field.
 //!
-//! [`crate::infer::forward_targets`] dequantizes everything to `f32` and
-//! allocates per-layer `Vec<Vec<f32>>`s — correct, but it throws away the
-//! compute savings mixed precision promises (the accelerator model in
-//! `mega_accel::bitserial` charges cycles ∝ bitwidth; the f32 path pays
-//! the same MACs at every tier). This module is the measured counterpart:
+//! An `L`-layer GNN only needs the `L`-hop in-neighborhood of a node to
+//! classify it, so a request pays for its [`ReceptiveField`], not for the
+//! whole graph. Within that field:
 //!
 //! * **Combination in the integer domain.** Activation rows are quantized
-//!   once per row (`α = max|x|/qmax`, exactly the transform serving always
-//!   applied), the dot products run over integer levels, and a *single*
-//!   dequantize per output element applies `α_x · α_w` — instead of
-//!   dequantizing every operand. In [`KernelMode::Packed`] the dots
-//!   dispatch per tier: ≤ 2 bit rows run the plane-walk kernel
-//!   ([`mega_format::planes::ternary_dot_rows`]) straight off the packed
-//!   words, 3+ bit rows the sparse level kernel
-//!   ([`mega_format::planes::levels_dot_rows`]) over contiguous weight
-//!   rows; in [`KernelMode::Blocked`] same-tier rows are additionally
-//!   gathered into register-blocked M-lane tiles so each weight row
-//!   streams **once per block** instead of once per row
-//!   ([`mega_format::planes::ternary_dot_multi`] /
-//!   [`mega_format::planes::levels_dot_multi`]); in [`KernelMode::Scalar`]
-//!   a scalar integer loop computes the *same* exact `i64` sums, so all
-//!   modes are bit-exact by construction.
-//! * **Aggregation stays `f32` in CSR row order** — the identical
-//!   summation order as the classic path, which is what keeps the serving
-//!   engine's batch-invariance and sharded-vs-global bit-exactness proofs
-//!   intact.
-//! * **Flat arenas.** All scratch (activation planes, level buffers,
-//!   per-level activation matrices) lives in one reusable [`KernelArena`]
-//!   owned by the worker thread; steady-state batches allocate nothing.
+//!   once per row (`α = max|x|/qmax`, at the node's degree-assigned
+//!   bitwidth), the dot products run over integer levels, and a *single*
+//!   dequantize per output element applies `α_x · α_w`. In
+//!   [`KernelMode::Blocked`] (production) same-tier rows are gathered into
+//!   register-blocked M-lane tiles, and each weight row streams **once per
+//!   block**: ≤ 2 bit rows through the plane walk
+//!   ([`mega_format::planes::ternary_dot_multi`]) straight off the packed
+//!   words, 3+ bit rows through the sparse level kernel
+//!   ([`mega_format::planes::levels_dot_multi`]). [`KernelMode::Scalar`]
+//!   computes the *same* exact `i64` sums with a scalar integer loop; it is
+//!   the oracle the blocked kernels are tested against.
+//! * **Aggregation stays `f32` in CSR row order**, a fixed per-node order,
+//!   so a node's logits are identical whichever other nodes share its batch
+//!   and whether it runs on the global graph or a shard slice.
+//! * **Flat arenas.** All scratch (activation slabs, level buffers, lane
+//!   tiles) lives in one reusable [`KernelArena`] owned by the worker
+//!   thread; steady-state batches allocate nothing.
 //!
 //! Input rows arrive packed at rest through the [`PlaneRows`] trait
 //! (implemented by `mega_format::TierPackedFeatures` globally and by the
@@ -36,8 +30,8 @@
 //! dequantized features at all.
 
 use mega_format::planes::{
-    self, levels_dot_multi, levels_dot_rows, pack_levels, quantize_level, row_alpha,
-    ternary_dot_multi, ternary_dot_rows, unpack_levels, PlaneRows, MAX_MULTI_ROWS, MAX_PLANE_BITS,
+    self, levels_dot_multi, pack_levels, quantize_level, row_alpha, ternary_dot_multi,
+    unpack_levels, PlaneRows, MAX_MULTI_ROWS, MAX_PLANE_BITS,
 };
 use mega_graph::NodeId;
 use mega_tensor::Matrix;
@@ -48,31 +42,27 @@ use crate::model::Gnn;
 
 /// Which dot-product engine executes combinations. Both modes share
 /// quantization, aggregation, and dequantization code, and compute
-/// identical integer sums — `Scalar` is the reference the packed kernels
-/// are tested (and CI-gated) against.
+/// identical integer sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Scalar integer reference (`i64` multiply-accumulate over levels).
+    /// Scalar integer reference (`i64` multiply-accumulate over levels):
+    /// the test oracle for [`KernelMode::Blocked`].
     Scalar,
-    /// Tier-dispatched single-row kernels over packed rows: plane-walk
-    /// for ≤ 2 bit tiers, sparse level-domain MACs for 3+ bit tiers. One
-    /// full weight-tile stream per feature row.
-    Packed,
     /// Register-blocked multi-row kernels: each level's same-tier rows are
     /// gathered into M-lane tiles (`M ≤ MAX_MULTI_ROWS`) and every weight
     /// row streams **once per block** instead of once per row
     /// ([`mega_format::planes::ternary_dot_multi`] /
     /// [`mega_format::planes::levels_dot_multi`]). Remainder chunks take
     /// the same entry points — an `m == 1` call delegates to the
-    /// single-row kernel. Bit-exact with both other modes: every lane
-    /// folds `i32 → i64` at the same `ACC_BLOCK` boundaries as the
-    /// single-row kernels.
+    /// single-row kernel. Bit-exact with `Scalar`: every lane folds
+    /// `i32 → i64` at the same `ACC_BLOCK` boundaries as the single-row
+    /// kernels.
     Blocked,
 }
 
 /// One layer's weights, quantized once at build time and held in both
 /// layouts the modes need: column-major integer levels for the scalar
-/// reference and row-major levels for the packed kernels (which stream
+/// reference and row-major levels for the blocked kernels (which stream
 /// whole weight rows per non-zero activation).
 pub struct QuantizedLayer {
     /// Per-layer symmetric weight scale (`max|w| / qmax`; 0 for an
@@ -104,7 +94,7 @@ impl QuantizedLayer {
         &self.levels[c * self.in_dim..][..self.in_dim]
     }
 
-    /// The row-major level matrix (`[j * out_dim + c]`) the packed
+    /// The row-major level matrix (`[j * out_dim + c]`) the blocked
     /// kernels stream.
     pub fn weight_rows(&self) -> &[i16] {
         &self.levels_row
@@ -182,18 +172,14 @@ impl PackedGnn {
 }
 
 /// Reusable scratch for the kernel forward pass: flat activation arenas
-/// (one slab per level, replacing the per-row `Vec<Vec<f32>>`s of the
-/// classic path) plus the quantize/pack/dot staging buffers. One arena per
-/// worker thread serves every batch; buffers only ever grow.
+/// (one slab per level) plus the quantize/pack/dot staging buffers. One
+/// arena per worker thread serves every batch; buffers only ever grow.
 #[derive(Default)]
 pub struct KernelArena {
     h: Vec<f32>,
     next: Vec<f32>,
     combined: Vec<f32>,
     levels: Vec<i32>,
-    words: Vec<u64>,
-    acc: Vec<i32>,
-    dots: Vec<i64>,
     /// Node id → position in the current level's `needed` list, one `u32`
     /// per graph row (~4 MB at 10⁶ nodes, reused across batches) —
     /// replaces the per-edge binary search during aggregation. Reads are
@@ -216,7 +202,7 @@ pub struct KernelArena {
 
 /// Dequantizes one M-block's lane-major dot tile into the combined rows:
 /// `combined[i·w_out + c] = dots[r·w_out + c] · scale_i + bias[c]` — the
-/// identical per-element transform the single-row paths apply.
+/// identical per-element transform the scalar path applies.
 fn scatter_tile(
     chunk: &[u32],
     tile_dots: &[i64],
@@ -236,36 +222,11 @@ fn scatter_tile(
     }
 }
 
-/// [`forward_targets_packed_with_field`] without the field.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_targets_packed<R, A>(
-    model: &Gnn,
-    packed: &PackedGnn,
-    rows: &R,
-    adjacency: &A,
-    targets: &[NodeId],
-    bits_of: &mut dyn FnMut(NodeId) -> u8,
-    mode: KernelMode,
-    arena: &mut KernelArena,
-) -> Matrix
-where
-    R: PlaneRows,
-    A: AdjacencyView + ?Sized,
-{
-    forward_targets_packed_with_field(
-        model, packed, rows, adjacency, targets, bits_of, mode, arena,
-    )
-    .0
-}
-
-/// The kernel counterpart of
-/// [`crate::infer::forward_targets_with_field`]: logits for `targets`
-/// over their receptive field, with combination executed in the integer
-/// domain per `mode` and hidden activations quantized at
-/// `bits_of(node)` — the degree-aware transform the serving engine always
-/// applied, now fused into the pass (quantization happens when a row
-/// enters the next combination rather than when it leaves aggregation;
-/// the composition is unchanged).
+/// Logits for `targets` (row `i` belongs to `targets[i]`, duplicates
+/// allowed) over their receptive field, plus the field itself. Combination
+/// runs in the integer domain per `mode`, and every hidden activation row
+/// is quantized at `bits_of(node)` as it enters the next combination — the
+/// degree-aware transform of the serving policy.
 ///
 /// # Panics
 ///
@@ -313,229 +274,165 @@ where
         // Combination: integer dots + one dequantize per output element.
         arena.combined.clear();
         arena.combined.resize(level_nodes.len() * w_out, 0.0);
-        arena.dots.resize(w_out, 0);
-        arena.acc.resize(w_out, 0);
         arena.levels.resize(w_in, 0);
-        let wpp = planes::words_for(w_in);
-        arena.words.resize(planes::planes_for(8) * wpp, 0);
-        if mode == KernelMode::Blocked {
-            // Sweep 1 — classify every row into its tier group and stage
-            // the quantization metadata the gather needs. Hidden rows
-            // whose activations are all zero short-circuit to the bias
-            // row here and join no group (same shortcut as the single-row
-            // paths).
-            arena.ternary_rows.clear();
-            arena.levels_rows.clear();
-            arena.row_scale.clear();
-            arena.row_scale.resize(level_nodes.len(), 0.0);
-            arena.row_qalpha.clear();
-            arena.row_qalpha.resize(level_nodes.len(), 0.0);
-            arena.row_qbits.clear();
-            arena.row_qbits.resize(level_nodes.len(), 0);
-            for (i, &u) in level_nodes.iter().enumerate() {
-                if l == 0 {
-                    let row = rows.plane_row(u as usize);
-                    arena.row_scale[i] = row.alpha * layer.alpha;
-                    if row.bits <= 2 {
-                        arena.ternary_rows.push(i as u32);
-                    } else {
-                        arena.levels_rows.push(i as u32);
-                    }
-                } else {
-                    let hrow = &arena.h[i * w_in..][..w_in];
-                    let bits = bits_of(u);
-                    let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                    if max_abs == 0.0 {
-                        arena.combined[i * w_out..][..w_out].copy_from_slice(bias);
-                        continue;
-                    }
-                    let alpha = row_alpha(max_abs, bits);
-                    arena.row_qalpha[i] = alpha;
-                    arena.row_qbits[i] = bits;
-                    arena.row_scale[i] = alpha * layer.alpha;
-                    if bits <= 2 {
-                        arena.ternary_rows.push(i as u32);
-                    } else {
-                        arena.levels_rows.push(i as u32);
-                    }
-                }
-            }
-
-            // Sweep 2 — dispatch each tier group in M-lane blocks through
-            // one weight-tile pass per block. Remainder chunks reuse the
-            // same entry points: an m == 1 call falls back to the
-            // single-row kernel inside `*_dot_multi`.
-            let span = 2 * wpp;
-            arena.tile_words.resize(MAX_MULTI_ROWS * span, 0);
-            arena.tile_levels.resize(MAX_MULTI_ROWS * w_in, 0);
-            arena.tile_acc.resize(2 * MAX_MULTI_ROWS * w_out, 0);
-            arena.tile_dots.resize(MAX_MULTI_ROWS * w_out, 0);
-            for chunk in arena.ternary_rows.chunks(MAX_MULTI_ROWS) {
-                let m = chunk.len();
-                for (r, &iu) in chunk.iter().enumerate() {
-                    let i = iu as usize;
-                    let lane = &mut arena.tile_words[r * span..][..span];
+        match mode {
+            KernelMode::Blocked => {
+                // Sweep 1 — classify every row into its tier group and
+                // stage the quantization metadata the gather needs. Hidden
+                // rows whose activations are all zero short-circuit to the
+                // bias row here and join no group.
+                arena.ternary_rows.clear();
+                arena.levels_rows.clear();
+                arena.row_scale.clear();
+                arena.row_scale.resize(level_nodes.len(), 0.0);
+                arena.row_qalpha.clear();
+                arena.row_qalpha.resize(level_nodes.len(), 0.0);
+                arena.row_qbits.clear();
+                arena.row_qbits.resize(level_nodes.len(), 0);
+                for (i, &u) in level_nodes.iter().enumerate() {
                     if l == 0 {
-                        // ≤ 2 bit rows are exactly two planes at rest, so
-                        // the packed words splice straight into the lane.
-                        lane.copy_from_slice(rows.plane_row(level_nodes[i] as usize).words);
+                        let row = rows.plane_row(u as usize);
+                        arena.row_scale[i] = row.alpha * layer.alpha;
+                        if row.bits <= 2 {
+                            arena.ternary_rows.push(i as u32);
+                        } else {
+                            arena.levels_rows.push(i as u32);
+                        }
                     } else {
                         let hrow = &arena.h[i * w_in..][..w_in];
-                        let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
+                        let bits = bits_of(u);
+                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                        if max_abs == 0.0 {
+                            arena.combined[i * w_out..][..w_out].copy_from_slice(bias);
+                            continue;
+                        }
+                        let alpha = row_alpha(max_abs, bits);
+                        arena.row_qalpha[i] = alpha;
+                        arena.row_qbits[i] = bits;
+                        arena.row_scale[i] = alpha * layer.alpha;
+                        if bits <= 2 {
+                            arena.ternary_rows.push(i as u32);
+                        } else {
+                            arena.levels_rows.push(i as u32);
+                        }
+                    }
+                }
+
+                // Sweep 2 — dispatch each tier group in M-lane blocks
+                // through one weight-tile pass per block. Remainder chunks
+                // reuse the same entry points: an m == 1 call falls back to
+                // the single-row kernel inside `*_dot_multi`.
+                let span = 2 * planes::words_for(w_in);
+                arena.tile_words.resize(MAX_MULTI_ROWS * span, 0);
+                arena.tile_levels.resize(MAX_MULTI_ROWS * w_in, 0);
+                arena.tile_acc.resize(2 * MAX_MULTI_ROWS * w_out, 0);
+                arena.tile_dots.resize(MAX_MULTI_ROWS * w_out, 0);
+                for chunk in arena.ternary_rows.chunks(MAX_MULTI_ROWS) {
+                    let m = chunk.len();
+                    for (r, &iu) in chunk.iter().enumerate() {
+                        let i = iu as usize;
+                        let lane = &mut arena.tile_words[r * span..][..span];
+                        if l == 0 {
+                            // ≤ 2 bit rows are exactly two planes at rest,
+                            // so the packed words splice straight into the
+                            // lane.
+                            lane.copy_from_slice(rows.plane_row(level_nodes[i] as usize).words);
+                        } else {
+                            let hrow = &arena.h[i * w_in..][..w_in];
+                            let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
+                            for (slot, &x) in arena.levels.iter_mut().zip(hrow) {
+                                *slot = quantize_level(x, alpha, bits);
+                            }
+                            pack_levels(&arena.levels, bits, lane);
+                        }
+                    }
+                    ternary_dot_multi(
+                        &arena.tile_words[..m * span],
+                        m,
+                        w_in,
+                        layer.weight_rows(),
+                        w_out,
+                        &mut arena.tile_acc[..2 * m * w_out],
+                        &mut arena.tile_dots[..m * w_out],
+                    );
+                    scatter_tile(
+                        chunk,
+                        &arena.tile_dots,
+                        &arena.row_scale,
+                        bias,
+                        w_out,
+                        &mut arena.combined,
+                    );
+                }
+                for chunk in arena.levels_rows.chunks(MAX_MULTI_ROWS) {
+                    let m = chunk.len();
+                    for (r, &iu) in chunk.iter().enumerate() {
+                        let i = iu as usize;
+                        let lane = &mut arena.tile_levels[r * w_in..][..w_in];
+                        if l == 0 {
+                            let row = rows.plane_row(level_nodes[i] as usize);
+                            unpack_levels(row.words, row.bits, w_in, lane);
+                        } else {
+                            let hrow = &arena.h[i * w_in..][..w_in];
+                            let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
+                            for (slot, &x) in lane.iter_mut().zip(hrow) {
+                                *slot = quantize_level(x, alpha, bits);
+                            }
+                        }
+                    }
+                    levels_dot_multi(
+                        &arena.tile_levels[..m * w_in],
+                        m,
+                        layer.weight_rows(),
+                        w_out,
+                        &mut arena.tile_acc[..m * w_out],
+                        &mut arena.tile_dots[..m * w_out],
+                    );
+                    scatter_tile(
+                        chunk,
+                        &arena.tile_dots,
+                        &arena.row_scale,
+                        bias,
+                        w_out,
+                        &mut arena.combined,
+                    );
+                }
+            }
+            KernelMode::Scalar => {
+                for (i, &u) in level_nodes.iter().enumerate() {
+                    let scale = if l == 0 {
+                        let row = rows.plane_row(u as usize);
+                        unpack_levels(row.words, row.bits, w_in, &mut arena.levels);
+                        row.alpha * layer.alpha
+                    } else {
+                        let hrow = &arena.h[i * w_in..][..w_in];
+                        let bits = bits_of(u);
+                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                        if max_abs == 0.0 {
+                            arena.combined[i * w_out..][..w_out].copy_from_slice(bias);
+                            continue;
+                        }
+                        let alpha = row_alpha(max_abs, bits);
                         for (slot, &x) in arena.levels.iter_mut().zip(hrow) {
                             *slot = quantize_level(x, alpha, bits);
                         }
-                        pack_levels(&arena.levels, bits, lane);
+                        alpha * layer.alpha
+                    };
+                    let out_row = &mut arena.combined[i * w_out..][..w_out];
+                    for (c, out) in out_row.iter_mut().enumerate() {
+                        let dot = planes::dot_levels(&arena.levels, layer.level_col(c));
+                        *out = dot as f32 * scale + bias[c];
                     }
-                }
-                ternary_dot_multi(
-                    &arena.tile_words[..m * span],
-                    m,
-                    w_in,
-                    layer.weight_rows(),
-                    w_out,
-                    &mut arena.tile_acc[..2 * m * w_out],
-                    &mut arena.tile_dots[..m * w_out],
-                );
-                scatter_tile(
-                    chunk,
-                    &arena.tile_dots,
-                    &arena.row_scale,
-                    bias,
-                    w_out,
-                    &mut arena.combined,
-                );
-            }
-            for chunk in arena.levels_rows.chunks(MAX_MULTI_ROWS) {
-                let m = chunk.len();
-                for (r, &iu) in chunk.iter().enumerate() {
-                    let i = iu as usize;
-                    let lane = &mut arena.tile_levels[r * w_in..][..w_in];
-                    if l == 0 {
-                        let row = rows.plane_row(level_nodes[i] as usize);
-                        unpack_levels(row.words, row.bits, w_in, lane);
-                    } else {
-                        let hrow = &arena.h[i * w_in..][..w_in];
-                        let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
-                        for (slot, &x) in lane.iter_mut().zip(hrow) {
-                            *slot = quantize_level(x, alpha, bits);
-                        }
-                    }
-                }
-                levels_dot_multi(
-                    &arena.tile_levels[..m * w_in],
-                    m,
-                    layer.weight_rows(),
-                    w_out,
-                    &mut arena.tile_acc[..m * w_out],
-                    &mut arena.tile_dots[..m * w_out],
-                );
-                scatter_tile(
-                    chunk,
-                    &arena.tile_dots,
-                    &arena.row_scale,
-                    bias,
-                    w_out,
-                    &mut arena.combined,
-                );
-            }
-        } else {
-            for (i, &u) in level_nodes.iter().enumerate() {
-                let out_row = &mut arena.combined[i * w_out..][..w_out];
-                let scale;
-                if l == 0 {
-                    let row = rows.plane_row(u as usize);
-                    scale = row.alpha * layer.alpha;
-                    match mode {
-                        // Tier dispatch: ≤ 2 bit rows run the plane walk
-                        // straight off the at-rest packed words; wider tiers
-                        // unpack the block and run the sparse level kernel.
-                        KernelMode::Packed if row.bits <= 2 => {
-                            ternary_dot_rows(
-                                row.words,
-                                w_in,
-                                layer.weight_rows(),
-                                w_out,
-                                &mut arena.acc,
-                                &mut arena.dots,
-                            );
-                        }
-                        KernelMode::Packed => {
-                            unpack_levels(row.words, row.bits, w_in, &mut arena.levels);
-                            levels_dot_rows(
-                                &arena.levels,
-                                layer.weight_rows(),
-                                w_out,
-                                &mut arena.acc,
-                                &mut arena.dots,
-                            );
-                        }
-                        KernelMode::Scalar => {
-                            unpack_levels(row.words, row.bits, w_in, &mut arena.levels);
-                            for (c, dot) in arena.dots.iter_mut().enumerate() {
-                                *dot = planes::dot_levels(&arena.levels, layer.level_col(c));
-                            }
-                        }
-                        KernelMode::Blocked => unreachable!("blocked mode has its own dispatch"),
-                    }
-                } else {
-                    let hrow = &arena.h[i * w_in..][..w_in];
-                    let bits = bits_of(u);
-                    let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                    if max_abs == 0.0 {
-                        out_row.copy_from_slice(bias);
-                        continue;
-                    }
-                    let alpha = row_alpha(max_abs, bits);
-                    for (slot, &x) in arena.levels.iter_mut().zip(hrow) {
-                        *slot = quantize_level(x, alpha, bits);
-                    }
-                    scale = alpha * layer.alpha;
-                    match mode {
-                        // Same tier dispatch as layer 0: pack the fresh
-                        // levels of a ≤ 2 bit row (two planes — cheap) so
-                        // the plane walk skips its zeros for free.
-                        KernelMode::Packed if bits <= 2 => {
-                            let span = planes::planes_for(bits) * wpp;
-                            pack_levels(&arena.levels, bits, &mut arena.words[..span]);
-                            ternary_dot_rows(
-                                &arena.words[..span],
-                                w_in,
-                                layer.weight_rows(),
-                                w_out,
-                                &mut arena.acc,
-                                &mut arena.dots,
-                            );
-                        }
-                        KernelMode::Packed => {
-                            levels_dot_rows(
-                                &arena.levels,
-                                layer.weight_rows(),
-                                w_out,
-                                &mut arena.acc,
-                                &mut arena.dots,
-                            );
-                        }
-                        KernelMode::Scalar => {
-                            for (c, dot) in arena.dots.iter_mut().enumerate() {
-                                *dot = planes::dot_levels(&arena.levels, layer.level_col(c));
-                            }
-                        }
-                        KernelMode::Blocked => unreachable!("blocked mode has its own dispatch"),
-                    }
-                }
-                for (c, out) in out_row.iter_mut().enumerate() {
-                    *out = arena.dots[c] as f32 * scale + bias[c];
                 }
             }
         }
 
-        // Aggregation: Ã·combined in CSR row order over f32 — the same
-        // summation order as the classic path. The position array replaces
-        // the per-edge binary search: one write per level row, one O(1)
-        // read per edge. Reads are in range by the `ReceptiveField`
-        // invariant that every aggregation source appears in the previous
-        // level (property-tested in `tests/receptive_field.rs`).
+        // Aggregation: Ã·combined in CSR row order over f32. The position
+        // array replaces the per-edge binary search: one write per level
+        // row, one O(1) read per edge. Reads are in range by the
+        // `ReceptiveField` invariant that every aggregation source appears
+        // in the previous level (property-tested in
+        // `tests/receptive_field.rs`).
         if arena.pos.len() < n {
             arena.pos.resize(n, u32::MAX);
         }
@@ -581,17 +478,18 @@ where
     (Matrix::from_vec(targets.len(), out_dim, data), field)
 }
 
-/// The kernel counterpart of [`crate::infer::forward_targets_local`]:
-/// shard-local execution over a local-id adjacency slice with **global**
-/// targets and a **global**-id `bits_of`. `rows` is indexed by *local*
-/// row id (the serving engine adapts its global packed store through the
-/// shard's id map, so packed payloads are shared verbatim — no per-shard
-/// packed copies, and bit-exactness with the global pass is structural).
+/// [`forward_targets_packed_with_field`] over a shard-local adjacency
+/// slice, with **global** targets and a **global**-id `bits_of`. `rows` is
+/// indexed by *local* row id (the serving engine adapts its global packed
+/// store through the shard's id map, so packed payloads are shared
+/// verbatim — no per-shard packed copies, and bit-exactness with the
+/// global pass is structural).
 ///
 /// # Panics
 ///
-/// Panics if a target is not resident in the slice or the receptive field
-/// escapes it (same guards as the classic local path).
+/// Panics if a target is not resident in the slice, or if the receptive
+/// field escapes it (the slice's halo is shallower than the model's layer
+/// count). The returned [`ReceptiveField`] is in *local* ids.
 #[allow(clippy::too_many_arguments)]
 pub fn forward_targets_local_packed<R: PlaneRows>(
     model: &Gnn,
@@ -611,8 +509,10 @@ pub fn forward_targets_local_packed<R: PlaneRows>(
                 .unwrap_or_else(|| panic!("target {t} is not resident in the shard slice"))
         })
         .collect();
-    // Same halo-depth guard as the classic local path: every aggregated
-    // row must be complete, or the slice would fabricate zeros.
+    // Guard the halo-depth invariant before aggregating: every row the pass
+    // aggregates (levels >= 1) must be complete. An outer-halo row is
+    // stored empty, and aggregating it would fabricate all-zero
+    // activations for a target the slice cannot serve.
     let field = ReceptiveField::expand(local, &local_targets, model.config().layers);
     for level in &field.needed[1..] {
         for &v in level {
@@ -645,8 +545,7 @@ mod tests {
     use mega_format::TierPackedFeatures;
     use mega_graph::datasets::DatasetSpec;
 
-    /// Packs a dataset's raw features at per-node bitwidths, returning the
-    /// store plus the fake-quantized f32 rows (what classic serving kept).
+    /// Packs a dataset's raw features at per-node bitwidths.
     fn pack_features(features: &mega_graph::datasets::Features, bits: &[u8]) -> TierPackedFeatures {
         let mut store = TierPackedFeatures::new(features.dim());
         let mut levels = vec![0i32; features.dim()];
@@ -687,12 +586,41 @@ mod tests {
         (d, model, packed, store)
     }
 
+    /// Logits of the global pass in `mode`, on a fresh arena.
+    fn logits(
+        model: &Gnn,
+        packed: &PackedGnn,
+        rows: &impl PlaneRows,
+        adj: &impl AdjacencyView,
+        targets: &[NodeId],
+        bits_of: &mut dyn FnMut(NodeId) -> u8,
+        mode: KernelMode,
+    ) -> Matrix {
+        let mut arena = KernelArena::default();
+        forward_targets_packed_with_field(
+            model, packed, rows, adj, targets, bits_of, mode, &mut arena,
+        )
+        .0
+    }
+
+    fn assert_bit_exact(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}");
+        for r in 0..a.rows() {
+            for c in 0..a.cols() {
+                assert_eq!(
+                    a.get(r, c).to_bits(),
+                    b.get(r, c).to_bits(),
+                    "{what}: row {r} class {c}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn packed_and_blocked_modes_are_bit_exact_with_scalar_mode() {
+    fn blocked_mode_is_bit_exact_with_scalar_mode() {
         for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
             let (d, model, packed, store) = setup(kind);
             let adj = build_adjacency(&d.graph, kind.aggregator(1));
-            let mut arena = KernelArena::default();
             let targets: Vec<NodeId> = (0..d.graph.num_nodes() as NodeId).step_by(7).collect();
             let mut bits_of = |v: NodeId| match d.graph.in_degree(v as usize) {
                 0..=2 => 2u8,
@@ -700,7 +628,7 @@ mod tests {
                 9..=32 => 4,
                 _ => 5,
             };
-            let scalar = forward_targets_packed(
+            let scalar = logits(
                 &model,
                 &packed,
                 &store,
@@ -708,30 +636,17 @@ mod tests {
                 &targets,
                 &mut bits_of,
                 KernelMode::Scalar,
-                &mut arena,
             );
-            for mode in [KernelMode::Packed, KernelMode::Blocked] {
-                let fast = forward_targets_packed(
-                    &model,
-                    &packed,
-                    &store,
-                    adj.as_ref(),
-                    &targets,
-                    &mut bits_of,
-                    mode,
-                    &mut arena,
-                );
-                assert_eq!(scalar.shape(), fast.shape());
-                for (r, &target) in targets.iter().enumerate().take(scalar.rows()) {
-                    for c in 0..scalar.cols() {
-                        assert_eq!(
-                            scalar.get(r, c).to_bits(),
-                            fast.get(r, c).to_bits(),
-                            "{kind:?} {mode:?} target {target} class {c}"
-                        );
-                    }
-                }
-            }
+            let blocked = logits(
+                &model,
+                &packed,
+                &store,
+                adj.as_ref(),
+                &targets,
+                &mut bits_of,
+                KernelMode::Blocked,
+            );
+            assert_bit_exact(&scalar, &blocked, &format!("{kind:?}"));
         }
     }
 
@@ -741,11 +656,10 @@ mod tests {
         // MAX_MULTI_ROWS, including single-row batches (m == 1 fallback).
         let (d, model, packed, store) = setup(GnnKind::Gcn);
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
-        let mut arena = KernelArena::default();
         let mut bits_of = |v: NodeId| if v.is_multiple_of(3) { 2u8 } else { 4 };
         for take in [1usize, 3, 4, 8, 9, 11] {
             let targets: Vec<NodeId> = (0..take as NodeId).collect();
-            let scalar = forward_targets_packed(
+            let scalar = logits(
                 &model,
                 &packed,
                 &store,
@@ -753,9 +667,8 @@ mod tests {
                 &targets,
                 &mut bits_of,
                 KernelMode::Scalar,
-                &mut arena,
             );
-            let blocked = forward_targets_packed(
+            let blocked = logits(
                 &model,
                 &packed,
                 &store,
@@ -763,17 +676,8 @@ mod tests {
                 &targets,
                 &mut bits_of,
                 KernelMode::Blocked,
-                &mut arena,
             );
-            for r in 0..scalar.rows() {
-                for c in 0..scalar.cols() {
-                    assert_eq!(
-                        scalar.get(r, c).to_bits(),
-                        blocked.get(r, c).to_bits(),
-                        "batch of {take}: target {r} class {c}"
-                    );
-                }
-            }
+            assert_bit_exact(&scalar, &blocked, &format!("batch of {take}"));
         }
     }
 
@@ -781,30 +685,43 @@ mod tests {
     fn kernel_pass_is_batch_invariant() {
         let (d, model, packed, store) = setup(GnnKind::Gcn);
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
-        let mut arena = KernelArena::default();
         let mut bits_of = |_v: NodeId| 4u8;
-        let solo = forward_targets_packed(
+        let solo = logits(
             &model,
             &packed,
             &store,
             adj.as_ref(),
             &[11],
             &mut bits_of,
-            KernelMode::Packed,
-            &mut arena,
+            KernelMode::Blocked,
         );
-        let grouped = forward_targets_packed(
+        let grouped = logits(
             &model,
             &packed,
             &store,
             adj.as_ref(),
             &[4, 11, 19, 2],
             &mut bits_of,
-            KernelMode::Packed,
-            &mut arena,
+            KernelMode::Blocked,
         );
         for c in 0..solo.cols() {
             assert_eq!(solo.get(0, c).to_bits(), grouped.get(1, c).to_bits());
+        }
+    }
+
+    /// Local-id adapter over the global store, as the serving shards use.
+    struct LocalRows<'a> {
+        store: &'a TierPackedFeatures,
+        slice: &'a LocalAdjacency,
+    }
+
+    impl PlaneRows for LocalRows<'_> {
+        fn dim(&self) -> usize {
+            self.store.dim()
+        }
+        fn plane_row(&self, row: usize) -> mega_format::PlaneRow<'_> {
+            self.store
+                .plane_row(self.slice.global_of(row as u32) as usize)
         }
     }
 
@@ -820,23 +737,6 @@ mod tests {
         locals.dedup();
         let slice = LocalAdjacency::slice(adj.as_ref(), &locals);
 
-        /// Local-id adapter over the global store, as the serving shards
-        /// use.
-        struct LocalRows<'a> {
-            store: &'a TierPackedFeatures,
-            slice: &'a LocalAdjacency,
-        }
-        impl PlaneRows for LocalRows<'_> {
-            fn dim(&self) -> usize {
-                self.store.dim()
-            }
-            fn plane_row(&self, row: usize) -> mega_format::PlaneRow<'_> {
-                self.store
-                    .plane_row(self.slice.global_of(row as u32) as usize)
-            }
-        }
-
-        let mut arena = KernelArena::default();
         let mut bits_of = |v: NodeId| if v.is_multiple_of(2) { 3u8 } else { 5 };
         let targets: Vec<NodeId> = owned.iter().copied().take(7).collect();
         let rows = LocalRows {
@@ -850,29 +750,19 @@ mod tests {
             &slice,
             &targets,
             &mut bits_of,
-            KernelMode::Packed,
-            &mut arena,
+            KernelMode::Blocked,
+            &mut KernelArena::default(),
         );
-        let global_logits = forward_targets_packed(
+        let global_logits = logits(
             &model,
             &packed,
             &store,
             adj.as_ref(),
             &targets,
             &mut bits_of,
-            KernelMode::Packed,
-            &mut arena,
+            KernelMode::Blocked,
         );
-        assert_eq!(local_logits.shape(), global_logits.shape());
-        for (r, &target) in targets.iter().enumerate().take(local_logits.rows()) {
-            for c in 0..local_logits.cols() {
-                assert_eq!(
-                    local_logits.get(r, c).to_bits(),
-                    global_logits.get(r, c).to_bits(),
-                    "target {target} diverged between sliced and global kernels"
-                );
-            }
-        }
+        assert_bit_exact(&local_logits, &global_logits, "sliced vs global");
         assert!(field
             .needed
             .iter()
@@ -883,22 +773,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "escapes the shard slice")]
     fn local_kernel_pass_rejects_field_escape() {
+        // A slice holding only the target: its in-neighbors are missing,
+        // so its row is stored empty and the guard must fire instead of
+        // silently aggregating zeros.
         let (d, model, packed, store) = setup(GnnKind::Gcn);
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
         let t = (0..d.graph.num_nodes())
             .find(|&v| d.graph.in_degree(v) > 0)
             .expect("a non-isolated node exists") as NodeId;
         let slice = LocalAdjacency::slice(adj.as_ref(), &[t]);
-        struct OneRow<'a>(&'a TierPackedFeatures, NodeId);
-        impl PlaneRows for OneRow<'_> {
-            fn dim(&self) -> usize {
-                self.0.dim()
-            }
-            fn plane_row(&self, _row: usize) -> mega_format::PlaneRow<'_> {
-                self.0.plane_row(self.1 as usize)
-            }
-        }
-        let rows = OneRow(&store, t);
+        let rows = LocalRows {
+            store: &store,
+            slice: &slice,
+        };
         let _ = forward_targets_local_packed(
             &model,
             &packed,
@@ -906,7 +793,29 @@ mod tests {
             &slice,
             &[t],
             &mut |_| 4,
-            KernelMode::Packed,
+            KernelMode::Blocked,
+            &mut KernelArena::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not resident")]
+    fn local_kernel_pass_rejects_foreign_targets() {
+        let (d, model, packed, store) = setup(GnnKind::Gcn);
+        let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
+        let slice = LocalAdjacency::slice(adj.as_ref(), &[0, 1, 2]);
+        let rows = LocalRows {
+            store: &store,
+            slice: &slice,
+        };
+        let _ = forward_targets_local_packed(
+            &model,
+            &packed,
+            &rows,
+            &slice,
+            &[40],
+            &mut |_| 4,
+            KernelMode::Blocked,
             &mut KernelArena::default(),
         );
     }

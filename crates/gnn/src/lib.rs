@@ -31,12 +31,10 @@ pub mod model;
 pub mod train;
 
 pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency, LocalAdjacency};
-pub use infer::{
-    forward_targets, forward_targets_local, forward_targets_with_field, ReceptiveField,
-};
+pub use infer::ReceptiveField;
 pub use kernel::{
-    forward_targets_local_packed, forward_targets_packed, forward_targets_packed_with_field,
-    KernelArena, KernelMode, PackedGnn, QuantizedLayer,
+    forward_targets_local_packed, forward_targets_packed_with_field, KernelArena, KernelMode,
+    PackedGnn, QuantizedLayer,
 };
 pub use model::{ForwardHook, Gnn, GnnKind, IdentityHook, ModelConfig};
 pub use train::{accuracy, TrainReport, Trainer};

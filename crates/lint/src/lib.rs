@@ -13,7 +13,6 @@
 //! | `crate-dag` | the crate dependency graph matches the declared allowlist (e.g. `format` must never depend on `quant`) |
 //! | `lock-unwrap` | no `.unwrap()`/`.expect()` on lock results in `mega-serve`'s request path — poison recovers via [`mega_serve::poison`] |
 //! | `kernel-clock` | no `Instant`/`SystemTime` inside kernel bodies (`planes.rs`, `kernel.rs`) — timing lives in callers and benches |
-//! | `kernel-mode-sync` | `KernelMode` dispatch arms stay in sync across the kernel, the serve worker, and the three-mode equivalence suite |
 //!
 //! Std-only by necessity (the build environment is offline, so no
 //! `syn`): [`lexer`] hand-rolls exactly the token stream the rules

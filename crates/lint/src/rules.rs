@@ -16,7 +16,6 @@ pub fn all() -> Vec<(&'static str, Rule)> {
         ("crate-dag", crate_dag as Rule),
         ("lock-unwrap", lock_unwrap as Rule),
         ("kernel-clock", kernel_clock as Rule),
-        ("kernel-mode-sync", kernel_mode_sync as Rule),
     ]
 }
 
@@ -407,233 +406,4 @@ fn kernel_clock(view: &WorkspaceView) -> Vec<Violation> {
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// kernel-mode-sync
-// ---------------------------------------------------------------------
-
-/// The three places that must agree on the set of kernel modes.
-const KERNEL_ENUM_FILE: &str = "gnn/src/kernel.rs";
-const WORKER_FILE: &str = "serve/src/worker.rs";
-const EQUIVALENCE_SUITE: &str = "serve/tests/kernels.rs";
-
-/// `KernelMode` dispatch must stay in sync: every `match mode` in the
-/// kernel names every variant with no `_` wildcard (so adding a mode is
-/// a compile-time/lint-time event, never a silent fallback), the serve
-/// worker actually routes on the enum, and the serve-side three-mode
-/// equivalence suite exercises every variant.
-fn kernel_mode_sync(view: &WorkspaceView) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let Some(kernel) = view
-        .files
-        .iter()
-        .find(|e| e.file.path.ends_with(KERNEL_ENUM_FILE))
-    else {
-        out.push(violation(
-            "kernel-mode-sync",
-            KERNEL_ENUM_FILE,
-            1,
-            "kernel file not found: if the kernel moved, update \
-             KERNEL_ENUM_FILE in crates/lint/src/rules.rs"
-                .to_string(),
-        ));
-        return out;
-    };
-    let variants = enum_variants(&kernel.toks, "KernelMode");
-    if variants.is_empty() {
-        out.push(violation(
-            "kernel-mode-sync",
-            &kernel.file.path,
-            1,
-            "could not find `enum KernelMode` variants".to_string(),
-        ));
-        return out;
-    }
-
-    // Every `match mode {` block in the kernel file: full coverage via
-    // explicit `KernelMode::X` arms, no `_` wildcard.
-    for (start_line, body) in match_mode_blocks(&kernel.toks) {
-        let named = qualified_variants(body, "KernelMode");
-        for v in &variants {
-            if !named.contains(v) {
-                out.push(violation(
-                    "kernel-mode-sync",
-                    &kernel.file.path,
-                    start_line,
-                    format!("`match mode` does not name `KernelMode::{v}` explicitly"),
-                ));
-            }
-        }
-        if has_wildcard_arm(body) {
-            out.push(violation(
-                "kernel-mode-sync",
-                &kernel.file.path,
-                start_line,
-                "`match mode` has a `_ =>` wildcard arm: new kernel modes must fail \
-                 loudly, not fall back silently"
-                    .to_string(),
-            ));
-        }
-    }
-
-    // The serve worker routes on the enum at all.
-    check_references(
-        view,
-        WORKER_FILE,
-        &["KernelMode".to_string()],
-        "the serve worker must dispatch on `KernelMode`",
-        &mut out,
-    );
-    // The equivalence suite exercises every variant.
-    let wanted: Vec<String> = variants.clone();
-    if let Some(suite) = view
-        .files
-        .iter()
-        .find(|e| e.file.path.ends_with(EQUIVALENCE_SUITE))
-    {
-        let named = qualified_variants(&suite.toks, "KernelMode");
-        for v in &wanted {
-            if !named.contains(v) {
-                out.push(violation(
-                    "kernel-mode-sync",
-                    &suite.file.path,
-                    1,
-                    format!("the kernel equivalence suite does not exercise `KernelMode::{v}`"),
-                ));
-            }
-        }
-    } else {
-        out.push(violation(
-            "kernel-mode-sync",
-            EQUIVALENCE_SUITE,
-            1,
-            "kernel equivalence suite not found: if it moved, update \
-             EQUIVALENCE_SUITE in crates/lint/src/rules.rs"
-                .to_string(),
-        ));
-    }
-    out
-}
-
-fn check_references(
-    view: &WorkspaceView,
-    path_suffix: &str,
-    idents: &[String],
-    why: &str,
-    out: &mut Vec<Violation>,
-) {
-    let Some(entry) = view
-        .files
-        .iter()
-        .find(|e| e.file.path.ends_with(path_suffix))
-    else {
-        out.push(violation(
-            "kernel-mode-sync",
-            path_suffix,
-            1,
-            format!("file not found ({why}): update crates/lint/src/rules.rs if it moved"),
-        ));
-        return;
-    };
-    for ident in idents {
-        if !entry.toks.iter().any(|t| t.is_ident(ident)) {
-            out.push(violation(
-                "kernel-mode-sync",
-                &entry.file.path,
-                1,
-                format!("no reference to `{ident}`: {why}"),
-            ));
-        }
-    }
-}
-
-/// Extracts the variant names of `enum <name> { ... }`: the depth-1
-/// identifiers inside the enum's braces (doc comments are already gone
-/// from the token stream; `KernelMode` is a plain fieldless enum).
-fn enum_variants(toks: &[Tok], name: &str) -> Vec<String> {
-    for i in 0..toks.len() {
-        if toks[i].is_ident("enum") && toks.get(i + 1).is_some_and(|t| t.is_ident(name)) {
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct('{') {
-                j += 1;
-            }
-            let mut depth = 0usize;
-            let mut variants = Vec::new();
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct('{') {
-                    depth += 1;
-                } else if t.is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return variants;
-                    }
-                } else if depth == 1 && t.kind == TokKind::Ident {
-                    variants.push(t.text.clone());
-                }
-                j += 1;
-            }
-        }
-    }
-    Vec::new()
-}
-
-/// Finds `match mode {` blocks; returns `(line, body_tokens)` per block.
-fn match_mode_blocks(toks: &[Tok]) -> Vec<(usize, &[Tok])> {
-    let mut blocks = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident("match")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("mode"))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('{'))
-        {
-            let start = i + 2;
-            let mut depth = 0usize;
-            let mut j = start;
-            while j < toks.len() {
-                if toks[j].is_punct('{') {
-                    depth += 1;
-                } else if toks[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            blocks.push((toks[i].line, &toks[start..=j.min(toks.len() - 1)]));
-        }
-    }
-    blocks
-}
-
-/// Collects `X` from every `<name> :: X` triple in `toks`.
-fn qualified_variants(toks: &[Tok], name: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].is_ident(name)
-            && seq_at(toks, i + 1, &[":", ":"])
-            && toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            out.push(toks[i + 3].text.clone());
-        }
-    }
-    out
-}
-
-/// Whether a `_ =>` arm appears at arm depth (depth 1) of a match body
-/// whose tokens start at the opening `{`.
-fn has_wildcard_arm(body: &[Tok]) -> bool {
-    let mut depth = 0usize;
-    for i in 0..body.len() {
-        let t = &body[i];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 1 && t.is_ident("_") && seq_at(body, i + 1, &["=", ">"]) {
-            return true;
-        }
-    }
-    false
 }

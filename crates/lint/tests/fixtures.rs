@@ -426,7 +426,7 @@ fn clock_in_kernel_body_fires_but_test_module_is_exempt() {
             "mega-format",
             "crates/format/src/planes.rs",
             r#"
-            pub fn plane_dot() {}
+            pub fn ternary_dot_rows() {}
             #[cfg(test)]
             mod tests {
                 fn timing_smoke() {
@@ -440,98 +440,6 @@ fn clock_in_kernel_body_fires_but_test_module_is_exempt() {
     assert!(
         !test_only.iter().any(|v| v.rule == "kernel-clock"),
         "{test_only:?}"
-    );
-}
-
-// ----------------------------------------------------------- kernel-mode-sync
-
-/// A minimal in-sync trio: kernel enum + exhaustive dispatch, a worker
-/// that routes on the enum, and a suite naming every variant.
-fn mode_sync_files(
-    kernel_match_arms: &str,
-    suite_body: &str,
-) -> Vec<(&'static str, &'static str, String)> {
-    vec![
-        (
-            "mega-gnn",
-            "crates/gnn/src/kernel.rs",
-            format!(
-                r#"
-                pub enum KernelMode {{ Scalar, Packed, Blocked }}
-                pub fn forward(mode: KernelMode) {{
-                    match mode {{
-                        {kernel_match_arms}
-                    }}
-                }}
-                "#
-            ),
-        ),
-        (
-            "mega-serve",
-            "crates/serve/src/worker.rs",
-            "pub fn run(mode: mega_gnn::KernelMode) { let _ = mode; }".to_string(),
-        ),
-        (
-            "mega-serve",
-            "crates/serve/tests/kernels.rs",
-            suite_body.to_string(),
-        ),
-    ]
-}
-
-fn scan_mode_sync(files: Vec<(&'static str, &'static str, String)>) -> Vec<Violation> {
-    let files = files
-        .into_iter()
-        .map(|(krate, path, text)| SourceFile {
-            crate_name: krate.to_string(),
-            path: path.to_string(),
-            text,
-        })
-        .collect();
-    mega_lint::run(&analyze(files, vec![]))
-        .into_iter()
-        .filter(|v| v.rule == "kernel-mode-sync")
-        .collect()
-}
-
-#[test]
-fn in_sync_kernel_mode_trio_is_clean() {
-    let violations = scan_mode_sync(mode_sync_files(
-        "KernelMode::Scalar => a(), KernelMode::Packed => b(), KernelMode::Blocked => c(),",
-        "fn all() { let _ = (KernelMode::Scalar, KernelMode::Packed, KernelMode::Blocked); }",
-    ));
-    assert!(violations.is_empty(), "{violations:?}");
-}
-
-#[test]
-fn missing_dispatch_arm_fires() {
-    let violations = scan_mode_sync(mode_sync_files(
-        "KernelMode::Scalar => a(), KernelMode::Packed => b(), _ => c(),",
-        "fn all() { let _ = (KernelMode::Scalar, KernelMode::Packed, KernelMode::Blocked); }",
-    ));
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.message.contains("KernelMode::Blocked")),
-        "{violations:?}"
-    );
-    assert!(
-        violations.iter().any(|v| v.message.contains("wildcard")),
-        "{violations:?}"
-    );
-}
-
-#[test]
-fn suite_missing_a_variant_fires() {
-    let violations = scan_mode_sync(mode_sync_files(
-        "KernelMode::Scalar => a(), KernelMode::Packed => b(), KernelMode::Blocked => c(),",
-        "fn some() { let _ = (KernelMode::Scalar, KernelMode::Packed); }",
-    ));
-    assert!(
-        violations
-            .iter()
-            .any(|v| v.file.ends_with("tests/kernels.rs") && v.message.contains("Blocked")),
-        "{violations:?}"
     );
 }
 

@@ -206,14 +206,38 @@ enum ReadOutcome {
 
 const MAX_BODY_BYTES: usize = 1 << 20;
 const MAX_HEADER_LINES: usize = 64;
+/// Longest request or header line read, terminator included. A longer
+/// line is rejected once this much has arrived, so a client that never
+/// sends a newline cannot grow a buffer or hold a handler.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// One line read through the [`MAX_LINE_BYTES`] cap.
+enum Line {
+    Text(String),
+    TooLong,
+    /// EOF, idle timeout, reset, or bytes that are not UTF-8.
+    Closed,
+}
+
+fn read_line(reader: &mut BufReader<TcpStream>) -> Line {
+    let mut bytes = Vec::new();
+    match reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut bytes)
+    {
+        Ok(0) | Err(_) => Line::Closed,
+        Ok(n) if n == MAX_LINE_BYTES && bytes.last() != Some(&b'\n') => Line::TooLong,
+        Ok(_) => String::from_utf8(bytes).map_or(Line::Closed, Line::Text),
+    }
+}
 
 fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return ReadOutcome::Closed,
-        Ok(_) => {}
-        Err(_) => return ReadOutcome::Closed, // idle timeout or reset
-    }
+    let line = match read_line(reader) {
+        Line::Text(line) => line,
+        Line::TooLong => return ReadOutcome::Reject(414, "request line too long"),
+        Line::Closed => return ReadOutcome::Closed,
+    };
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return ReadOutcome::Reject(400, "bad request line");
@@ -224,12 +248,11 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
     let path = path.to_string();
     let mut content_length = 0usize;
     for _ in 0..MAX_HEADER_LINES {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => return ReadOutcome::Closed,
-            Ok(_) => {}
-            Err(_) => return ReadOutcome::Closed,
-        }
+        let header = match read_line(reader) {
+            Line::Text(header) => header,
+            Line::TooLong => return ReadOutcome::Reject(431, "header line too long"),
+            Line::Closed => return ReadOutcome::Closed,
+        };
         let header = header.trim_end();
         if header.is_empty() {
             let body = if content_length > 0 {
@@ -320,7 +343,9 @@ impl HttpResponse {
             404 => "Not Found",
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
+            414 => "URI Too Long",
             429 => "Too Many Requests",
+            431 => "Request Header Fields Too Large",
             500 => "Internal Server Error",
             501 => "Not Implemented",
             503 => "Service Unavailable",

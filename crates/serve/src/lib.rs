@@ -32,7 +32,7 @@
 //!   precision-tier) bucket and flushes on size or deadline.
 //! * [`WorkerPool`] is *shard-affine*: [`WorkRouter`] pins every
 //!   `(model, shard)` to one worker lane, and the worker executes batches
-//!   with [`mega_gnn::forward_targets_local`] over the shard's own
+//!   with [`mega_gnn::forward_targets_local_packed`] over the shard's own
 //!   adjacency/feature slice ([`ShardState`]) — bit-exact with the global
 //!   pass regardless of batch composition or shard count.
 //! * [`LogitsCache`] (one per `(model, shard)`) short-circuits the whole

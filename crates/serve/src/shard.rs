@@ -18,12 +18,13 @@
 //!   maintain.
 //!
 //! Batches execute entirely against this state through
-//! [`mega_gnn::forward_targets_local`], bit-exact with the global pass.
-//! When a graph delta lands, the owning model routes each dirty row to the
-//! shards holding it: the owner shard refreshes in place, and neighbor
-//! shards whose halo copies went stale re-fetch them (the halo exchange —
-//! counted per shard so the serving metrics expose cross-shard traffic the
-//! way the paper's Fig. 12 exposes sparse-connection DRAM traffic).
+//! [`mega_gnn::forward_targets_local_packed`], bit-exact with the global
+//! pass. When a graph delta lands, the owning model routes each dirty row
+//! to the shards holding it: the owner shard refreshes in place, and
+//! neighbor shards whose halo copies went stale re-fetch them (the halo
+//! exchange — counted per shard so the serving metrics expose cross-shard
+//! traffic the way the paper's Fig. 12 exposes sparse-connection DRAM
+//! traffic).
 
 use mega_format::planes::{PlaneRow, PlaneRows};
 use mega_format::TierPackedFeatures;

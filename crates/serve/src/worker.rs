@@ -2,6 +2,11 @@
 //! over per-shard adjacency/feature slices, and graph updates through the
 //! artifacts' incremental mutation + halo-exchange path.
 //!
+//! Inference has one execution path: cache misses are grouped by the shard
+//! that owns each node *at execution time* and every group runs on its
+//! shard's slice ([`shard_logits`], blocked kernels). The global pass
+//! ([`batch_logits`]) is the reference that path is tested against.
+//!
 //! Every worker owns a private channel lane; [`WorkRouter`] pins each
 //! `(model, shard)` pair to one lane by hash, so the worker that executes a
 //! shard's batches is always the same thread — its slice stays hot in that
@@ -9,7 +14,7 @@
 //! one dense subgraph at a time. Updates for a model all hash to one lane
 //! too (shard-independent), preserving the per-model FIFO.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -141,21 +146,12 @@ fn with_arena<R>(f: impl FnOnce(&mut KernelArena) -> R) -> R {
 /// ([`shard_logits`]) must be — and is tested to be — bit-exact with it,
 /// because both run the same per-node arithmetic in the same order.
 pub fn batch_logits(artifacts: &ModelArtifacts, targets: &[NodeId]) -> Matrix {
-    batch_logits_with_field(artifacts, targets).0
+    batch_logits_with_mode(artifacts, targets, KernelMode::Blocked).0
 }
 
-/// [`batch_logits`] plus the materialized [`ReceptiveField`] (for compute
-/// accounting).
-pub fn batch_logits_with_field(
-    artifacts: &ModelArtifacts,
-    targets: &[NodeId],
-) -> (Matrix, ReceptiveField) {
-    batch_logits_with_mode(artifacts, targets, KernelMode::Blocked)
-}
-
-/// [`batch_logits_with_field`] with an explicit kernel mode — the
-/// blocked-vs-packed-vs-scalar equivalence tests and benchmarks drive
-/// every engine through this.
+/// [`batch_logits`] with an explicit kernel mode, plus the materialized
+/// [`ReceptiveField`] — the blocked-vs-scalar equivalence tests and
+/// benchmarks drive both modes through this.
 pub fn batch_logits_with_mode(
     artifacts: &ModelArtifacts,
     targets: &[NodeId],
@@ -367,9 +363,8 @@ fn run_batch(
 
     // Re-registering a model can shrink its graph or change its shard
     // count between submit-time validation and execution (the cache
-    // rebuilds from the new spec). Such requests are unanswerable against
-    // the batch's shard; out-of-range nodes are dropped, re-sharded nodes
-    // fall back to the global reference path below.
+    // rebuilds from the new spec). Out-of-range nodes are unanswerable and
+    // dropped; re-sharded nodes run on their new owner's slice below.
     let (valid, stale): (Vec<_>, Vec<_>) = batch
         .requests
         .into_iter()
@@ -409,7 +404,11 @@ fn run_batch(
     // remainder pays the forward pass. Safe under the read guard — the
     // cache is only invalidated under the entry's write lock, so a hit
     // here is bit-exact with recomputing against these artifacts.
-    let mut to_compute = Vec::with_capacity(valid.len());
+    //
+    // Misses are grouped by the shard that owns them *now*. Normally that
+    // is `batch.shard` alone; a re-registration that re-sharded the model
+    // after submit sends a request to its new owner's slice instead.
+    let mut misses: BTreeMap<u32, Vec<InferenceRequest>> = BTreeMap::new();
     for request in valid {
         let shard = artifacts.shard_of(request.node);
         match artifacts
@@ -420,51 +419,21 @@ fn run_batch(
                 metrics.record_logits_lookup(shard, true);
                 respond_cached(worker_id, request, shard, hit, completions, metrics);
             }
-            None => to_compute.push(request),
+            None => misses.entry(shard).or_default().push(request),
         }
     }
-    if to_compute.is_empty() {
-        return;
-    }
-    let (sharded, foreign): (Vec<_>, Vec<_>) = to_compute.into_iter().partition(|r| {
-        artifacts.shard_of(r.node) == batch.shard && artifacts.shard(batch.shard).is_some()
-    });
-
-    if !sharded.is_empty() {
-        execute_shard_batch(
-            worker_id,
-            &artifacts,
-            batch.shard,
-            sharded,
-            metrics,
-            completions,
-        );
-    }
-    if !foreign.is_empty() {
-        // Rare re-registration race: answer through the global path rather
-        // than panic the shard slice on a non-resident target.
-        execute_global_batch(worker_id, &artifacts, foreign, metrics, completions);
+    for (shard, requests) in misses {
+        execute_shard_batch(worker_id, &artifacts, shard, requests, metrics, completions);
     }
 }
 
-/// Orders requests by node id (stable for duplicates), executes, answers.
-fn ordered_targets(requests: &[InferenceRequest]) -> (Vec<NodeId>, Vec<usize>) {
-    let nodes: Vec<NodeId> = requests.iter().map(|r| r.node).collect();
-    let mut targets = nodes.clone();
-    targets.sort_unstable();
-    let mut by_node: HashMap<NodeId, VecDeque<usize>> = HashMap::new();
-    for (i, &node) in nodes.iter().enumerate() {
-        by_node.entry(node).or_default().push_back(i);
-    }
-    let order: Vec<usize> = targets
-        .iter()
-        .map(|&node| {
-            by_node
-                .get_mut(&node)
-                .and_then(VecDeque::pop_front)
-                .expect("targets is a permutation of nodes")
-        })
-        .collect();
+/// Sorts `nodes` for the forward pass: returns the sorted targets and, for
+/// each sorted row, the index in `nodes` it came from. A stable argsort, so
+/// duplicate nodes keep their arrival order.
+fn ordered_targets(nodes: &[NodeId]) -> (Vec<NodeId>, Vec<usize>) {
+    let mut order: Vec<usize> = (0..nodes.len()).collect();
+    order.sort_by_key(|&i| nodes[i]);
+    let targets = order.iter().map(|&i| nodes[i]).collect();
     (targets, order)
 }
 
@@ -579,7 +548,8 @@ fn execute_shard_batch(
     metrics: &Metrics,
     completions: &Completions,
 ) {
-    let (targets, order) = ordered_targets(&requests);
+    let nodes: Vec<NodeId> = requests.iter().map(|r| r.node).collect();
+    let (targets, order) = ordered_targets(&nodes);
     let started = Instant::now();
     for request in &mut requests {
         request.trace.stamp_at(TraceStage::ExecStart, started);
@@ -616,42 +586,6 @@ fn execute_shard_batch(
         &order,
         &logits,
         halo_rows,
-        completions,
-        metrics,
-    );
-}
-
-fn execute_global_batch(
-    worker_id: usize,
-    artifacts: &ModelArtifacts,
-    mut requests: Vec<InferenceRequest>,
-    metrics: &Metrics,
-    completions: &Completions,
-) {
-    let (targets, order) = ordered_targets(&requests);
-    let started = Instant::now();
-    for request in &mut requests {
-        request.trace.stamp_at(TraceStage::ExecStart, started);
-    }
-    let (logits, field) = batch_logits_with_field(artifacts, &targets);
-    let execution = started.elapsed();
-    let ended = Instant::now();
-    for request in &mut requests {
-        request.trace.stamp_at(TraceStage::ExecEnd, ended);
-    }
-    metrics.record_batch(requests.len(), field.total_rows(), execution);
-    fill_logits_cache(artifacts, &targets, &logits, metrics);
-    let filled = Instant::now();
-    for request in &mut requests {
-        request.trace.stamp_at(TraceStage::CacheFill, filled);
-    }
-    respond_batch(
-        worker_id,
-        artifacts,
-        &mut requests,
-        &order,
-        &logits,
-        0,
         completions,
         metrics,
     );
@@ -755,12 +689,15 @@ mod tests {
     use mega_gnn::GnnKind;
     use mega_graph::DatasetSpec;
 
-    fn artifacts() -> ModelArtifacts {
-        let spec = ModelSpec::standard(
+    fn spec() -> ModelSpec {
+        ModelSpec::standard(
             DatasetSpec::cora().scaled(0.05).with_feature_dim(32),
             GnnKind::Gcn,
-        );
-        ModelArtifacts::build(&spec)
+        )
+    }
+
+    fn artifacts() -> ModelArtifacts {
+        ModelArtifacts::build(&spec())
     }
 
     #[test]
@@ -814,6 +751,93 @@ mod tests {
                     global.get(0, c).to_bits(),
                     "node {node} diverged between shard slice and global pass"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn ordered_targets_is_a_stable_argsort() {
+        let nodes: Vec<NodeId> = vec![9, 3, 9, 1, 3, 9];
+        let (targets, order) = ordered_targets(&nodes);
+        assert_eq!(targets, vec![1, 3, 3, 9, 9, 9]);
+        // Duplicates keep their arrival order.
+        assert_eq!(order, vec![3, 1, 4, 0, 2, 5]);
+        for (row, &i) in order.iter().enumerate() {
+            assert_eq!(nodes[i], targets[row]);
+        }
+        assert_eq!(ordered_targets(&[]), (vec![], vec![]));
+    }
+
+    #[test]
+    fn foreign_targets_run_on_their_owning_shard() {
+        // The logits cache is off so every request pays the forward pass.
+        let registry = ModelRegistry::new();
+        let model = registry.register(spec().with_shards(2).with_cache_bytes(0));
+        let cache = ArtifactCache::new(1);
+        let metrics = Metrics::default();
+        let router = Arc::new(crate::ticket::CompletionRouter::new());
+        let completions = Completions::new(router.clone(), None);
+        let entry = cache.get_or_build(&model, || {
+            ModelArtifacts::build(&registry.get(&model).expect("registered"))
+        });
+        let owned_by_1: Vec<NodeId> = {
+            let a = entry.read();
+            (0..a.num_nodes() as NodeId)
+                .filter(|&v| a.shard_of(v) == 1)
+                .take(5)
+                .collect()
+        };
+        assert!(!owned_by_1.is_empty());
+        let mut mixed: Vec<NodeId> = vec![0, 1, 2, 2];
+        mixed.extend(&owned_by_1);
+
+        // A batch stamped for shard 0 that owns none of its nodes, then one
+        // stamped for a shard the model does not have, mixing nodes of
+        // both real shards and a duplicate.
+        let mut next_id = 0u64;
+        for (shard, nodes) in [(0u32, &owned_by_1), (7, &mixed)] {
+            let requests: Vec<InferenceRequest> = nodes
+                .iter()
+                .map(|&node| {
+                    next_id += 1;
+                    InferenceRequest {
+                        id: next_id,
+                        model: model.clone(),
+                        node,
+                        shard,
+                        tier: 0,
+                        bits: 0,
+                        submitted_at: Instant::now(),
+                        trace: crate::trace::RequestTrace::begin(),
+                    }
+                })
+                .collect();
+            let tickets: Vec<_> = requests.iter().map(|r| router.register(r.id)).collect();
+            let batch = Batch {
+                model: model.clone(),
+                shard,
+                tier: 0,
+                requests,
+                reason: FlushReason::Size,
+            };
+            run_batch(0, batch, &registry, &cache, &metrics, &completions);
+
+            let artifacts = entry.read();
+            for (ticket, &node) in tickets.iter().zip(nodes.iter()) {
+                let response = ticket
+                    .wait_inference(std::time::Duration::ZERO)
+                    .expect("answered before run_batch returns");
+                assert_eq!(response.node, node);
+                assert_eq!(response.shard, artifacts.shard_of(node));
+                let reference = batch_logits(&artifacts, &[node]);
+                assert_eq!(response.logits.len(), reference.cols());
+                for (c, &x) in response.logits.iter().enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        reference.get(0, c).to_bits(),
+                        "node {node} class {c} (batch stamped for shard {shard})"
+                    );
+                }
             }
         }
     }

@@ -670,3 +670,66 @@ fn idle_connections_are_reaped_by_the_read_timeout() {
     server.stop();
     engine_shutdown(engine);
 }
+
+/// Sends `head` on a fresh connection and returns the status the server
+/// answers with (`None` if it closes without one) plus how long that took.
+fn send_unterminated(addr: std::net::SocketAddr, head: &[u8]) -> (Option<u16>, Duration) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let start = std::time::Instant::now();
+    // The server may answer and close before taking every byte; a failed
+    // write is then expected, not an error.
+    let _ = stream.write_all(head);
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    let status = String::from_utf8_lossy(&raw)
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok());
+    (status, start.elapsed())
+}
+
+#[test]
+fn over_long_lines_are_rejected_before_the_idle_timeout() {
+    // One handler slot: a handler held by an endless line would starve
+    // the predict below.
+    let (engine, server) = start_stack(
+        SchedulerConfig::default(),
+        HttpServerConfig {
+            connections: 1,
+            ..HttpServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let filler = vec![b'a'; 64 << 10];
+
+    // 64 KiB of header with no newline: answered (431) or dropped well
+    // inside the 5 s idle timeout, not buffered until it fires.
+    let mut head = b"POST /v1/cora/gcn/predict HTTP/1.1\r\nx-filler: ".to_vec();
+    head.extend_from_slice(&filler);
+    let (status, took) = send_unterminated(addr, &head);
+    assert!(
+        took < Duration::from_secs(2),
+        "over-long header held the handler for {took:?}"
+    );
+    assert!(matches!(status, None | Some(431)), "{status:?}");
+
+    // The same for the request line itself (414).
+    let mut line = b"GET /".to_vec();
+    line.extend_from_slice(&filler);
+    let (status, took) = send_unterminated(addr, &line);
+    assert!(
+        took < Duration::from_secs(2),
+        "over-long request line held the handler for {took:?}"
+    );
+    assert!(matches!(status, None | Some(414)), "{status:?}");
+
+    // The only handler is free again for a normal predict.
+    let (status, _, body) = http(addr, "POST", "/v1/cora/gcn/predict", "{\"node\": 7}");
+    assert_eq!(status, 200, "{body}");
+
+    server.stop();
+    engine_shutdown(engine);
+}

@@ -1,12 +1,12 @@
-//! Kernel-mode equivalence on the serve path: the single-row packed
-//! engine **and** the register-blocked multi-row engine must be
-//! *bit-exact* with the scalar integer reference for every aggregator,
-//! for K ∈ {1, 2, 4} shards, across batch shapes that exercise every
-//! M-block width (full 8-lane blocks, unaligned remainders, single-row
-//! fallbacks), and after random churn (node adds, edge inserts/removes)
-//! drives rows across tiers.
+//! Kernel-mode equivalence on the serve path: the register-blocked
+//! multi-row engine (`KernelMode::Blocked`, what production runs) must be
+//! *bit-exact* with the scalar integer reference (`KernelMode::Scalar`)
+//! for every aggregator, for K ∈ {1, 2, 4} shards, across batch shapes
+//! that exercise every M-block width (full 8-lane blocks, unaligned
+//! remainders, single-row fallbacks), and after random churn (node adds,
+//! edge inserts/removes) drives rows across tiers.
 //!
-//! All modes share one quantize → integer-dot → dequantize pipeline, so
+//! Both modes share one quantize → integer-dot → dequantize pipeline, so
 //! equality here is structural, not approximate — any diverging bit is a
 //! kernel bug, never float noise.
 
@@ -23,8 +23,6 @@ const KINDS: [GnnKind; 3] = [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage];
 /// and a full-block-plus-remainder tail.
 const BATCH_SHAPES: [usize; 5] = [1, 3, 4, 8, 11];
 
-const FAST_MODES: [KernelMode; 2] = [KernelMode::Packed, KernelMode::Blocked];
-
 fn spec(kind: GnnKind, shards: usize) -> ModelSpec {
     ModelSpec::standard(DatasetSpec::cora().scaled(0.08).with_feature_dim(48), kind)
         .with_shards(shards)
@@ -36,26 +34,24 @@ fn batch(artifacts: &ModelArtifacts, start: NodeId, len: usize) -> Vec<NodeId> {
     (0..len as NodeId).map(|i| (start + i * 5) % n).collect()
 }
 
-/// Every batch shape produces bit-identical logits through the packed and
-/// blocked engines and the scalar reference — on the global path and
-/// through each target's owning shard slice.
+/// Every batch shape produces bit-identical logits through the blocked
+/// engine and the scalar reference — on the global path and through each
+/// target's owning shard slice.
 fn assert_modes_equal(artifacts: &ModelArtifacts, stride: usize) {
     let classes = artifacts.dataset.spec.num_classes;
     for start in (0..artifacts.num_nodes() as NodeId).step_by(stride.max(1)) {
         for len in BATCH_SHAPES {
             let targets = batch(artifacts, start, len);
             let (scalar, _) = batch_logits_with_mode(artifacts, &targets, KernelMode::Scalar);
-            for mode in FAST_MODES {
-                let (fast, _) = batch_logits_with_mode(artifacts, &targets, mode);
-                for (r, &node) in targets.iter().enumerate() {
-                    for c in 0..classes {
-                        assert_eq!(
-                            fast.get(r, c).to_bits(),
-                            scalar.get(r, c).to_bits(),
-                            "node {node} (batch of {len}): {mode:?} diverged \
-                             from scalar on the global pass"
-                        );
-                    }
+            let (blocked, _) = batch_logits_with_mode(artifacts, &targets, KernelMode::Blocked);
+            for (r, &node) in targets.iter().enumerate() {
+                for c in 0..classes {
+                    assert_eq!(
+                        blocked.get(r, c).to_bits(),
+                        scalar.get(r, c).to_bits(),
+                        "node {node} (batch of {len}): blocked diverged from scalar \
+                         on the global pass"
+                    );
                 }
             }
         }
@@ -72,16 +68,14 @@ fn assert_modes_equal(artifacts: &ModelArtifacts, stride: usize) {
                 continue;
             }
             let (scalar, _) = shard_logits_with_mode(artifacts, shard, &mine, KernelMode::Scalar);
-            for mode in FAST_MODES {
-                let (fast, _) = shard_logits_with_mode(artifacts, shard, &mine, mode);
-                for (r, &node) in mine.iter().enumerate() {
-                    for c in 0..classes {
-                        assert_eq!(
-                            fast.get(r, c).to_bits(),
-                            scalar.get(r, c).to_bits(),
-                            "node {node} (shard {shard}): {mode:?} diverged from scalar"
-                        );
-                    }
+            let (blocked, _) = shard_logits_with_mode(artifacts, shard, &mine, KernelMode::Blocked);
+            for (r, &node) in mine.iter().enumerate() {
+                for c in 0..classes {
+                    assert_eq!(
+                        blocked.get(r, c).to_bits(),
+                        scalar.get(r, c).to_bits(),
+                        "node {node} (shard {shard}): blocked diverged from scalar"
+                    );
                 }
             }
         }
@@ -99,18 +93,18 @@ fn fast_modes_are_bit_exact_with_scalar_for_every_kind_and_k() {
 }
 
 #[test]
-fn blocked_equals_packed_on_large_mixed_tier_batches() {
+fn blocked_equals_scalar_on_large_mixed_tier_batches() {
     // One batch spanning most of the graph: every tier group is populated
     // with many M-blocks plus a remainder, in the same call.
     let artifacts = ModelArtifacts::build(&spec(GnnKind::Gcn, 2));
     let targets: Vec<NodeId> = (0..artifacts.num_nodes() as NodeId).step_by(2).collect();
-    let (packed, _) = batch_logits_with_mode(&artifacts, &targets, KernelMode::Packed);
+    let (scalar, _) = batch_logits_with_mode(&artifacts, &targets, KernelMode::Scalar);
     let (blocked, _) = batch_logits_with_mode(&artifacts, &targets, KernelMode::Blocked);
-    assert_eq!(packed.shape(), blocked.shape());
-    for r in 0..packed.rows() {
-        for c in 0..packed.cols() {
+    assert_eq!(scalar.shape(), blocked.shape());
+    for r in 0..scalar.rows() {
+        for c in 0..scalar.cols() {
             assert_eq!(
-                packed.get(r, c).to_bits(),
+                scalar.get(r, c).to_bits(),
                 blocked.get(r, c).to_bits(),
                 "row {r} class {c}"
             );
@@ -122,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random churn — node adds with random features, edge inserts and
-    /// removals — retiers rows through the packed store; three-mode
+    /// removals — retiers rows through the packed store; blocked-vs-scalar
     /// equivalence must survive every mutation.
     #[test]
     fn fast_modes_stay_bit_exact_under_random_churn(
