@@ -154,20 +154,6 @@ struct AdjRow {
     vals: Vec<f32>,
 }
 
-/// Approximate heap footprint of per-row storage: column ids, weights, and
-/// the per-row `Vec` headers. An accounting estimate (allocator slack and
-/// over-allocated capacity are not modeled) for serving-side memory
-/// telemetry.
-fn approx_rows_bytes(rows: &[AdjRow]) -> usize {
-    std::mem::size_of_val(rows)
-        + rows
-            .iter()
-            .map(|r| {
-                std::mem::size_of_val(r.cols.as_slice()) + std::mem::size_of_val(r.vals.as_slice())
-            })
-            .sum::<usize>()
-}
-
 /// A normalized adjacency under mutation: rows are stored individually so a
 /// graph delta refreshes only the rows it dirtied instead of rebuilding the
 /// whole matrix.
@@ -304,10 +290,20 @@ impl DynAdjacency {
         }
     }
 
-    /// Approximate heap bytes held by the row storage (see
-    /// [`LocalAdjacency::approx_heap_bytes`] for the shard-slice analogue).
+    /// Approximate heap bytes held by the row storage: column ids,
+    /// weights, and the per-row `Vec` headers. An accounting estimate
+    /// (allocator slack and over-allocated capacity are not modeled) for
+    /// serving-side memory telemetry.
     pub fn approx_heap_bytes(&self) -> usize {
-        approx_rows_bytes(&self.rows)
+        std::mem::size_of_val(self.rows.as_slice())
+            + self
+                .rows
+                .iter()
+                .map(|r| {
+                    std::mem::size_of_val(r.cols.as_slice())
+                        + std::mem::size_of_val(r.vals.as_slice())
+                })
+                .sum::<usize>()
     }
 
     /// Freezes the rows into a [`CsrMatrix`] (full copy; equivalence tests
@@ -328,127 +324,6 @@ impl DynAdjacency {
 }
 
 impl AdjacencyView for DynAdjacency {
-    fn rows(&self) -> usize {
-        self.rows.len()
-    }
-    fn row_indices(&self, r: usize) -> &[u32] {
-        &self.rows[r].cols
-    }
-    fn row_values(&self, r: usize) -> &[f32] {
-        &self.rows[r].vals
-    }
-}
-
-/// A shard-local slice of a global normalized adjacency: rows for a sorted
-/// subset of global nodes (`locals`), with columns remapped into local id
-/// space (local id = position in `locals`).
-///
-/// Because `locals` is ascending in *global* id, the global→local remap is
-/// monotone: every remapped row keeps its column order, so aggregation over
-/// a slice sums in exactly the global CSR order and stays bit-exact with
-/// the unsliced forward pass. Row *values* are copied verbatim — GCN
-/// normalization keeps the global degrees it was built with.
-///
-/// A row whose in-neighbors are not all resident (the outermost halo ring
-/// of a receptive field) is stored empty: the sliced forward pass never
-/// aggregates such rows — it only reads their feature columns — so an
-/// empty row is unreachable rather than wrong, and slicing stays `O(local
-/// edges)` without chasing neighbors outside the shard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalAdjacency {
-    locals: Vec<NodeId>,
-    rows: Vec<AdjRow>,
-}
-
-impl LocalAdjacency {
-    /// Slices `global` down to `locals` (which must be sorted ascending and
-    /// deduplicated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `locals` is unsorted/duplicated or references a row
-    /// outside `global`.
-    pub fn slice<A: AdjacencyView + ?Sized>(global: &A, locals: &[NodeId]) -> Self {
-        assert!(
-            locals.windows(2).all(|w| w[0] < w[1]),
-            "locals must be sorted ascending without duplicates"
-        );
-        if let Some(&last) = locals.last() {
-            assert!(
-                (last as usize) < global.rows(),
-                "local node {last} outside the global adjacency ({} rows)",
-                global.rows()
-            );
-        }
-        let mut sliced = Self {
-            locals: locals.to_vec(),
-            rows: vec![AdjRow::default(); locals.len()],
-        };
-        for (i, &g) in locals.iter().enumerate() {
-            sliced.rows[i] = sliced.slice_row(global, g);
-        }
-        sliced
-    }
-
-    /// The global ids backing each local row, ascending.
-    pub fn locals(&self) -> &[NodeId] {
-        &self.locals
-    }
-
-    /// Local id of global node `v`, if resident.
-    pub fn local_of(&self, v: NodeId) -> Option<u32> {
-        self.locals.binary_search(&v).ok().map(|i| i as u32)
-    }
-
-    /// Global id behind local row `local`.
-    pub fn global_of(&self, local: u32) -> NodeId {
-        self.locals[local as usize]
-    }
-
-    /// Re-slices the row of global node `v` from `global` (after the
-    /// global adjacency refreshed it). A no-op if `v` is not resident.
-    /// Returns whether a resident row was refreshed.
-    pub fn refresh_row<A: AdjacencyView + ?Sized>(&mut self, global: &A, v: NodeId) -> bool {
-        let Some(local) = self.local_of(v) else {
-            return false;
-        };
-        self.rows[local as usize] = self.slice_row(global, v);
-        true
-    }
-
-    /// Number of stored (aggregatable) rows, i.e. rows whose neighborhoods
-    /// are fully resident. Every complete row carries at least its
-    /// self-loop column, so emptiness marks exactly the outer-halo rows.
-    pub fn complete_rows(&self) -> usize {
-        self.rows.iter().filter(|row| !row.cols.is_empty()).count()
-    }
-
-    /// Approximate heap bytes held by this slice: the local-id table plus
-    /// the remapped row storage. Same accounting caveats as
-    /// [`DynAdjacency::approx_heap_bytes`].
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.locals.len() * std::mem::size_of::<NodeId>() + approx_rows_bytes(&self.rows)
-    }
-
-    fn slice_row<A: AdjacencyView + ?Sized>(&self, global: &A, v: NodeId) -> AdjRow {
-        let cols = global.row_indices(v as usize);
-        let mut local_cols = Vec::with_capacity(cols.len());
-        for &c in cols {
-            match self.locals.binary_search(&c) {
-                Ok(i) => local_cols.push(i as u32),
-                // A non-resident neighbor: this row is outer halo — never
-                // aggregated, only read as a feature column. Store empty.
-                Err(_) => return AdjRow::default(),
-            }
-        }
-        AdjRow {
-            cols: local_cols,
-            vals: global.row_values(v as usize).to_vec(),
-        }
-    }
-}
-
-impl AdjacencyView for LocalAdjacency {
     fn rows(&self) -> usize {
         self.rows.len()
     }
@@ -629,54 +504,6 @@ mod tests {
             adj.to_csr(),
             *build_adjacency(&dg.to_graph(), AggregatorKind::GcnSymmetric)
         );
-    }
-
-    #[test]
-    fn local_slice_preserves_rows_and_order() {
-        let dg = dyn_diamond();
-        let adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
-        // Slice {0, 1, 3}: rows 1 (in: 0) and 3 (in: 1, 2) — 3's row is
-        // incomplete (2 missing) and must come back empty.
-        let slice = LocalAdjacency::slice(&adj, &[0, 1, 3]);
-        assert_eq!(AdjacencyView::rows(&slice), 3);
-        assert_eq!(slice.local_of(3), Some(2));
-        assert_eq!(slice.local_of(2), None);
-        assert_eq!(slice.global_of(1), 1);
-        // Row of node 1 (local 1): columns {0 (=global 0), 1 (=global 1)},
-        // values identical to the global row.
-        assert_eq!(slice.row_indices(1), &[0, 1]);
-        assert_eq!(slice.row_values(1), adj.row_values(1));
-        assert!(slice.row_indices(2).is_empty(), "incomplete row is empty");
-        assert_eq!(slice.complete_rows(), 2);
-    }
-
-    #[test]
-    fn local_slice_refresh_tracks_global_mutation() {
-        let mut dg = dyn_diamond();
-        let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
-        let mut slice = LocalAdjacency::slice(&adj, &[0, 1, 2]);
-        let mut delta = GraphDelta::new();
-        delta.insert_edge(3, 0).remove_edge(0, 1);
-        let effect = dg.apply(&delta).unwrap();
-        let dirty = adj.apply_dirty(&dg, &effect);
-        assert!(dirty.contains(&0) && dirty.contains(&1));
-        let mut refreshed = 0;
-        for &v in &dirty {
-            if slice.refresh_row(&adj, v) {
-                refreshed += 1;
-            }
-        }
-        assert!(refreshed >= 2);
-        let rebuilt = LocalAdjacency::slice(&adj, &[0, 1, 2]);
-        assert_eq!(slice, rebuilt, "per-row refresh equals a full re-slice");
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted ascending")]
-    fn local_slice_rejects_unsorted_locals() {
-        let dg = dyn_diamond();
-        let adj = DynAdjacency::build(&dg, AggregatorKind::GinSum);
-        let _ = LocalAdjacency::slice(&adj, &[2, 1]);
     }
 
     #[test]

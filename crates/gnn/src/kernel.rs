@@ -18,15 +18,16 @@
 //!   computes the *same* exact `i64` sums with a scalar integer loop; it is
 //!   the oracle the blocked kernels are tested against.
 //! * **Aggregation stays `f32` in CSR row order**, a fixed per-node order,
-//!   so a node's logits are identical whichever other nodes share its batch
-//!   and whether it runs on the global graph or a shard slice.
+//!   so a node's logits are identical whichever other nodes share its batch.
 //! * **Flat arenas.** All scratch (activation slabs, level buffers, lane
 //!   tiles) lives in one reusable [`KernelArena`] owned by the worker
 //!   thread; steady-state batches allocate nothing.
 //!
-//! Input rows arrive packed at rest through the [`PlaneRows`] trait
-//! (implemented by `mega_format::TierPackedFeatures` globally and by the
-//! serving engine's shard adapters locally), so layer 0 never materializes
+//! [`forward_targets_packed_with_field`] is the one entry point. It runs in
+//! global node ids over any [`AdjacencyView`]; the serving engine's shards
+//! call it on the model's global adjacency and packed store. Input rows
+//! arrive packed at rest through the [`PlaneRows`] trait (implemented by
+//! `mega_format::TierPackedFeatures`), so layer 0 never materializes
 //! dequantized features at all.
 
 use mega_format::planes::{
@@ -36,7 +37,7 @@ use mega_format::planes::{
 use mega_graph::NodeId;
 use mega_tensor::Matrix;
 
-use crate::adjacency::{AdjacencyView, LocalAdjacency};
+use crate::adjacency::AdjacencyView;
 use crate::infer::ReceptiveField;
 use crate::model::Gnn;
 
@@ -478,65 +479,6 @@ where
     (Matrix::from_vec(targets.len(), out_dim, data), field)
 }
 
-/// [`forward_targets_packed_with_field`] over a shard-local adjacency
-/// slice, with **global** targets and a **global**-id `bits_of`. `rows` is
-/// indexed by *local* row id (the serving engine adapts its global packed
-/// store through the shard's id map, so packed payloads are shared
-/// verbatim — no per-shard packed copies, and bit-exactness with the
-/// global pass is structural).
-///
-/// # Panics
-///
-/// Panics if a target is not resident in the slice, or if the receptive
-/// field escapes it (the slice's halo is shallower than the model's layer
-/// count). The returned [`ReceptiveField`] is in *local* ids.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_targets_local_packed<R: PlaneRows>(
-    model: &Gnn,
-    packed: &PackedGnn,
-    rows: &R,
-    local: &LocalAdjacency,
-    targets: &[NodeId],
-    bits_of: &mut dyn FnMut(NodeId) -> u8,
-    mode: KernelMode,
-    arena: &mut KernelArena,
-) -> (Matrix, ReceptiveField) {
-    let local_targets: Vec<NodeId> = targets
-        .iter()
-        .map(|&t| {
-            local
-                .local_of(t)
-                .unwrap_or_else(|| panic!("target {t} is not resident in the shard slice"))
-        })
-        .collect();
-    // Guard the halo-depth invariant before aggregating: every row the pass
-    // aggregates (levels >= 1) must be complete. An outer-halo row is
-    // stored empty, and aggregating it would fabricate all-zero
-    // activations for a target the slice cannot serve.
-    let field = ReceptiveField::expand(local, &local_targets, model.config().layers);
-    for level in &field.needed[1..] {
-        for &v in level {
-            assert!(
-                !local.row_indices(v as usize).is_empty(),
-                "receptive field escapes the shard slice at global node {} \
-                 (target set reaches beyond the halo depth)",
-                local.global_of(v)
-            );
-        }
-    }
-    let mut relabeled = |v: NodeId| bits_of(local.global_of(v));
-    forward_targets_packed_with_field(
-        model,
-        packed,
-        rows,
-        local,
-        &local_targets,
-        &mut relabeled,
-        mode,
-        arena,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,116 +649,5 @@ mod tests {
         for c in 0..solo.cols() {
             assert_eq!(solo.get(0, c).to_bits(), grouped.get(1, c).to_bits());
         }
-    }
-
-    /// Local-id adapter over the global store, as the serving shards use.
-    struct LocalRows<'a> {
-        store: &'a TierPackedFeatures,
-        slice: &'a LocalAdjacency,
-    }
-
-    impl PlaneRows for LocalRows<'_> {
-        fn dim(&self) -> usize {
-            self.store.dim()
-        }
-        fn plane_row(&self, row: usize) -> mega_format::PlaneRow<'_> {
-            self.store
-                .plane_row(self.slice.global_of(row as u32) as usize)
-        }
-    }
-
-    #[test]
-    fn local_kernel_pass_matches_global() {
-        let (d, model, packed, store) = setup(GnnKind::Gcn);
-        let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
-        let layers = model.config().layers;
-        let owned: Vec<NodeId> = (0..d.graph.num_nodes() as NodeId).step_by(5).collect();
-        let closure = ReceptiveField::expand(adj.as_ref(), &owned, layers);
-        let mut locals: Vec<NodeId> = closure.needed.concat();
-        locals.sort_unstable();
-        locals.dedup();
-        let slice = LocalAdjacency::slice(adj.as_ref(), &locals);
-
-        let mut bits_of = |v: NodeId| if v.is_multiple_of(2) { 3u8 } else { 5 };
-        let targets: Vec<NodeId> = owned.iter().copied().take(7).collect();
-        let rows = LocalRows {
-            store: &store,
-            slice: &slice,
-        };
-        let (local_logits, field) = forward_targets_local_packed(
-            &model,
-            &packed,
-            &rows,
-            &slice,
-            &targets,
-            &mut bits_of,
-            KernelMode::Blocked,
-            &mut KernelArena::default(),
-        );
-        let global_logits = logits(
-            &model,
-            &packed,
-            &store,
-            adj.as_ref(),
-            &targets,
-            &mut bits_of,
-            KernelMode::Blocked,
-        );
-        assert_bit_exact(&local_logits, &global_logits, "sliced vs global");
-        assert!(field
-            .needed
-            .iter()
-            .flatten()
-            .all(|&v| (v as usize) < locals.len()));
-    }
-
-    #[test]
-    #[should_panic(expected = "escapes the shard slice")]
-    fn local_kernel_pass_rejects_field_escape() {
-        // A slice holding only the target: its in-neighbors are missing,
-        // so its row is stored empty and the guard must fire instead of
-        // silently aggregating zeros.
-        let (d, model, packed, store) = setup(GnnKind::Gcn);
-        let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
-        let t = (0..d.graph.num_nodes())
-            .find(|&v| d.graph.in_degree(v) > 0)
-            .expect("a non-isolated node exists") as NodeId;
-        let slice = LocalAdjacency::slice(adj.as_ref(), &[t]);
-        let rows = LocalRows {
-            store: &store,
-            slice: &slice,
-        };
-        let _ = forward_targets_local_packed(
-            &model,
-            &packed,
-            &rows,
-            &slice,
-            &[t],
-            &mut |_| 4,
-            KernelMode::Blocked,
-            &mut KernelArena::default(),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not resident")]
-    fn local_kernel_pass_rejects_foreign_targets() {
-        let (d, model, packed, store) = setup(GnnKind::Gcn);
-        let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
-        let slice = LocalAdjacency::slice(adj.as_ref(), &[0, 1, 2]);
-        let rows = LocalRows {
-            store: &store,
-            slice: &slice,
-        };
-        let _ = forward_targets_local_packed(
-            &model,
-            &packed,
-            &rows,
-            &slice,
-            &[40],
-            &mut |_| 4,
-            KernelMode::Blocked,
-            &mut KernelArena::default(),
-        );
     }
 }

@@ -30,11 +30,10 @@ pub mod kernel;
 pub mod model;
 pub mod train;
 
-pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency, LocalAdjacency};
+pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency};
 pub use infer::ReceptiveField;
 pub use kernel::{
-    forward_targets_local_packed, forward_targets_packed_with_field, KernelArena, KernelMode,
-    PackedGnn, QuantizedLayer,
+    forward_targets_packed_with_field, KernelArena, KernelMode, PackedGnn, QuantizedLayer,
 };
 pub use model::{ForwardHook, Gnn, GnnKind, IdentityHook, ModelConfig};
 pub use train::{accuracy, TrainReport, Trainer};

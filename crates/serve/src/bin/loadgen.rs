@@ -11,11 +11,18 @@
 //! Per rate step it reports offered load, goodput (200s/s), shed rate
 //! (429s), latency p50/p99, and the fraction of answered requests over
 //! the `--slo-ms` budget; after the sweep it scrapes `/metrics` and
-//! reduces the per-model memory gauges to resident-bytes-per-node plus
-//! the analytic f32 baseline `(2·nodes + shard_rows)·dim·4` — what the
-//! pre-bit-plane layout (raw f32 matrix + quantized f32 mirror + f32
-//! shard splices) held for the same shapes. Results land in `--out` as
-//! JSON (the capacity curve committed as `BENCH_pr9.json`).
+//! reduces the per-model memory gauges to resident feature bytes per node
+//! plus the analytic f32 baseline `2·nodes·dim·4` — what the
+//! pre-bit-plane layout (raw f32 matrix + quantized f32 mirror) held for
+//! the same shapes — and, next to that feature-only ratio, the model's
+//! total counted resident bytes per node (every component, not only
+//! features). Results land in `--out` as JSON (the capacity curve
+//! committed as `BENCH_pr9.json`).
+//!
+//! A keep-alive connection the server closed while idle fails before any
+//! response byte arrives; such a request is resent once on a fresh
+//! connection and counts as an error only if that fails too (edge
+//! inserts are upserts, so the resend is idempotent).
 //!
 //! `--update-frac F` mixes graph mutations into the arrival stream: each
 //! arrival becomes a random-endpoint edge insert (`{"insert": [[s, d]]}`
@@ -67,26 +74,47 @@ fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// One keep-alive HTTP/1.1 exchange; returns the status code. Reconnects
-/// are the caller's job — an `Err` means the connection is dead.
+/// Why an [`exchange`] failed.
+#[derive(Debug)]
+enum ExchangeError {
+    /// No response byte arrived: the write failed, or the server closed
+    /// or reset the connection first. On a reused keep-alive connection
+    /// this is the server's idle timeout, not a failed request.
+    NoResponse,
+    /// The response broke off or did not parse.
+    Broken,
+}
+
+/// One keep-alive HTTP/1.1 exchange; returns the status code and body.
+/// An `Err` means the connection is dead.
 fn exchange(
     stream: &mut BufReader<TcpStream>,
     method: &str,
     path: &str,
     body: &str,
-) -> std::io::Result<(u16, String)> {
+) -> Result<(u16, String), ExchangeError> {
     let request = format!(
         "{method} {path} HTTP/1.1\r\nhost: loadgen\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n{body}",
         body.len()
     );
-    stream.get_mut().write_all(request.as_bytes())?;
     let mut status_line = String::new();
-    if stream.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "server closed",
-        ));
+    let sent = stream
+        .get_mut()
+        .write_all(request.as_bytes())
+        .and_then(|()| stream.read_line(&mut status_line));
+    match sent {
+        Ok(0) => Err(ExchangeError::NoResponse),
+        Ok(_) => read_response(stream, &status_line).map_err(|_| ExchangeError::Broken),
+        Err(_) if status_line.is_empty() => Err(ExchangeError::NoResponse),
+        Err(_) => Err(ExchangeError::Broken),
     }
+}
+
+/// Reads the headers and body that follow `status_line`.
+fn read_response(
+    stream: &mut BufReader<TcpStream>,
+    status_line: &str,
+) -> std::io::Result<(u16, String)> {
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -123,11 +151,40 @@ fn connect(addr: &str) -> std::io::Result<BufReader<TcpStream>> {
     Ok(BufReader::new(stream))
 }
 
+/// [`exchange`] on `conn`, connecting first when it is empty. A reused
+/// connection that fails before any response byte is resent once on a
+/// fresh connection. `conn` is left empty after any failure, so the next
+/// call reconnects.
+fn send(
+    conn: &mut Option<BufReader<TcpStream>>,
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> Result<(u16, String), ExchangeError> {
+    if let Some(reused) = conn.as_mut() {
+        match exchange(reused, method, path, body) {
+            Err(ExchangeError::NoResponse) => {}
+            Err(e) => {
+                *conn = None;
+                return Err(e);
+            }
+            ok => return ok,
+        }
+    }
+    *conn = None;
+    let fresh = conn.insert(connect(addr).map_err(|_| ExchangeError::NoResponse)?);
+    let result = exchange(fresh, method, path, body);
+    if result.is_err() {
+        *conn = None;
+    }
+    result
+}
+
 /// Scrapes `/metrics` and extracts the labeled gauge values for `model`.
 struct ModelGauges {
     nodes: u64,
     feature_dim: u64,
-    shard_resident_rows: u64,
     /// `component -> bytes` from `mega_serve_model_resident_bytes`.
     components: Vec<(String, u64)>,
 }
@@ -161,7 +218,6 @@ fn scrape(addr: &str, model: &str) -> ModelGauges {
     ModelGauges {
         nodes: single("mega_serve_model_nodes{"),
         feature_dim: single("mega_serve_model_feature_dim{"),
-        shard_resident_rows: single("mega_serve_model_shard_resident_rows{"),
         components: labeled("mega_serve_model_resident_bytes{", ""),
     }
 }
@@ -239,7 +295,7 @@ fn run_step(
         let tally = tally.clone();
         handles.push(std::thread::spawn(move || -> (Vec<u64>, Vec<u64>) {
             let mut rng = StdRng::seed_from_u64(seed ^ (conn_id as u64).wrapping_mul(0x9E37));
-            let mut conn = connect(&addr).ok();
+            let mut conn = None;
             let mut latencies_us = Vec::new();
             let mut update_latencies_us = Vec::new();
             let mut next_arrival = Duration::ZERO;
@@ -268,20 +324,7 @@ fn run_step(
                     let node = rng.gen_range(0..nodes);
                     (path.as_str(), format!("{{\"node\": {node}}}"))
                 };
-                let outcome = match conn.as_mut() {
-                    Some(c) => exchange(c, "POST", req_path, &body),
-                    None => {
-                        conn = connect(&addr).ok();
-                        match conn.as_mut() {
-                            Some(c) => exchange(c, "POST", req_path, &body),
-                            None => Err(std::io::Error::new(
-                                std::io::ErrorKind::ConnectionRefused,
-                                "reconnect failed",
-                            )),
-                        }
-                    }
-                };
-                match outcome {
+                match send(&mut conn, &addr, "POST", req_path, &body) {
                     Ok((200, response)) => {
                         let us = scheduled.elapsed().as_micros().min(u64::MAX as u128) as u64;
                         if is_update {
@@ -307,7 +350,6 @@ fn run_step(
                     }
                     Err(_) => {
                         tally.errors.fetch_add(1, Ordering::Relaxed);
-                        conn = None; // force reconnect on the next arrival
                     }
                 }
             }
@@ -379,8 +421,8 @@ fn main() {
 
     let before = scrape(&addr, &model);
     eprintln!(
-        "[loadgen] {model}: {} nodes, dim {}, {} shard-resident rows",
-        before.nodes, before.feature_dim, before.shard_resident_rows
+        "[loadgen] {model}: {} nodes, dim {}",
+        before.nodes, before.feature_dim
     );
 
     let mut steps = Vec::new();
@@ -420,8 +462,9 @@ fn main() {
 
     // Memory reduction: measured resident feature bytes (packed planes +
     // whatever raw source survives) against the analytic f32 layout the
-    // packed store replaced — raw matrix + quantized mirror + f32 shard
-    // splices for the same row counts.
+    // packed store replaced — raw matrix + quantized mirror for the same
+    // row count. The feature-only ratio leaves out the adjacency and the
+    // logits caches, so the total counted bytes per node print beside it.
     let after = scrape(&addr, &model);
     let component = |name: &str| -> u64 {
         after
@@ -433,12 +476,15 @@ fn main() {
     };
     let feature_resident = component("features") + component("raw_features");
     let f32_row = after.feature_dim * 4;
-    let baseline = (2 * after.nodes + after.shard_resident_rows) * f32_row;
+    let baseline = 2 * after.nodes * f32_row;
     let reduction = baseline as f64 / feature_resident.max(1) as f64;
-    let bytes_per_node = feature_resident as f64 / after.nodes.max(1) as f64;
-    let baseline_per_node = baseline as f64 / after.nodes.max(1) as f64;
+    let per_node = |bytes: u64| bytes as f64 / after.nodes.max(1) as f64;
+    let bytes_per_node = per_node(feature_resident);
+    let baseline_per_node = per_node(baseline);
+    let total_resident: u64 = after.components.iter().map(|&(_, bytes)| bytes).sum();
+    let total_per_node = per_node(total_resident);
     eprintln!(
-        "[loadgen] resident feature bytes: {feature_resident} ({bytes_per_node:.1} B/node) vs f32 baseline {baseline} ({baseline_per_node:.1} B/node) — {reduction:.2}x lean"
+        "[loadgen] resident feature bytes: {feature_resident} ({bytes_per_node:.1} B/node) vs f32 baseline {baseline} ({baseline_per_node:.1} B/node) — {reduction:.2}x lean on features; all counted components {total_resident} ({total_per_node:.1} B/node)"
     );
 
     // JSON out: the capacity curve + memory reduction, one self-contained
@@ -450,15 +496,15 @@ fn main() {
         slo.as_millis()
     ));
     json.push_str(&format!(
-        "  \"nodes\": {},\n  \"feature_dim\": {},\n  \"shard_resident_rows\": {},\n",
-        after.nodes, after.feature_dim, after.shard_resident_rows
+        "  \"nodes\": {},\n  \"feature_dim\": {},\n",
+        after.nodes, after.feature_dim
     ));
     json.push_str("  \"memory\": {\n");
     for (component, bytes) in &after.components {
         json.push_str(&format!("    \"{component}_bytes\": {bytes},\n"));
     }
     json.push_str(&format!(
-        "    \"feature_resident_bytes\": {feature_resident},\n    \"feature_bytes_per_node\": {bytes_per_node:.2},\n    \"f32_baseline_bytes\": {baseline},\n    \"f32_baseline_bytes_per_node\": {baseline_per_node:.2},\n    \"reduction_factor\": {reduction:.3}\n  }},\n"
+        "    \"feature_resident_bytes\": {feature_resident},\n    \"feature_bytes_per_node\": {bytes_per_node:.2},\n    \"f32_baseline_bytes\": {baseline},\n    \"f32_baseline_bytes_per_node\": {baseline_per_node:.2},\n    \"reduction_factor\": {reduction:.3},\n    \"total_resident_bytes_per_node\": {total_per_node:.2}\n  }},\n"
     ));
     json.push_str("  \"capacity_curve\": [\n");
     for (i, s) in steps.iter().enumerate() {
@@ -507,11 +553,11 @@ fn main() {
         }
         // Recovery: once the load stops, a fresh request is served again
         // rather than shed (the admission window drains).
-        let mut conn = connect(&addr).expect("reconnect after load");
+        let mut conn = None;
         let recovered = (0..50).any(|_| {
             std::thread::sleep(Duration::from_millis(100));
             matches!(
-                exchange(&mut conn, "POST", &predict_path, "{\"node\": 0}"),
+                send(&mut conn, &addr, "POST", &predict_path, "{\"node\": 0}"),
                 Ok((200, _))
             )
         });
@@ -519,5 +565,56 @@ fn main() {
         eprintln!(
             "[loadgen] smoke assertions passed (ok {total_ok}, shed {total_shed}, recovered)"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mega_serve::{HttpServer, HttpServerConfig, ModelRegistry, ServeConfig, ServeEngine};
+
+    #[test]
+    fn a_connection_closed_while_idle_is_resent_on_a_fresh_one() {
+        let registry = Arc::new(ModelRegistry::new());
+        let engine = Arc::new(ServeEngine::start_detached(
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+            registry.clone(),
+        ));
+        let server = HttpServer::start(
+            HttpServerConfig {
+                idle_timeout: Duration::from_millis(100),
+                ..HttpServerConfig::default()
+            },
+            engine.clone(),
+            registry,
+        )
+        .expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut stale = connect(&addr).expect("connect");
+        let mut conn = Some(connect(&addr).expect("connect"));
+        assert_eq!(exchange(&mut stale, "GET", "/metrics", "").unwrap().0, 200);
+        assert_eq!(
+            send(&mut conn, &addr, "GET", "/metrics", "").unwrap().0,
+            200
+        );
+
+        // Both connections outlive the server's idle timeout. A bare
+        // exchange on one fails without a response byte; `send` on the
+        // other resends and succeeds.
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(matches!(
+            exchange(&mut stale, "GET", "/metrics", ""),
+            Err(ExchangeError::NoResponse)
+        ));
+        assert_eq!(
+            send(&mut conn, &addr, "GET", "/metrics", "").unwrap().0,
+            200
+        );
+
+        server.stop();
+        Arc::into_inner(engine).expect("ingress stopped").shutdown();
     }
 }

@@ -3,7 +3,7 @@
 //! synthetic requests through the batched degree-aware engine on a
 //! shard-affine worker pool, then runs a *churn* phase — streaming edge
 //! insertions and node upserts that promote a node across degree-tier
-//! boundaries (and across shard halos) while inference traffic keeps
+//! boundaries (and across shard boundaries) while inference traffic keeps
 //! flowing — and prints per-model and per-shard summary tables plus the
 //! engine report.
 //!
@@ -488,10 +488,9 @@ fn main() {
     );
     for memory in engine.memory() {
         println!(
-            "[memory] {}: {:.1} MiB resident ({} shard slices, {:.1} MiB logits cache)",
+            "[memory] {}: {:.1} MiB resident ({:.1} MiB logits cache)",
             memory.model,
             memory.total_bytes() as f64 / (1024.0 * 1024.0),
-            shards,
             memory.logits_bytes as f64 / (1024.0 * 1024.0),
         );
     }
@@ -577,13 +576,11 @@ fn main() {
     }
 
     println!(
-        "\n{:<7} {:>9} {:>9} {:>10} {:>11} {:>9} {:>9} {:>9} {:>7} {:>14} {:>14}",
+        "\n{:<7} {:>9} {:>9} {:>10} {:>9} {:>9} {:>7} {:>14} {:>14}",
         "shard",
         "requests",
         "batches",
         "halo rows",
-        "halo fetch",
-        "rebuilds",
         "hits",
         "misses",
         "inval",
@@ -592,13 +589,11 @@ fn main() {
     );
     for s in &report.shards {
         println!(
-            "{:<7} {:>9} {:>9} {:>10} {:>11} {:>9} {:>9} {:>9} {:>7} {:>14} {:>14}",
+            "{:<7} {:>9} {:>9} {:>10} {:>9} {:>9} {:>7} {:>14} {:>14}",
             s.shard,
             s.requests,
             s.batches,
             s.halo_rows,
-            s.halo_fetches,
-            s.rebuilds,
             s.logits_hits,
             s.logits_misses,
             s.logits_invalidations,
@@ -627,12 +622,6 @@ fn main() {
         report.shards.iter().all(|s| s.requests > 0),
         "every shard served traffic"
     );
-    if shards > 1 {
-        assert!(
-            report.halo_fetches > 0,
-            "churn across shard boundaries must exchange halo rows"
-        );
-    }
     assert!(report.est_cycles > 0, "hardware model costed the batches");
     // Logits-cache invariants: every answered request is exactly one of
     // hit/miss, the response `cached` flags agree with the engine
@@ -659,14 +648,13 @@ fn main() {
     };
     println!(
         "\nserve_demo OK: {} requests + {} graph updates ({} nodes retiered, \
-         {} halo rows exchanged, {} cached logits invalidated) over {} models x {} shards \
+         {} cached logits invalidated) over {} models x {} shards \
          on {workers} workers ({:.0} req/s open-loop, {:.0} req/s closed-loop, \
          {:.1}% logits-cache hits, {:.1} idle sweeper wakeups/s, \
          est {} MEGA cycles / {} DRAM bytes)",
         report.completed,
         updates_acked,
         retiered,
-        report.halo_fetches,
         logits_invalidated,
         keys.len(),
         shards,

@@ -36,7 +36,7 @@ use mega_quant::DegreePolicy;
 use crate::logits::LogitsCache;
 use crate::registry::ModelSpec;
 use crate::request::ModelKey;
-use crate::shard::{ShardRefresh, ShardState};
+use crate::shard::Shard;
 
 /// A node whose serving precision changed because a mutation moved it
 /// across a degree-tier boundary.
@@ -67,9 +67,6 @@ pub struct UpdateEffect {
     pub retiered: Vec<Retier>,
     /// Adjacency rows refreshed by the incremental maintenance.
     pub dirty_rows: usize,
-    /// Per-shard halo-exchange work this delta triggered (only shards the
-    /// delta touched appear).
-    pub shard_refreshes: Vec<ShardRefresh>,
     /// Cached logits dropped per shard because the delta reached their
     /// receptive field: `(shard, entries invalidated)`, only shards that
     /// actually dropped entries appear. Precise, not a flush — see
@@ -82,11 +79,6 @@ pub struct UpdateEffect {
 }
 
 impl UpdateEffect {
-    /// Total halo rows re-fetched across shards by this delta.
-    pub fn halo_refreshed(&self) -> usize {
-        self.shard_refreshes.iter().map(|r| r.halo_fetched).sum()
-    }
-
     /// Total cached logits invalidated across shards by this delta.
     pub fn logits_invalidated_total(&self) -> usize {
         self.logits_invalidated.iter().map(|&(_, n)| n).sum()
@@ -173,16 +165,13 @@ pub struct ModelArtifacts {
     pub bits: Vec<u8>,
     /// Per-node precision tier (0 = fewest bits).
     pub tiers: Vec<usize>,
-    /// The k-way partitioning shards are cut along. Doubles as the batch
+    /// The k-way partitioning shards are cut along: shard `p` owns the
+    /// nodes of part `p` ([`ModelArtifacts::shard`]). Doubles as the batch
     /// locality order; extended via [`Partitioning::push_balanced`] for
     /// added nodes, never re-partitioned in place.
     pub partitioning: Partitioning,
-    /// Per-shard adjacency/feature slices (one per part), kept coherent
-    /// with the global state by [`ModelArtifacts::apply_delta`]'s halo
-    /// exchange. Batches execute against these, not the global arrays.
-    pub shards: Vec<ShardState>,
-    /// Per-shard logits caches, parallel to `shards` (a node's entry lives
-    /// in its owning shard's cache). Kept sound by
+    /// Per-shard logits caches, one per part (a node's entry lives in its
+    /// owning shard's cache). Kept sound by
     /// [`ModelArtifacts::apply_delta`], which drops exactly the entries
     /// whose receptive field a delta reached.
     pub logits: Vec<LogitsCache>,
@@ -301,16 +290,6 @@ impl ModelArtifacts {
             &dataset.graph,
             &PartitionConfig::new(k).with_seed(spec.dataset.seed),
         );
-        // One slice per part: local remapped adjacency + packed copies of
-        // exactly the halo rows (owned rows read the global packed store).
-        // The halo depth is the model's layer count so every owned
-        // target's receptive field is resident.
-        let hops = model.config().layers;
-        let shards = (0..k as u32)
-            .map(|p| {
-                ShardState::extract(p, &partitioning, &graph, &adjacency, &packed_features, hops)
-            })
-            .collect();
         // The live topology is `graph`; drop the frozen snapshot so it can
         // neither waste memory nor serve stale degrees after mutations.
         dataset.graph = mega_graph::Graph::from_directed_edges(0, vec![]);
@@ -342,7 +321,6 @@ impl ModelArtifacts {
             bits,
             tiers,
             partitioning,
-            shards,
             logits,
             policy: spec.policy.clone(),
             weight_bits: spec.weight_bits,
@@ -430,7 +408,7 @@ impl ModelArtifacts {
 
         // Re-tier every node whose in-degree changed, plus the added nodes.
         // `feature_dirty` collects the nodes whose *quantized feature row*
-        // was rewritten — shards holding them as halo copies must re-fetch.
+        // was rewritten.
         let mut retiered = Vec::new();
         let mut feature_dirty: Vec<NodeId> = Vec::new();
         let mut scratch = vec![0.0f32; dim];
@@ -497,13 +475,6 @@ impl ModelArtifacts {
         cache_seeds.sort_unstable();
         cache_seeds.dedup();
 
-        let shard_refreshes = self.exchange_halos(
-            &effect.added_nodes,
-            &effect.rows_changed,
-            &adjacency_dirty,
-            feature_dirty,
-        );
-
         // Drop exactly the cached logits this delta can have affected: the
         // targets whose L-hop receptive field intersects a seed row, i.e.
         // the inverse halo closure of the seeds. Every surviving entry is
@@ -524,66 +495,9 @@ impl ModelArtifacts {
             added_nodes: effect.added_nodes,
             retiered,
             dirty_rows,
-            shard_refreshes,
             logits_invalidated,
             balance: self.partitioning.balance(),
         })
-    }
-
-    /// The halo-exchange step: routes every dirtied row to the shards that
-    /// replicate it. Untouched shards keep serving their hot slices
-    /// without any synchronization beyond the entry lock; touched shards
-    /// take one of two paths:
-    ///
-    /// * **Rebuild** (`O(shard)`) when membership may have moved — the
-    ///   delta added a node this shard now owns, or changed the
-    ///   in-neighbor *set* of a resident node (`rows_changed`); the L-hop
-    ///   closure is re-extracted and exactly the new/stale halo copies are
-    ///   charged as fetches.
-    /// * **In-place refresh** (`O(dirty)`) when only row *values* moved —
-    ///   GCN renormalization dirt on neighbor rows, or re-tiered feature
-    ///   rows; membership is a function of in-neighbor sets, so the
-    ///   resident rows are re-sliced/re-copied without re-extraction.
-    fn exchange_halos(
-        &mut self,
-        added_nodes: &[NodeId],
-        rows_changed: &[NodeId],
-        adjacency_dirty: &[NodeId],
-        feature_dirty: Vec<NodeId>,
-    ) -> Vec<ShardRefresh> {
-        let mut dirty: Vec<NodeId> = adjacency_dirty.to_vec();
-        dirty.extend_from_slice(&feature_dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
-        if dirty.is_empty() && added_nodes.is_empty() {
-            return Vec::new();
-        }
-        let hops = self.model.config().layers;
-        let mut refreshes = Vec::new();
-        for shard in &mut self.shards {
-            let gained_node = added_nodes
-                .iter()
-                .any(|&v| self.partitioning.part_of(v as usize) == shard.part);
-            let membership_dirty = gained_node || rows_changed.iter().any(|&v| shard.contains(v));
-            if membership_dirty {
-                refreshes.push(shard.rebuild(
-                    &self.partitioning,
-                    &self.graph,
-                    &self.adjacency,
-                    &self.packed_features,
-                    hops,
-                    &dirty,
-                ));
-            } else if dirty.iter().any(|&v| shard.contains(v)) {
-                refreshes.push(shard.refresh_rows(
-                    &self.adjacency,
-                    &self.packed_features,
-                    adjacency_dirty,
-                    &feature_dirty,
-                ));
-            }
-        }
-        refreshes
     }
 
     /// The shard owning `node` (its partition).
@@ -591,9 +505,13 @@ impl ModelArtifacts {
         self.partitioning.part_of(node as usize)
     }
 
-    /// The resident state of shard `part`, if it exists.
-    pub fn shard(&self, part: u32) -> Option<&ShardState> {
-        self.shards.get(part as usize)
+    /// The view of shard `part`, or `None` when `part` is not below the
+    /// partition count.
+    pub fn shard(&self, part: u32) -> Option<Shard<'_>> {
+        ((part as usize) < self.partitioning.k()).then_some(Shard {
+            part,
+            artifacts: self,
+        })
     }
 
     /// The logits cache of shard `part`, if it exists.
@@ -604,7 +522,7 @@ impl ModelArtifacts {
     /// The set of targets whose cached logits a mutation of `dirty` rows
     /// can have affected: every node within `L` out-edge hops of a dirty
     /// row (`L` = model layers), including the dirty rows themselves —
-    /// the inverse of the halo closure that builds shard slices
+    /// the inverse of the `L`-hop halo closure
     /// ([`mega_partition::influence_closure_with`]). A target outside this
     /// set has an `L`-hop receptive field disjoint from every dirty row,
     /// so its logits are a function of unchanged inputs only; the
@@ -657,19 +575,19 @@ impl ModelArtifacts {
 
     /// Approximate heap bytes these artifacts hold resident, split by
     /// component (the structures that dominate a model's footprint:
-    /// feature matrices, the incremental adjacency, shard slices, logits
-    /// caches). Model weights and per-node policy vectors are small by
-    /// comparison and not itemized. Feeds `/metrics`' per-model gauges.
+    /// feature matrices, the incremental adjacency, logits caches). Model
+    /// weights and per-node policy vectors are small by comparison and not
+    /// itemized. Shards are views and hold nothing, so `shard_bytes` is 0.
+    /// Feeds `/metrics`' per-model gauges.
     pub fn resident_bytes(&self) -> crate::trace::ModelMemory {
         crate::trace::ModelMemory {
             model: self.key.clone(),
             nodes: self.num_nodes(),
             feature_dim: self.feature_dim(),
-            shard_resident_rows: self.shards.iter().map(ShardState::num_locals).sum(),
             features_bytes: self.packed_features.resident_bytes(),
             raw_features_bytes: self.raw_features.resident_bytes(),
             adjacency_bytes: self.adjacency.approx_heap_bytes(),
-            shard_bytes: self.shards.iter().map(ShardState::resident_bytes).sum(),
+            shard_bytes: 0,
             logits_bytes: self.logits.iter().map(LogitsCache::bytes).sum(),
         }
     }
@@ -1047,7 +965,6 @@ mod tests {
         let memory = a.resident_bytes();
         assert_eq!(memory.nodes, n0 + 1);
         assert_eq!(memory.feature_dim, dim);
-        assert!(memory.shard_resident_rows >= memory.nodes);
         let f32_matrix = memory.nodes * dim * std::mem::size_of::<f32>();
         assert!(
             memory.raw_features_bytes < f32_matrix / 4,

@@ -36,7 +36,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mega_gnn::GnnKind;
 use mega_graph::GraphDelta;
@@ -71,7 +71,9 @@ pub struct HttpServerConfig {
     /// miss answers `504`.
     pub wait_timeout: Duration,
     /// Keep-alive idle timeout per connection: a silent client releases
-    /// its pool slot after this.
+    /// its pool slot after this. It also bounds each request, from its
+    /// first byte to its last, so a client trickling bytes cannot hold a
+    /// slot longer.
     pub idle_timeout: Duration,
 }
 
@@ -211,15 +213,50 @@ const MAX_HEADER_LINES: usize = 64;
 /// sends a newline cannot grow a buffer or hold a handler.
 const MAX_LINE_BYTES: usize = 8 << 10;
 
+/// The read half of a connection. Waiting for a request's first byte may
+/// take up to `timeout`; from that byte on, every read shares one deadline
+/// `timeout` later, so the whole request is bounded, not each read
+/// syscall. [`DeadlineReader::next_request`] re-arms it.
+struct DeadlineReader {
+    stream: TcpStream,
+    timeout: Duration,
+    deadline: Option<Instant>,
+}
+
+impl DeadlineReader {
+    /// Starts the wait for the next request.
+    fn next_request(&mut self) {
+        self.deadline = None;
+    }
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = match self.deadline {
+            None => self.timeout,
+            Some(deadline) => deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or(std::io::ErrorKind::TimedOut)?,
+        };
+        self.stream.set_read_timeout(Some(left))?;
+        let n = self.stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + self.timeout);
+        }
+        Ok(n)
+    }
+}
+
 /// One line read through the [`MAX_LINE_BYTES`] cap.
 enum Line {
     Text(String),
     TooLong,
-    /// EOF, idle timeout, reset, or bytes that are not UTF-8.
+    /// EOF, timeout, reset, or bytes that are not UTF-8.
     Closed,
 }
 
-fn read_line(reader: &mut BufReader<TcpStream>) -> Line {
+fn read_line(reader: &mut BufReader<DeadlineReader>) -> Line {
     let mut bytes = Vec::new();
     match reader
         .by_ref()
@@ -232,7 +269,7 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Line {
     }
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
+fn read_request(reader: &mut BufReader<DeadlineReader>) -> ReadOutcome {
     let line = match read_line(reader) {
         Line::Text(line) => line,
         Line::TooLong => return ReadOutcome::Reject(414, "request line too long"),
@@ -380,17 +417,21 @@ fn handle_connection(
     stats: &HttpStats,
     shutdown: &AtomicBool,
 ) {
-    let _ = stream.set_read_timeout(Some(config.idle_timeout));
     let _ = stream.set_nodelay(true);
     let mut write_half = match stream.try_clone() {
         Ok(half) => half,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        timeout: config.idle_timeout,
+        deadline: None,
+    });
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return;
         }
+        reader.get_mut().next_request();
         let request = match read_request(&mut reader) {
             ReadOutcome::Request(request) => request,
             ReadOutcome::Closed => return,
@@ -684,11 +725,6 @@ fn render_update(ack: &UpdateResponse) -> String {
     json::field(&mut out, "dirty_rows", Json::from(ack.dirty_rows as u64));
     json::field(
         &mut out,
-        "halo_refreshed",
-        Json::from(ack.halo_refreshed as u64),
-    );
-    json::field(
-        &mut out,
         "logits_invalidated",
         Json::from(ack.logits_invalidated as u64),
     );
@@ -967,10 +1003,10 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
             }
         }
         // Shape gauges: enough for a scraper to compute bytes-per-node
-        // and the analytic f32 baseline ((2·nodes + shard_rows)·dim·4)
-        // without knowing the serving internals.
+        // and the analytic f32 baseline (2·nodes·dim·4) without knowing
+        // the serving internals.
         type ShapeGauge = (&'static str, &'static str, fn(&ModelMemory) -> usize);
-        let shape_gauges: [ShapeGauge; 3] = [
+        let shape_gauges: [ShapeGauge; 2] = [
             (
                 "mega_serve_model_nodes",
                 "Nodes currently served per model (live topology).",
@@ -980,11 +1016,6 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
                 "mega_serve_model_feature_dim",
                 "Input feature dimensionality per model.",
                 |m| m.feature_dim,
-            ),
-            (
-                "mega_serve_model_shard_resident_rows",
-                "Feature rows resident across shard slices (owned + halo).",
-                |m| m.shard_resident_rows,
             ),
         ];
         for (name, help, value) in shape_gauges {

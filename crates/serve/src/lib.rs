@@ -16,10 +16,10 @@
 //!                                      MISS falls       size or deadline                  the same thread
 //!                                      through                                   │
 //!                    ArtifactCache (LRU): quantized Gnn, live                    ▼  split late hits from
-//!                    DynamicGraph + Ã, K-way partitioning,                   misses; forward misses over
-//!                    per-shard slices (local adjacency + owned               the shard-local slice; fill
-//!                    rows + L-hop halo feature copies), and                  the logits cache on the way
-//!                    per-shard byte-budgeted logits caches                   out
+//!                    DynamicGraph + Ã, packed features, K-way                misses; forward misses over
+//!                    partitioning (a shard is a view: the                    the global Ã and packed
+//!                    nodes of one part), and per-shard                       store; fill the logits
+//!                    byte-budgeted logits caches                             cache on the way out
 //! ```
 //!
 //! * [`ModelRegistry`] holds [`ModelSpec`]s — recipes for everything a
@@ -32,9 +32,10 @@
 //!   precision-tier) bucket and flushes on size or deadline.
 //! * [`WorkerPool`] is *shard-affine*: [`WorkRouter`] pins every
 //!   `(model, shard)` to one worker lane, and the worker executes batches
-//!   with [`mega_gnn::forward_targets_local_packed`] over the shard's own
-//!   adjacency/feature slice ([`ShardState`]) — bit-exact with the global
-//!   pass regardless of batch composition or shard count.
+//!   with [`mega_gnn::forward_targets_packed_with_field`] over the model's
+//!   global adjacency and packed store. A [`Shard`] is an ownership view,
+//!   not a copy, so logits do not depend on batch composition or shard
+//!   count.
 //! * [`LogitsCache`] (one per `(model, shard)`) short-circuits the whole
 //!   pipeline for hot nodes: a byte-budgeted LRU over final logits rows,
 //!   consulted at submit time and again per batch, kept bit-exact under
@@ -45,11 +46,9 @@
 //!   logits-cache hits/misses/evictions/invalidations, and an analytic
 //!   MEGA hardware estimate (cycles / DRAM bytes) per shard-batch.
 //!
-//! Cross-shard receptive fields are *halo-exchanged* rather than read from
-//! global state: each shard replicates the L-hop in-neighborhood of its
-//! owned nodes ([`mega_partition::ShardSpec`]), and a graph delta routes
-//! every dirtied row to the shards replicating it, re-fetching exactly the
-//! stale halo copies (counted in [`Metrics`] and [`UpdateResponse`]).
+//! Cross-shard receptive fields read global state directly; nothing is
+//! replicated, so a graph delta has no halo copies to refresh. The rows a
+//! batch reads from other shards are counted ([`Shard::halo_rows_in`]).
 //!
 //! Graphs are *mutable while serving*: [`ServeEngine::submit_update`]
 //! routes a [`mega_graph::GraphDelta`] (edge upserts/removals, node
@@ -135,15 +134,14 @@ pub use request::{
     InferenceRequest, InferenceResponse, ModelKey, ServeResponse, UpdateRequest, UpdateResponse,
 };
 pub use scheduler::{Batch, BatchScheduler, FlushReason, SchedulerConfig, WorkItem};
-pub use shard::{HwEstimate, ShardRefresh, ShardState};
+pub use shard::{HwEstimate, Shard};
 pub use ticket::{CompletionRouter, Completions, Ticket, WaitError};
 pub use trace::{
     process_memory, FlightRecorder, MemorySnapshot, ModelMemory, RequestTrace, TraceConfig,
     TraceRecord, TraceStage, Tracer,
 };
 pub use worker::{
-    batch_logits, batch_logits_with_mode, shard_logits, shard_logits_with_mode, WorkRouter,
-    WorkerPool,
+    batch_logits, batch_logits_with_mode, shard_logits_with_field, WorkRouter, WorkerPool,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -567,7 +565,7 @@ impl ServeEngine {
 
     /// Where and how `node` is served right now: `(shard, tier, bits)`.
     /// The shard is the partition owning the node; requests route to that
-    /// shard's affine worker and execute against its local slice.
+    /// shard's affine worker.
     pub fn locate(&self, key: &ModelKey, node: NodeId) -> Result<(u32, usize, u8), ServeError> {
         let entry = self.entry_for(key)?;
         let artifacts = entry.read();
@@ -642,7 +640,7 @@ impl ServeEngine {
 
     /// Per-model resident-bytes breakdown over every artifact set
     /// currently resident in the cache, sorted by model key for stable
-    /// exposition. Computed from the live structures (feature slices,
+    /// exposition. Computed from the live structures (packed features,
     /// adjacency rows, logits caches) — no shadow accounting to drift.
     pub fn memory(&self) -> Vec<ModelMemory> {
         let mut memory: Vec<ModelMemory> = self

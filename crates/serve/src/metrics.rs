@@ -1,5 +1,5 @@
 //! Serving metrics: throughput, latency percentiles, per-bitwidth request
-//! counts, batch/cache accounting, per-shard halo-exchange traffic, and
+//! counts, batch/cache accounting, per-shard cross-shard reads, and
 //! the analytic MEGA hardware-cost estimate. All counters are atomics;
 //! the only lock is the read-mostly `RwLock` around the grow-on-demand
 //! per-shard table, so worker lanes recording batches never serialize on
@@ -123,17 +123,13 @@ impl LogHistogram {
 /// state lives in the artifacts).
 #[derive(Default)]
 pub struct ShardStat {
-    /// Requests answered from this shard's slice.
+    /// Requests answered for nodes this shard owns.
     pub requests: AtomicU64,
-    /// Batches executed against this shard's slice.
+    /// Batches executed for this shard.
     pub batches: AtomicU64,
-    /// Receptive-field rows that resolved from halo copies (cross-shard
-    /// reads on the batch path).
+    /// Receptive-field rows owned by other shards (cross-shard reads on
+    /// the batch path).
     pub halo_rows: AtomicU64,
-    /// Halo rows re-fetched by update-driven halo exchanges.
-    pub halo_fetches: AtomicU64,
-    /// Slice rebuilds triggered by mutations.
-    pub rebuilds: AtomicU64,
     /// Requests answered from this shard's logits cache (no forward pass).
     pub logits_hits: AtomicU64,
     /// Requests answered by a forward pass (logits-cache misses).
@@ -206,9 +202,11 @@ pub struct Metrics {
     /// Adjacency rows incrementally refreshed across all updates (the
     /// mutation-cost proxy, mirroring `rows_computed` for inference).
     pub rows_refreshed: AtomicU64,
-    /// Halo rows re-fetched across all halo exchanges.
+    /// Always 0: shards hold no halo copies, so updates fetch nothing.
+    /// Kept for existing readers of the field.
     pub halo_fetches: AtomicU64,
-    /// Receptive-field rows resolved from halo copies across all batches.
+    /// Receptive-field rows owned by another shard than the batch's,
+    /// across all batches.
     pub halo_rows: AtomicU64,
     /// Requests answered from a logits cache across all shards. Together
     /// with `logits_misses` this partitions completed inference requests:
@@ -326,7 +324,7 @@ impl Metrics {
             .collect()
     }
 
-    /// Records one batch executed against a shard slice.
+    /// Records one batch executed for a shard.
     pub fn record_shard_batch(&self, shard: u32, size: usize, halo_rows: usize, est: HwEstimate) {
         self.halo_rows
             .fetch_add(halo_rows as u64, Ordering::Relaxed);
@@ -384,18 +382,6 @@ impl Metrics {
             .fetch_add(invalidated as u64, Ordering::Relaxed);
     }
 
-    /// Records one shard's halo exchange after an applied update.
-    pub fn record_shard_sync(&self, shard: u32, halo_fetched: usize, rebuilt: bool) {
-        self.halo_fetches
-            .fetch_add(halo_fetched as u64, Ordering::Relaxed);
-        let stat = self.shard_stat(shard);
-        stat.halo_fetches
-            .fetch_add(halo_fetched as u64, Ordering::Relaxed);
-        if rebuilt {
-            stat.rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Point-in-time summary. `elapsed` is the serving wall-clock window;
     /// cache counters come from the artifact cache.
     pub fn report(&self, elapsed: Duration, cache_hits: u64, cache_misses: u64) -> MetricsReport {
@@ -433,7 +419,6 @@ impl Metrics {
             updates_failed: self.updates_failed.load(Ordering::Relaxed),
             nodes_retiered: self.nodes_retiered.load(Ordering::Relaxed),
             rows_refreshed: self.rows_refreshed.load(Ordering::Relaxed),
-            halo_fetches: self.halo_fetches.load(Ordering::Relaxed),
             halo_rows: self.halo_rows.load(Ordering::Relaxed),
             logits_hits: self.logits_hits.load(Ordering::Relaxed),
             logits_misses: self.logits_misses.load(Ordering::Relaxed),
@@ -461,8 +446,6 @@ impl Metrics {
                     requests: s.requests.load(Ordering::Relaxed),
                     batches: s.batches.load(Ordering::Relaxed),
                     halo_rows: s.halo_rows.load(Ordering::Relaxed),
-                    halo_fetches: s.halo_fetches.load(Ordering::Relaxed),
-                    rebuilds: s.rebuilds.load(Ordering::Relaxed),
                     logits_hits: s.logits_hits.load(Ordering::Relaxed),
                     logits_misses: s.logits_misses.load(Ordering::Relaxed),
                     logits_evictions: s.logits_evictions.load(Ordering::Relaxed),
@@ -487,16 +470,12 @@ impl Metrics {
 pub struct ShardReport {
     /// Shard index.
     pub shard: u32,
-    /// Requests answered from this shard's slice.
+    /// Requests answered for nodes this shard owns.
     pub requests: u64,
-    /// Batches executed against this shard's slice.
+    /// Batches executed for this shard.
     pub batches: u64,
-    /// Receptive-field rows resolved from halo copies.
+    /// Receptive-field rows owned by other shards.
     pub halo_rows: u64,
-    /// Halo rows re-fetched by halo exchanges.
-    pub halo_fetches: u64,
-    /// Slice rebuilds under mutation.
-    pub rebuilds: u64,
     /// Requests answered from this shard's logits cache.
     pub logits_hits: u64,
     /// Requests answered by a forward pass on this shard.
@@ -553,9 +532,7 @@ pub struct MetricsReport {
     pub nodes_retiered: u64,
     /// Adjacency rows incrementally refreshed by updates.
     pub rows_refreshed: u64,
-    /// Halo rows re-fetched across shards by update-driven exchanges.
-    pub halo_fetches: u64,
-    /// Receptive-field rows resolved from halo copies across batches.
+    /// Receptive-field rows owned by other shards, across batches.
     pub halo_rows: u64,
     /// Requests answered from a logits cache (no forward pass).
     pub logits_hits: u64,
@@ -632,8 +609,8 @@ impl std::fmt::Display for MetricsReport {
         )?;
         writeln!(
             f,
-            "halo        {:>10} cross-shard rows read, {} halo rows exchanged",
-            self.halo_rows, self.halo_fetches
+            "halo        {:>10} cross-shard rows read",
+            self.halo_rows
         )?;
         writeln!(
             f,
@@ -647,14 +624,12 @@ impl std::fmt::Display for MetricsReport {
         for s in &self.shards {
             writeln!(
                 f,
-                "shard {:<5} {:>10} req / {} batches, {} halo rows, {} fetched, {} rebuilds, \
+                "shard {:<5} {:>10} req / {} batches, {} halo rows, \
                  logits {}h/{}m/{}e/{}i, est {} cyc / {} B",
                 s.shard,
                 s.requests,
                 s.batches,
                 s.halo_rows,
-                s.halo_fetches,
-                s.rebuilds,
                 s.logits_hits,
                 s.logits_misses,
                 s.logits_evictions,

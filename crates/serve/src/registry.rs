@@ -24,8 +24,8 @@ pub struct ModelSpec {
     /// Bitwidth for (static) weights.
     pub weight_bits: u8,
     /// Shard count: the graph is partitioned into this many parts, each
-    /// served from its own adjacency/feature slice by a shard-affine
-    /// worker (also the locality-ordering granularity for batches).
+    /// served by a shard-affine worker lane with its own logits cache
+    /// (also the locality-ordering granularity for batches).
     pub shards: usize,
     /// Logits-cache byte budget for this model, split evenly across its
     /// shards ([`crate::LogitsCache`]). `0` disables result caching — every
@@ -52,8 +52,7 @@ impl ModelSpec {
         }
     }
 
-    /// Replaces the shard count (clamped to the node count at build time;
-    /// `1` disables cross-shard halo exchange entirely).
+    /// Replaces the shard count (clamped to the node count at build time).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -43,8 +43,7 @@ pub struct InferenceRequest {
     /// The node to classify.
     pub node: NodeId,
     /// The shard owning the node (its partition) — batches are bucketed
-    /// per shard so a shard-affine worker executes them against its local
-    /// slice.
+    /// per shard so one shard-affine worker executes them.
     pub shard: u32,
     /// Precision tier the degree-aware policy assigned (0 = fewest bits).
     pub tier: usize,
@@ -74,10 +73,10 @@ pub struct InferenceResponse {
     pub bits: u8,
     /// Precision tier (0 = fewest bits).
     pub tier: usize,
-    /// Shard whose slice answered the request.
+    /// Shard that answered the request (the node's owner).
     pub shard: u32,
-    /// Receptive-field rows of this request's batch that resolved from the
-    /// shard's halo copies (cross-shard reads).
+    /// Receptive-field rows of this request's batch owned by other shards
+    /// (cross-shard reads).
     pub halo_rows: usize,
     /// How many requests shared this node's batch.
     pub batch_size: usize,
@@ -168,9 +167,6 @@ pub struct UpdateResponse {
     /// Adjacency rows incrementally refreshed (the cost proxy: stays
     /// proportional to the touched neighborhoods, not the graph).
     pub dirty_rows: usize,
-    /// Halo rows re-fetched across shards by the halo exchange this delta
-    /// triggered (stale cross-shard copies invalidated and refreshed).
-    pub halo_refreshed: usize,
     /// Cached logits dropped because this delta reached their receptive
     /// field (summed over shards; the per-shard split rides in
     /// [`crate::UpdateEffect::logits_invalidated`]).

@@ -11,10 +11,10 @@
 //! Bucketing by tier keeps a batch's per-node bitwidths — and therefore its
 //! per-row cost — homogeneous, so one slow hub node does not ride along
 //! with (and delay) a batch of cheap leaf nodes. Bucketing by *shard* keeps
-//! a batch inside one partition's adjacency/feature slice, so the
-//! shard-affine worker that executes it never touches another shard's
-//! memory (emission goes through [`crate::worker::WorkRouter`], which pins
-//! each `(model, shard)` pair to one worker lane).
+//! a batch's targets inside one partition, so the same worker lane keeps
+//! seeing the same neighbourhoods (emission goes through
+//! [`crate::worker::WorkRouter`], which pins each `(model, shard)` pair to
+//! one worker lane).
 //!
 //! Graph mutations ride the same output path as inference batches (wrapped
 //! in [`WorkItem`]), so updates interleave with serving traffic on the

@@ -25,7 +25,7 @@
 //! `VmRSS`/`VmHWM` out of `/proc/self/status` (the psutil/CUDA
 //! memory-logging pattern translated to plain Linux procfs), and
 //! [`ModelMemory`] aggregates per-model resident bytes from the
-//! structures the artifact cache already owns (feature slices, local
+//! structures the artifact cache already owns (packed features,
 //! adjacency, logits caches).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -470,16 +470,12 @@ pub struct ModelMemory {
     /// The model.
     pub model: ModelKey,
     /// Nodes currently served (live topology). Together with
-    /// `feature_dim` and `shard_resident_rows` this lets a scraper compute
-    /// the analytic f32 baseline (`(2·nodes + shard_rows)·dim·4`, what the
-    /// pre-packed layout held resident) and a resident-bytes-per-node
-    /// figure without knowing the model internals.
+    /// `feature_dim` this lets a scraper compute the analytic f32 baseline
+    /// (`2·nodes·dim·4`: a raw matrix plus a quantized f32 mirror) and a
+    /// resident-bytes-per-node figure without knowing the model internals.
     pub nodes: usize,
     /// Input feature dimensionality.
     pub feature_dim: usize,
-    /// Feature rows resident across all shard slices (owned + halo copies,
-    /// summed over shards).
-    pub shard_resident_rows: usize,
     /// Bit-plane packed global feature rows (the serving representation).
     pub features_bytes: usize,
     /// Unquantized source rows kept for re-tiering — a resident matrix
@@ -488,8 +484,8 @@ pub struct ModelMemory {
     pub raw_features_bytes: usize,
     /// Global incremental adjacency (`Ã`) heap bytes.
     pub adjacency_bytes: usize,
-    /// Per-shard slices: local adjacency + packed halo-row copies +
-    /// membership vectors, summed over shards.
+    /// Per-shard state. Shards are views over the global structures, so
+    /// this is 0; the field stays so existing readers keep compiling.
     pub shard_bytes: usize,
     /// Per-shard logits caches, summed (live bytes, not capacity).
     pub logits_bytes: usize,
@@ -669,7 +665,6 @@ mod tests {
             model: ModelKey::new("Cora", GnnKind::Gcn),
             nodes: 10,
             feature_dim: 4,
-            shard_resident_rows: 12,
             features_bytes: 100,
             raw_features_bytes: 200,
             adjacency_bytes: 50,

@@ -1,18 +1,17 @@
 //! The worker pool: shard-affine std threads executing inference batches
-//! over per-shard adjacency/feature slices, and graph updates through the
-//! artifacts' incremental mutation + halo-exchange path.
+//! and graph updates against a model's global artifacts.
 //!
 //! Inference has one execution path: cache misses are grouped by the shard
-//! that owns each node *at execution time* and every group runs on its
-//! shard's slice ([`shard_logits`], blocked kernels). The global pass
-//! ([`batch_logits`]) is the reference that path is tested against.
+//! that owns each node *at execution time* and every group runs through
+//! [`shard_logits_with_field`] (blocked kernels over the global adjacency
+//! and packed store), so the shard count cannot change a logit.
 //!
 //! Every worker owns a private channel lane; [`WorkRouter`] pins each
 //! `(model, shard)` pair to one lane by hash, so the worker that executes a
-//! shard's batches is always the same thread — its slice stays hot in that
-//! core's cache, which is the serving-side analogue of the paper processing
-//! one dense subgraph at a time. Updates for a model all hash to one lane
-//! too (shard-independent), preserving the per-model FIFO.
+//! shard's batches is always the same thread — the rows its targets touch
+//! most stay hot in that core's cache, the serving-side analogue of the
+//! paper processing one dense subgraph at a time. Updates for a model all
+//! hash to one lane too (shard-independent), preserving the per-model FIFO.
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -22,9 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mega_gnn::infer::ReceptiveField;
-use mega_gnn::kernel::{
-    forward_targets_local_packed, forward_targets_packed_with_field, KernelArena, KernelMode,
-};
+use mega_gnn::kernel::{forward_targets_packed_with_field, KernelArena, KernelMode};
 use mega_graph::NodeId;
 use mega_tensor::Matrix;
 
@@ -36,7 +33,7 @@ use crate::request::{
     InferenceRequest, InferenceResponse, ModelKey, ServeResponse, UpdateResponse,
 };
 use crate::scheduler::{Batch, FlushReason, UpdateQueue, WorkItem};
-use crate::shard::{estimate_batch_hw, ShardPlaneRows};
+use crate::shard::estimate_batch_hw;
 use crate::ticket::Completions;
 use crate::trace::TraceStage;
 
@@ -142,9 +139,8 @@ fn with_arena<R>(f: impl FnOnce(&mut KernelArena) -> R) -> R {
 /// ([`KernelMode::Blocked`]): same-tier combination rows share one
 /// weight-tile pass in M-lane blocks.
 ///
-/// This is the sequential reference path: shard-sliced execution
-/// ([`shard_logits`]) must be — and is tested to be — bit-exact with it,
-/// because both run the same per-node arithmetic in the same order.
+/// The reference path of the equivalence suites: the same pass as
+/// [`shard_logits_with_field`], minus the shard check.
 pub fn batch_logits(artifacts: &ModelArtifacts, targets: &[NodeId]) -> Matrix {
     batch_logits_with_mode(artifacts, targets, KernelMode::Blocked).0
 }
@@ -171,52 +167,21 @@ pub fn batch_logits_with_mode(
     })
 }
 
-/// Executes `targets` (which must be owned by `shard`) against that shard's
-/// local slice: local adjacency, the global packed feature store read
-/// through the shard's id map, global degree-aware bitwidths. Bit-exact
-/// with [`batch_logits`].
+/// Executes a shard-batch: the logits of `targets` (row `i` belongs to
+/// `targets[i]`) plus the global-id [`ReceptiveField`] the pass
+/// materialized. The shard is an ownership view, so the pass runs over the
+/// model's global adjacency and packed store, exactly as [`batch_logits`].
 ///
 /// # Panics
 ///
-/// Panics if `shard` does not exist or a target is not resident in it.
-pub fn shard_logits(artifacts: &ModelArtifacts, shard: u32, targets: &[NodeId]) -> Matrix {
-    shard_logits_with_field(artifacts, shard, targets).0
-}
-
-/// [`shard_logits`] plus the local-id [`ReceptiveField`] the pass
-/// materialized.
+/// Panics if `shard` does not exist.
 pub fn shard_logits_with_field(
     artifacts: &ModelArtifacts,
     shard: u32,
     targets: &[NodeId],
 ) -> (Matrix, ReceptiveField) {
-    shard_logits_with_mode(artifacts, shard, targets, KernelMode::Blocked)
-}
-
-/// [`shard_logits_with_field`] with an explicit kernel mode.
-pub fn shard_logits_with_mode(
-    artifacts: &ModelArtifacts,
-    shard: u32,
-    targets: &[NodeId],
-    mode: KernelMode,
-) -> (Matrix, ReceptiveField) {
-    let state = artifacts.shard(shard).expect("shard exists");
-    let rows = ShardPlaneRows {
-        store: &artifacts.packed_features,
-        shard: state,
-    };
-    with_arena(|arena| {
-        forward_targets_local_packed(
-            &artifacts.model,
-            &artifacts.packed_model,
-            &rows,
-            &state.adjacency,
-            targets,
-            &mut |v| artifacts.node_bits(v),
-            mode,
-            arena,
-        )
-    })
+    assert!(artifacts.shard(shard).is_some(), "shard {shard} exists");
+    batch_logits_with_mode(artifacts, targets, KernelMode::Blocked)
 }
 
 /// A pool of shard-affine serving threads.
@@ -364,7 +329,7 @@ fn run_batch(
     // Re-registering a model can shrink its graph or change its shard
     // count between submit-time validation and execution (the cache
     // rebuilds from the new spec). Out-of-range nodes are unanswerable and
-    // dropped; re-sharded nodes run on their new owner's slice below.
+    // dropped; re-sharded nodes run under their new owner below.
     let (valid, stale): (Vec<_>, Vec<_>) = batch
         .requests
         .into_iter()
@@ -407,7 +372,7 @@ fn run_batch(
     //
     // Misses are grouped by the shard that owns them *now*. Normally that
     // is `batch.shard` alone; a re-registration that re-sharded the model
-    // after submit sends a request to its new owner's slice instead.
+    // after submit sends a request to its new owner instead.
     let mut misses: BTreeMap<u32, Vec<InferenceRequest>> = BTreeMap::new();
     for request in valid {
         let shard = artifacts.shard_of(request.node);
@@ -561,11 +526,11 @@ fn execute_shard_batch(
         request.trace.stamp_at(TraceStage::ExecEnd, ended);
     }
 
-    let state = artifacts.shard(shard).expect("shard exists");
-    let halo_rows = state.halo_rows_in(&field);
+    let view = artifacts.shard(shard).expect("shard exists");
+    let halo_rows = view.halo_rows_in(&field);
     // Hardware-model feedback: what would this batch cost on MEGA?
     let est = estimate_batch_hw(
-        state,
+        view,
         &field,
         artifacts.model.config(),
         artifacts.weight_bits,
@@ -634,13 +599,9 @@ fn run_update(
     let response = match result {
         Ok(effect) => {
             metrics.record_update(true, effect.retiered.len(), effect.dirty_rows);
-            for refresh in &effect.shard_refreshes {
-                metrics.record_shard_sync(refresh.shard, refresh.halo_fetched, refresh.rebuilt);
-            }
             for &(shard, invalidated) in &effect.logits_invalidated {
                 metrics.record_logits_invalidations(shard, invalidated);
             }
-            let halo_refreshed = effect.halo_refreshed();
             let logits_invalidated = effect.logits_invalidated_total();
             UpdateResponse {
                 id: update.id,
@@ -651,7 +612,6 @@ fn run_update(
                 added_nodes: effect.added_nodes,
                 retiered: effect.retiered,
                 dirty_rows: effect.dirty_rows,
-                halo_refreshed,
                 logits_invalidated,
                 balance: effect.balance,
                 version,
@@ -670,7 +630,6 @@ fn run_update(
                 added_nodes: Vec::new(),
                 retiered: Vec::new(),
                 dirty_rows: 0,
-                halo_refreshed: 0,
                 logits_invalidated: 0,
                 balance,
                 version,
@@ -740,16 +699,22 @@ mod tests {
 
     #[test]
     fn shard_execution_matches_global_reference() {
-        let a = artifacts();
-        for node in (0..a.num_nodes() as NodeId).step_by(9) {
-            let shard = a.shard_of(node);
-            let sliced = shard_logits(&a, shard, &[node]);
-            let global = batch_logits(&a, &[node]);
-            for c in 0..a.dataset.spec.num_classes {
+        // The same model at K=4 and K=1 (the global reference), under the
+        // same delta: every node's logits are bit-identical.
+        let mut sharded = ModelArtifacts::build(&spec().with_shards(4));
+        let mut reference = ModelArtifacts::build(&spec().with_shards(1));
+        let mut delta = mega_graph::GraphDelta::new();
+        delta.insert_edge(11, 4).insert_edge(19, 11);
+        sharded.apply_delta(&delta, &[]).unwrap();
+        reference.apply_delta(&delta, &[]).unwrap();
+        for node in (0..sharded.num_nodes() as NodeId).step_by(9) {
+            let (got, _) = shard_logits_with_field(&sharded, sharded.shard_of(node), &[node]);
+            let (want, _) = shard_logits_with_field(&reference, 0, &[node]);
+            for c in 0..sharded.dataset.spec.num_classes {
                 assert_eq!(
-                    sliced.get(0, c).to_bits(),
-                    global.get(0, c).to_bits(),
-                    "node {node} diverged between shard slice and global pass"
+                    got.get(0, c).to_bits(),
+                    want.get(0, c).to_bits(),
+                    "node {node} diverged between K=4 and K=1"
                 );
             }
         }

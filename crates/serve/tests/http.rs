@@ -578,7 +578,6 @@ fn metrics_exposition_is_prometheus_parseable_and_complete() {
         "mega_serve_model_resident_bytes",
         "mega_serve_model_nodes",
         "mega_serve_model_feature_dim",
-        "mega_serve_model_shard_resident_rows",
         "mega_serve_lane_busy_us_total",
         "mega_serve_lane_queue_depth",
         "mega_serve_lane_alive",
@@ -725,6 +724,65 @@ fn over_long_lines_are_rejected_before_the_idle_timeout() {
         "over-long request line held the handler for {took:?}"
     );
     assert!(matches!(status, None | Some(414)), "{status:?}");
+
+    // The only handler is free again for a normal predict.
+    let (status, _, body) = http(addr, "POST", "/v1/cora/gcn/predict", "{\"node\": 7}");
+    assert_eq!(status, 200, "{body}");
+
+    server.stop();
+    engine_shutdown(engine);
+}
+
+#[test]
+fn trickled_requests_are_cut_off_at_the_idle_timeout() {
+    // One handler slot and a 1 s idle timeout. A client sending one byte
+    // every 300 ms never lets a single read time out, so only a deadline
+    // on the whole request frees the handler.
+    let (engine, server) = start_stack(
+        SchedulerConfig::default(),
+        HttpServerConfig {
+            connections: 1,
+            idle_timeout: Duration::from_secs(1),
+            ..HttpServerConfig::default()
+        },
+    );
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let head = b"POST /v1/cora/gcn/predict HTTP/1.1\r\nhost: test\r\nx-trickle: aaaaaaaaaaaaaaaa";
+    let start = std::time::Instant::now();
+    let mut cut_off = None;
+    for &byte in head {
+        if start.elapsed() > Duration::from_secs(5) {
+            break;
+        }
+        if stream.write_all(&[byte]).is_err() {
+            cut_off = Some(start.elapsed());
+            break;
+        }
+        // Waiting on the socket paces the trickle: a timed-out read means
+        // the server is still holding the request open.
+        let mut buf = [0u8; 64];
+        match stream.read(&mut buf) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            // EOF, a status line (408), or a reset: the server let go.
+            _ => {
+                cut_off = Some(start.elapsed());
+                break;
+            }
+        }
+    }
+    let took = cut_off.expect("the trickled request held the handler for 5 s");
+    assert!(
+        took < Duration::from_secs(2),
+        "the trickled request held the handler for {took:?}"
+    );
 
     // The only handler is free again for a normal predict.
     let (status, _, body) = http(addr, "POST", "/v1/cora/gcn/predict", "{\"node\": 7}");

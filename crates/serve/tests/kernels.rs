@@ -13,7 +13,7 @@
 use mega_gnn::kernel::KernelMode;
 use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
-use mega_serve::{batch_logits_with_mode, shard_logits_with_mode, ModelArtifacts, ModelSpec};
+use mega_serve::{batch_logits_with_mode, ModelArtifacts, ModelSpec};
 use proptest::prelude::*;
 
 const KINDS: [GnnKind; 3] = [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage];
@@ -35,8 +35,8 @@ fn batch(artifacts: &ModelArtifacts, start: NodeId, len: usize) -> Vec<NodeId> {
 }
 
 /// Every batch shape produces bit-identical logits through the blocked
-/// engine and the scalar reference — on the global path and through each
-/// target's owning shard slice.
+/// engine and the scalar reference — on strided batches and on each
+/// shard's owned targets.
 fn assert_modes_equal(artifacts: &ModelArtifacts, stride: usize) {
     let classes = artifacts.dataset.spec.num_classes;
     for start in (0..artifacts.num_nodes() as NodeId).step_by(stride.max(1)) {
@@ -55,10 +55,10 @@ fn assert_modes_equal(artifacts: &ModelArtifacts, stride: usize) {
                 }
             }
         }
-        // Shard path: group this window's targets by owning shard so the
-        // blocked dispatcher also sees multi-target shard batches.
+        // Shard batches: group this window's targets by owning shard, as
+        // the workers do, so the blocked dispatcher also sees them.
         let targets = batch(artifacts, start, *BATCH_SHAPES.last().unwrap());
-        for shard in 0..artifacts.shards.len() as u32 {
+        for shard in 0..artifacts.partitioning.k() as u32 {
             let mine: Vec<NodeId> = targets
                 .iter()
                 .copied()
@@ -67,8 +67,8 @@ fn assert_modes_equal(artifacts: &ModelArtifacts, stride: usize) {
             if mine.is_empty() {
                 continue;
             }
-            let (scalar, _) = shard_logits_with_mode(artifacts, shard, &mine, KernelMode::Scalar);
-            let (blocked, _) = shard_logits_with_mode(artifacts, shard, &mine, KernelMode::Blocked);
+            let (scalar, _) = batch_logits_with_mode(artifacts, &mine, KernelMode::Scalar);
+            let (blocked, _) = batch_logits_with_mode(artifacts, &mine, KernelMode::Blocked);
             for (r, &node) in mine.iter().enumerate() {
                 for c in 0..classes {
                     assert_eq!(

@@ -3,7 +3,8 @@
 //! and crucially *across* graph deltas (the delta-precise invalidation
 //! path). The property test interleaves random churn with repeated
 //! queries through the cache-or-compute serve path and compares every
-//! answer against the uncached global reference; unit tests pin down the
+//! answer against an uncached K = 1 model under the same deltas, so the
+//! shard count is checked not to leak into a logit; unit tests pin down the
 //! invalidation set itself (sound: everything whose logits changed is
 //! dropped; precise: local deltas leave distant entries resident) and the
 //! engine-level submit short-circuit.
@@ -14,7 +15,7 @@ use std::time::Duration;
 use mega_gnn::{GnnKind, ReceptiveField};
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
-    batch_logits, shard_logits, CachedLogits, ModelArtifacts, ModelRegistry, ModelSpec,
+    batch_logits, shard_logits_with_field, CachedLogits, ModelArtifacts, ModelRegistry, ModelSpec,
     SchedulerConfig, ServeConfig, ServeEngine, ServeResponse,
 };
 use proptest::prelude::*;
@@ -27,15 +28,15 @@ fn spec(kind: GnnKind, shards: usize) -> ModelSpec {
 }
 
 /// The serve path in miniature: answer from the owning shard's logits
-/// cache, or compute over the shard slice and fill the cache. Returns the
-/// logits row and whether it was a hit.
+/// cache, or compute through the shard entry point and fill the cache.
+/// Returns the logits row and whether it was a hit.
 fn serve_node(artifacts: &ModelArtifacts, node: NodeId) -> (Vec<f32>, bool) {
     let shard = artifacts.shard_of(node);
     let cache = artifacts.logits_cache(shard).expect("shard cache exists");
     if let Some(hit) = cache.get(node) {
         return (hit.logits, true);
     }
-    let logits = shard_logits(artifacts, shard, &[node]);
+    let (logits, _) = shard_logits_with_field(artifacts, shard, &[node]);
     let row = logits.row(0).to_vec();
     cache.insert(
         node,
@@ -49,11 +50,16 @@ fn serve_node(artifacts: &ModelArtifacts, node: NodeId) -> (Vec<f32>, bool) {
     (row, false)
 }
 
-/// Asserts that serving `node` through the cache equals the uncached
-/// global pass bit for bit.
-fn assert_cached_equals_fresh(artifacts: &ModelArtifacts, node: NodeId) -> bool {
+/// Asserts that serving `node` through the cache equals an uncached pass
+/// over `reference` bit for bit: the same artifacts, or the same model at
+/// K = 1 under the same deltas.
+fn assert_cached_equals_fresh(
+    artifacts: &ModelArtifacts,
+    reference: &ModelArtifacts,
+    node: NodeId,
+) -> bool {
     let (served, hit) = serve_node(artifacts, node);
-    let fresh = batch_logits(artifacts, &[node]);
+    let fresh = batch_logits(reference, &[node]);
     for (c, &logit) in served.iter().enumerate() {
         assert_eq!(
             logit.to_bits(),
@@ -146,7 +152,7 @@ fn delta_invalidation_is_sound_and_precise() {
                 // Completeness: any node whose fresh logits moved must
                 // have been invalidated before this loop re-served it.
                 // (cache.get(v) above returned None for it.)
-                let _ = assert_cached_equals_fresh(&artifacts, v);
+                let _ = assert_cached_equals_fresh(&artifacts, &artifacts, v);
             }
         }
     }
@@ -188,8 +194,8 @@ fn retier_without_feature_rewrite_still_invalidates() {
     assert!(artifacts.node_bits(target) > before_bits, "promotion");
     assert!(effect.logits_invalidated_total() >= 1);
     // Both the promoted node and its reader answer bit-fresh afterwards.
-    assert_cached_equals_fresh(&artifacts, target);
-    assert_cached_equals_fresh(&artifacts, reader);
+    assert_cached_equals_fresh(&artifacts, &artifacts, target);
+    assert_cached_equals_fresh(&artifacts, &artifacts, reader);
 }
 
 #[test]
@@ -274,10 +280,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random churn interleaved with repeated queries: every answer the
-    /// cache-or-compute path produces equals the uncached global pass bit
-    /// for bit, for every aggregator and K ∈ {1, 2, 4} — and repeated
-    /// queries actually hit between mutations (the cache is not
-    /// degenerately empty).
+    /// cache-or-compute path produces equals an uncached K = 1 model under
+    /// the same deltas bit for bit, for every aggregator and K ∈ {1, 2, 4}
+    /// — and repeated queries actually hit between mutations (the cache is
+    /// not degenerately empty).
     #[test]
     fn cached_serving_is_bit_exact_under_random_churn(
         ops in arb_ops(24),
@@ -286,20 +292,19 @@ proptest! {
     ) {
         let kind = KINDS[kind_idx];
         let k = [1usize, 2, 4][k_idx];
-        let mut artifacts = ModelArtifacts::build(
-            &ModelSpec::standard(
-                DatasetSpec::cora().scaled(0.04).with_feature_dim(24),
-                kind,
-            )
-            .with_shards(k),
-        );
+        let spec = |k: usize| {
+            ModelSpec::standard(DatasetSpec::cora().scaled(0.04).with_feature_dim(24), kind)
+                .with_shards(k)
+        };
+        let mut artifacts = ModelArtifacts::build(&spec(k));
+        let mut reference = ModelArtifacts::build(&spec(1));
         let dim = artifacts.feature_dim();
         let mut hits = 0usize;
         for chunk in ops.chunks(6) {
             // Query a spread twice: the second pass must be able to hit.
             for _pass in 0..2 {
                 for node in (0..artifacts.num_nodes() as NodeId).step_by(11) {
-                    if assert_cached_equals_fresh(&artifacts, node) {
+                    if assert_cached_equals_fresh(&artifacts, &reference, node) {
                         hits += 1;
                     }
                 }
@@ -334,15 +339,16 @@ proptest! {
             }
             let rows = vec![vec![0.3; dim]; adds];
             artifacts.apply_delta(&delta, &rows).expect("valid delta");
+            reference.apply_delta(&delta, &rows).expect("valid delta");
         }
         // Post-churn pass, including the newest node.
         for node in (0..artifacts.num_nodes() as NodeId).step_by(7) {
-            if assert_cached_equals_fresh(&artifacts, node) {
+            if assert_cached_equals_fresh(&artifacts, &reference, node) {
                 hits += 1;
             }
         }
         let last = artifacts.num_nodes() as NodeId - 1;
-        assert_cached_equals_fresh(&artifacts, last);
+        assert_cached_equals_fresh(&artifacts, &reference, last);
         prop_assert!(hits > 0, "repeated queries must hit the cache");
     }
 }

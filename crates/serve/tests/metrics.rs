@@ -66,8 +66,7 @@ fn shard_table_grows_on_demand_and_aggregates() {
     m.record_shard_batch(2, 3, 5, est(100, 1000));
     m.record_shard_batch(0, 1, 0, est(40, 400));
     m.record_shard_batch(2, 2, 1, est(60, 600));
-    m.record_shard_sync(1, 7, true);
-    m.record_shard_sync(1, 2, false);
+    m.record_logits_invalidations(1, 7);
 
     let r = m.report(Duration::from_secs(1), 0, 0);
     assert_eq!(r.shards.len(), 3, "slots 0..=2 materialized");
@@ -78,14 +77,10 @@ fn shard_table_grows_on_demand_and_aggregates() {
     assert_eq!(s(2).est_cycles, 160);
     assert_eq!(s(2).est_dram_bytes, 1600);
     assert_eq!(s(0).requests, 1);
-    assert_eq!(s(1).halo_fetches, 9);
-    assert_eq!(s(1).rebuilds, 1, "only the rebuilt sync counts");
+    assert_eq!(s(1).logits_invalidations, 7);
+    assert_eq!(s(1).batches, 0);
     // Global totals equal per-shard sums.
     assert_eq!(r.halo_rows, r.shards.iter().map(|s| s.halo_rows).sum());
-    assert_eq!(
-        r.halo_fetches,
-        r.shards.iter().map(|s| s.halo_fetches).sum()
-    );
     assert_eq!(r.est_cycles, 200);
     assert_eq!(r.est_dram_bytes, 2000);
 }
