@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod suite;
-pub mod sync;
 pub mod workloads;
 
 pub use mega_accel::{CondenseMode, FeatureStorage, Mega, MegaConfig};

@@ -1,7 +1,7 @@
 //! `mega-lint`: the workspace's own static-analysis pass.
 //!
 //! The repo's correctness story has machine-checked proofs for *values*
-//! (bit-exactness suites) and, since the `mega::sync` layer, for *lock
+//! (bit-exactness suites) and, through `mega_serve::sync`, for *lock
 //! order* — this crate adds machine-checked **source invariants** that
 //! neither rustc nor clippy knows about because they are policies of
 //! this codebase, not of Rust:

@@ -229,7 +229,6 @@ const DEP_ALLOW: &[(&str, &[&str])] = &[
     (
         "mega-serve",
         &[
-            "mega",
             "mega-accel",
             "mega-format",
             "mega-gnn",

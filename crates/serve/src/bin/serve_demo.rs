@@ -26,21 +26,20 @@
 //! throughput (an open-loop burst already amortizes duplicate hot nodes
 //! inside each batch, so it understates the cache).
 //!
-//! Completion is observed through **tickets** (`submit_wait` /
-//! `Ticket::wait_update`): each cycle is woken the moment its response
-//! exists. `--wait-mode poll` reproduces the legacy observation pattern
-//! this PR removed — drain the global response stream to find your own
-//! answer, and watch churn progress through a 1 ms sleep-poll probe loop
-//! — so the closed-loop p50/p99 in `BENCH_pr5.json` can be compared
-//! like-for-like. After the closed loop the demo holds the engine *idle*
-//! for `--idle-ms` and reports sweeper wakeups per idle second: the
+//! Every response is observed through its **ticket**: the open-loop and
+//! churn phases keep theirs and redeem them after churn, and each
+//! closed-loop cycle is woken the moment its response exists
+//! (`submit_wait`). The per-model and update tables are built from those
+//! responses, and the demo asserts that none was lost: nothing is left in
+//! flight before shutdown, and the per-model totals equal the predicts
+//! submitted. After the closed loop the demo holds the engine *idle* for
+//! `--idle-ms` and reports sweeper wakeups per idle second: the
 //! timer-driven sweeper parks instead of spin-polling, so this is ~0
 //! where the old 500 µs sleep-poll recorded ~2000/s.
 //!
 //! Flags: `--shards K` (default 4), `--requests N`, `--scale F`,
 //! `--workers W`, `--cache-mb MB` (default 16), `--zipf S` (default 1.0),
-//! `--closed-loop N` (default 2000), `--wait-mode ticket|poll`
-//! (default ticket), `--idle-ms MS` (default 1000).
+//! `--closed-loop N` (default 2000), `--idle-ms MS` (default 1000).
 //! Env fallbacks: `MEGA_SERVE_REQUESTS` (default 12000),
 //! `MEGA_SERVE_WORKERS` (default: all cores, at least 4),
 //! `MEGA_SERVE_SCALE` (dataset node-count scale, default 1.0),
@@ -57,7 +56,8 @@ use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta};
 use mega_quant::DegreePolicy;
 use mega_serve::{
-    ModelKey, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig, ServeEngine, TraceConfig,
+    ModelKey, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig, ServeEngine, ServeResponse,
+    Ticket, TraceConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -169,8 +169,6 @@ fn main() {
     let cache_bytes = (cache_mb * 1024.0 * 1024.0) as usize;
     let zipf = arg("--zipf", env_f64("MEGA_SERVE_ZIPF", 1.0)).max(0.0);
     let closed_loop = arg("--closed-loop", env_usize("MEGA_SERVE_CLOSED_LOOP", 2_000));
-    let wait_mode = arg("--wait-mode", "ticket".to_string());
-    let legacy_poll = wait_mode == "poll";
     let idle_ms = arg("--idle-ms", 1_000u64);
 
     let scaled = |name: &str| {
@@ -223,7 +221,7 @@ fn main() {
         cache_capacity: 8,
         trace: TraceConfig::default(),
     };
-    let (engine, responses) = ServeEngine::start(config, registry.clone());
+    let engine = ServeEngine::start_detached(config, registry.clone());
 
     for key in &keys {
         let started = Instant::now();
@@ -255,13 +253,17 @@ fn main() {
         model
     };
 
+    // Open-loop and churn tickets, redeemed once churn has been submitted.
+    let mut tickets: Vec<Ticket> = Vec::with_capacity(requests);
     let started = Instant::now();
     for _ in 0..requests {
         let model = pick_model(&mut rng);
         let node = popularity[model].sample(&mut rng);
-        engine
-            .submit(&keys[model], node)
-            .expect("submit to registered model");
+        tickets.push(
+            engine
+                .submit(&keys[model], node)
+                .expect("submit to registered model"),
+        );
     }
     let submit_elapsed = started.elapsed();
 
@@ -284,14 +286,16 @@ fn main() {
         }
         let mut delta = GraphDelta::new();
         delta.insert_edge(src, target);
-        engine
-            .submit_update(churn_key, delta, vec![])
-            .expect("churn update");
+        tickets.push(
+            engine
+                .submit_update(churn_key, delta, vec![])
+                .expect("churn update"),
+        );
         churn_updates += 1;
         inserted += 1;
-        // Inference on the promoting node rides along with the stream.
+        // Inference on the promoting node rides along with the churn.
         if inserted.is_multiple_of(4) {
-            engine.submit(churn_key, target).expect("churn inference");
+            tickets.push(engine.submit(churn_key, target).expect("churn inference"));
             churn_inferences += 1;
         }
         if inserted == 40 {
@@ -319,28 +323,17 @@ fn main() {
     // Wait for the promotion to become observable, then serve the target
     // and the freshly added node at their new bitwidths. Updates apply
     // FIFO per model, so the final upsert's acknowledgement fences every
-    // churn update before it — one event-driven wait replaces the old
-    // 1 ms sleep-poll probe loop (kept behind --wait-mode poll for the
-    // before/after bench).
+    // churn update before it.
     let expected_bits = DegreePolicy::paper_default().bits_for_degree(inserted);
-    if legacy_poll {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while engine.probe(churn_key, target).unwrap().1 < expected_bits
-            || engine.probe(churn_key, churn_nodes + 1).is_err()
-        {
-            assert!(Instant::now() < deadline, "churn updates did not apply");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    } else {
-        let ack = upsert_ticket
-            .wait_update(Duration::from_secs(30))
-            .expect("upsert acknowledged");
-        assert!(ack.applied(), "upsert delta is valid");
-        assert!(
-            engine.probe(churn_key, target).unwrap().1 >= expected_bits,
-            "FIFO fence: promotion visible once the last update is acked"
-        );
-    }
+    let ack = upsert_ticket
+        .wait_update(Duration::from_secs(30))
+        .expect("upsert acknowledged");
+    assert!(ack.applied(), "upsert delta is valid");
+    assert!(
+        engine.probe(churn_key, target).unwrap().1 >= expected_bits,
+        "FIFO fence: promotion visible once the last update is acked"
+    );
+    tickets.push(upsert_ticket);
     let (tier_after, bits_after) = engine.probe(churn_key, target).unwrap();
     let (target_shard, _, _) = engine.locate(churn_key, target).unwrap();
     println!(
@@ -356,9 +349,11 @@ fn main() {
         engine.probe(churn_key, churn_nodes + 1).unwrap().1,
     );
     for node in [target, churn_nodes, churn_nodes + 1] {
-        engine
-            .submit(churn_key, node)
-            .expect("post-churn inference");
+        tickets.push(
+            engine
+                .submit(churn_key, node)
+                .expect("post-churn inference"),
+        );
         churn_inferences += 1;
     }
 
@@ -369,11 +364,10 @@ fn main() {
     // hot nodes across a burst, so the logits cache's short-circuit (no
     // scheduler delay, no forward pass) shows up directly in end-to-end
     // throughput — the cached-vs-uncached number BENCH_pr4.json records.
-    let mut all_responses: Vec<mega_serve::ServeResponse> = Vec::new();
-    let open_loop_expected = requests as u64 + churn_inferences + churn_updates;
-    while (all_responses.len() as u64) < open_loop_expected {
-        all_responses.push(responses.recv().expect("engine running"));
-    }
+    let mut all_responses: Vec<ServeResponse> = tickets
+        .iter()
+        .map(|ticket| ticket.wait(Duration::from_secs(30)).expect("answered"))
+        .collect();
     let open_wall = started.elapsed();
     let mut closed_elapsed = Duration::ZERO;
     let mut closed_cached = 0u64;
@@ -384,37 +378,16 @@ fn main() {
             let model = pick_model(&mut rng);
             let node = popularity[model].sample(&mut rng);
             let cycle = Instant::now();
-            let cached = if legacy_poll {
-                // Legacy observation: submit, then drain the *global*
-                // stream until our own response scrolls past — every
-                // cycle pays for scanning unrelated traffic.
-                let id = engine
-                    .submit(&keys[model], node)
-                    .expect("closed-loop submit")
-                    .id();
-                loop {
-                    let response = responses.recv().expect("engine running");
-                    let done = response.id() == id;
-                    let cached = done
-                        && matches!(&response, mega_serve::ServeResponse::Inference(r) if r.cached);
-                    all_responses.push(response);
-                    if done {
-                        break cached;
-                    }
-                }
-            } else {
-                // Event-driven: the ticket's condvar wakes this thread the
-                // moment the response exists. (The response also rides the
-                // legacy stream; it is drained after shutdown.)
-                engine
-                    .submit_wait(&keys[model], node, Duration::from_secs(30))
-                    .expect("closed-loop response")
-                    .cached
-            };
+            // The ticket's condvar wakes this thread the moment the
+            // response exists.
+            let response = engine
+                .submit_wait(&keys[model], node, Duration::from_secs(30))
+                .expect("closed-loop response");
             closed_latencies_us.push(cycle.elapsed().as_micros().min(u64::MAX as u128) as u64);
-            if cached {
+            if response.cached {
                 closed_cached += 1;
             }
+            all_responses.push(ServeResponse::Inference(response));
         }
         closed_elapsed = t0.elapsed();
         closed_latencies_us.sort_unstable();
@@ -426,18 +399,12 @@ fn main() {
         };
         println!(
             "\n[closed-loop] {closed_loop} request→response cycles in {:.2?} \
-             ({:.0} req/s, p50 {:.3?} / p99 {:.3?}, {:.1}% answered from the logits cache, \
-             waits via {})",
+             ({:.0} req/s, p50 {:.3?} / p99 {:.3?}, {:.1}% answered from the logits cache)",
             closed_elapsed,
             closed_loop as f64 / closed_elapsed.as_secs_f64(),
             quantile(0.50),
             quantile(0.99),
             100.0 * closed_cached as f64 / closed_loop as f64,
-            if legacy_poll {
-                "legacy stream drain"
-            } else {
-                "tickets"
-            }
         );
     }
 
@@ -502,8 +469,12 @@ fn main() {
         );
     }
 
+    assert_eq!(
+        engine.in_flight(),
+        0,
+        "every ticket answered before shutdown"
+    );
     let report = engine.shutdown();
-    all_responses.extend(responses.try_iter());
 
     let mut per_model: HashMap<ModelKey, PerModel> = HashMap::new();
     let mut updates_acked = 0u64;
@@ -512,7 +483,7 @@ fn main() {
     let mut logits_invalidated = 0u64;
     for response in all_responses {
         match response {
-            mega_serve::ServeResponse::Inference(response) => {
+            ServeResponse::Inference(response) => {
                 let entry = per_model
                     .entry(response.model.clone())
                     .or_insert_with(PerModel::new);
@@ -526,7 +497,7 @@ fn main() {
                 entry.batch_sum += response.batch_size as u64;
                 *entry.bits.entry(response.bits).or_insert(0) += 1;
             }
-            mega_serve::ServeResponse::Update(ack) => {
+            ServeResponse::Update(ack) => {
                 if ack.applied() {
                     updates_acked += 1;
                 } else {
@@ -606,6 +577,11 @@ fn main() {
 
     let expected = requests as u64 + churn_inferences + closed_loop as u64;
     assert_eq!(report.completed, expected, "every request answered");
+    assert_eq!(
+        per_model.values().map(|m| m.requests).sum::<u64>(),
+        expected,
+        "every predict's response reached the per-model table"
+    );
     assert_eq!(
         updates_acked + updates_rejected,
         churn_updates,

@@ -1,8 +1,6 @@
 //! `serve_http` — the TCP/HTTP front door to `mega-serve`: registers the
-//! citation-dataset models (same lineup as `serve_demo`), starts a
-//! *detached* engine (responses are delivered only to per-request
-//! tickets; no broadcast stream to drain), and serves
-//! [`mega_serve::http`]'s endpoints until killed:
+//! citation-dataset models (same lineup as `serve_demo`), starts the
+//! engine, and serves [`mega_serve::http`]'s endpoints until killed:
 //!
 //! ```sh
 //! cargo run --release -p mega-serve --bin serve_http -- --addr 127.0.0.1:8642
@@ -105,8 +103,6 @@ fn main() {
         );
     }
 
-    // Detached: every response is delivered to its ticket; there is no
-    // broadcast stream for an HTTP server to leak memory into.
     let engine = Arc::new(ServeEngine::start_detached(
         ServeConfig {
             workers,

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use mega::sync::{Mutex, RwLock, RwLockReadGuard};
+use crate::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::poison::LockRecoverExt;
 

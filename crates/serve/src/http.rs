@@ -579,12 +579,9 @@ fn handle_update(
                 let Some(feature) = value.as_f64() else {
                     return HttpResponse::error(400, "feature rows must be arrays of numbers");
                 };
-                // NaN would quantize to level 0 silently and ±inf would
-                // poison every downstream alpha; reject at ingress so the
-                // caches never see a non-finite row.
-                if !feature.is_finite() {
-                    return HttpResponse::error(400, "feature values must be finite");
-                }
+                // Finiteness is checked after this narrowing, on the f32
+                // rows, by `submit_update`: 1e300 is a finite f64 but +inf
+                // as f32.
                 features.push(feature as f32);
             }
             delta.add_node();

@@ -61,16 +61,16 @@
 //! very next batch).
 //!
 //! Completion is **event-driven**, not polled: every submit registers a
-//! [`Ticket`] with the engine's completion router, and whichever thread
+//! [`Ticket`] with the engine's [`CompletionRouter`], and whichever thread
 //! produces the response (the submit-time cache-hit path or a worker)
-//! delivers it into the ticket's slot — waking its waiter that instant —
-//! as well as onto the legacy broadcast stream. [`ServeEngine::submit_wait`]
-//! and [`ServeEngine::submit_update_wait`] wrap that into blocking
-//! request/response calls with per-request deadlines, and the deadline
-//! sweeper parks on a condvar until exactly the earliest bucket deadline
-//! instead of sleep-polling. A std-only TCP/HTTP ingress ([`http`])
-//! exposes the same calls over the wire with admission-control
-//! backpressure.
+//! moves it into the ticket's slot, waking its waiter that instant. The
+//! ticket is the only way a response leaves the engine.
+//! [`ServeEngine::submit_wait`] and [`ServeEngine::submit_update_wait`]
+//! wrap that into blocking request/response calls with per-request
+//! deadlines, and the deadline sweeper parks on a condvar until exactly
+//! the earliest bucket deadline instead of sleep-polling. A std-only
+//! TCP/HTTP ingress ([`http`]) exposes the same calls over the wire with
+//! admission-control backpressure.
 //!
 //! # Example
 //!
@@ -87,7 +87,7 @@
 //!     GnnKind::Gcn,
 //! ));
 //! let config = ServeConfig { workers: 2, ..ServeConfig::default() };
-//! let (engine, responses) = ServeEngine::start(config, registry);
+//! let engine = ServeEngine::start_detached(config, registry);
 //! let timeout = Duration::from_secs(30);
 //! // Request/response semantics: wait on the ticket...
 //! let ticket = engine.submit(&key, 0).expect("registered model");
@@ -105,8 +105,6 @@
 //! assert!(ack.applied());
 //! let report = engine.shutdown();
 //! assert_eq!(report.completed, 2);
-//! // Every response also rode the legacy stream.
-//! assert_eq!(responses.iter().count(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -121,6 +119,7 @@ pub mod registry;
 pub mod request;
 pub mod scheduler;
 pub mod shard;
+pub mod sync;
 pub mod ticket;
 pub mod trace;
 pub mod worker;
@@ -135,7 +134,7 @@ pub use request::{
 };
 pub use scheduler::{Batch, BatchScheduler, FlushReason, SchedulerConfig, WorkItem};
 pub use shard::{HwEstimate, Shard};
-pub use ticket::{CompletionRouter, Completions, Ticket, WaitError};
+pub use ticket::{CompletionRouter, Ticket, WaitError};
 pub use trace::{
     process_memory, FlightRecorder, MemorySnapshot, ModelMemory, RequestTrace, TraceConfig,
     TraceRecord, TraceStage, Tracer,
@@ -145,7 +144,6 @@ pub use worker::{
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,8 +195,9 @@ pub enum ServeError {
         nodes: usize,
     },
     /// An update payload is malformed (feature rows mismatching the
-    /// delta's `AddNode` ops). Delta/topology errors surface later in the
-    /// [`UpdateResponse`], since the graph may change before application.
+    /// delta's `AddNode` ops, or a non-finite feature value).
+    /// Delta/topology errors surface later in the [`UpdateResponse`],
+    /// since the graph may change before application.
     BadUpdate(String),
     /// A `*_wait` call submitted successfully but did not observe the
     /// response: the per-request deadline passed ([`WaitError::Timeout`] —
@@ -283,47 +282,19 @@ pub struct ServeEngine {
     started_at: Instant,
     /// Per-request completion slots ([`Ticket`]s) keyed by request id —
     /// also the engine's exact in-flight count, which admission control
-    /// ([`http`]) sheds on.
+    /// ([`http`]) sheds on. Workers share it; the engine's own handle
+    /// answers logits-cache hits right at submit time, never reaching the
+    /// scheduler.
     router: Arc<CompletionRouter>,
-    /// The single response fan-out (ticket slot + optional legacy
-    /// stream): the engine's own handle answers logits-cache hits right
-    /// at submit time, never reaching the scheduler. Dropped with the
-    /// engine at shutdown (after the workers' clones), which is what ends
-    /// the stream.
-    completions: Completions,
 }
 
 impl ServeEngine {
-    /// Starts workers and the deadline sweeper; returns the engine plus the
-    /// legacy broadcast stream (every response is delivered both to its
-    /// [`Ticket`] and onto this stream). The stream ends when the engine
-    /// shuts down.
-    pub fn start(
-        config: ServeConfig,
-        registry: Arc<ModelRegistry>,
-    ) -> (Self, Receiver<ServeResponse>) {
-        let (response_tx, response_rx) = mpsc::channel();
-        let engine = Self::start_inner(config, registry, Some(response_tx));
-        (engine, response_rx)
-    }
-
-    /// Starts the engine without a legacy broadcast stream: responses are
-    /// delivered only to their [`Ticket`]s. This is what request/response
-    /// front-ends (e.g. [`http::HttpServer`]) use — nothing accumulates
-    /// unread in a channel nobody drains.
+    /// Starts the workers and the deadline sweeper. Every response is
+    /// delivered to the [`Ticket`] its submit call returned.
     pub fn start_detached(config: ServeConfig, registry: Arc<ModelRegistry>) -> Self {
-        Self::start_inner(config, registry, None)
-    }
-
-    fn start_inner(
-        config: ServeConfig,
-        registry: Arc<ModelRegistry>,
-        stream: Option<Sender<ServeResponse>>,
-    ) -> Self {
         let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         let metrics = Arc::new(Metrics::with_trace(&config.trace));
         let router = Arc::new(CompletionRouter::new());
-        let completions = Completions::new(router.clone(), stream);
         // Workers first: each owns a private lane, and the router pinning
         // (model, shard) pairs to lanes becomes the scheduler's output.
         let updates = Arc::new(scheduler::UpdateQueue::default());
@@ -333,7 +304,7 @@ impl ServeEngine {
             cache.clone(),
             updates.clone(),
             metrics.clone(),
-            completions.clone(),
+            router.clone(),
         );
         let scheduler = Arc::new(BatchScheduler::with_updates(
             config.scheduler.clone(),
@@ -379,7 +350,6 @@ impl ServeEngine {
             next_id: AtomicU64::new(0),
             started_at: Instant::now(),
             router,
-            completions,
         }
     }
 
@@ -397,8 +367,7 @@ impl ServeEngine {
 
     /// Accepts one node-classification request. Returns a [`Ticket`] —
     /// the claim on this request's response, delivered the moment it
-    /// exists ([`Ticket::wait`]); the response also rides the legacy
-    /// stream returned by [`ServeEngine::start`].
+    /// exists ([`Ticket::wait`]).
     ///
     /// Hot nodes short-circuit here: if the owning shard's
     /// [`LogitsCache`] holds the node, the response (flagged
@@ -451,7 +420,7 @@ impl ServeEngine {
             );
             self.metrics
                 .record_response(response.bits, response.latency);
-            self.completions
+            self.router
                 .deliver_traced(response, &mut trace, &self.metrics.trace);
             return Ok(ticket);
         }
@@ -473,8 +442,7 @@ impl ServeEngine {
     /// Blocking request/response: submits and waits for the answer with a
     /// per-request deadline. Equivalent to [`ServeEngine::submit`] +
     /// [`Ticket::wait_inference`]; a deadline miss surfaces as
-    /// [`ServeError::Wait`] (the request itself stays in flight and its
-    /// response still reaches the legacy stream).
+    /// [`ServeError::Wait`] (the request itself stays in flight).
     pub fn submit_wait(
         &self,
         key: &ModelKey,
@@ -500,11 +468,11 @@ impl ServeEngine {
     }
 
     /// Accepts one graph-mutation request. The delta is applied by a
-    /// worker — serialized per model, interleaved with inference batches —
-    /// and acknowledged with a [`UpdateResponse`] on the response stream.
+    /// worker — serialized per model, interleaved with inference batches.
     ///
     /// `node_features` carries one raw feature row per `AddNode` op in
-    /// `delta`. Malformed payloads fail fast here; topology errors (e.g. a
+    /// `delta`. Malformed payloads (a row count that does not match, or a
+    /// non-finite value) fail fast here; topology errors (e.g. a
     /// node id that is stale by application time) surface in the response,
     /// rejected deltas changing nothing. The returned [`Ticket`] delivers
     /// the [`UpdateResponse`] acknowledgement; because updates are applied
@@ -525,6 +493,11 @@ impl ServeEngine {
                 delta.nodes_added(),
                 node_features.len()
             )));
+        }
+        if !node_features.iter().flatten().all(|x| x.is_finite()) {
+            return Err(ServeError::BadUpdate(
+                "feature values must be finite".to_string(),
+            ));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let ticket = self.router.register(id);
@@ -719,7 +692,7 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         };
-        let (engine, _responses) = ServeEngine::start(config, registry);
+        let engine = ServeEngine::start_detached(config, registry);
         let missing = ModelKey::new("Nope", GnnKind::Gcn);
         assert_eq!(
             engine.submit(&missing, 0).unwrap_err(),
@@ -744,21 +717,20 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        let (engine, responses) = ServeEngine::start(config, registry);
+        let engine = ServeEngine::start_detached(config, registry);
         engine.warm(&key).unwrap();
         let n = 100;
-        let mut ids = std::collections::HashSet::new();
-        for i in 0..n {
-            ids.insert(engine.submit(&key, (i % 50) as NodeId).unwrap().id());
-        }
+        let tickets: Vec<Ticket> = (0..n)
+            .map(|i| engine.submit(&key, (i % 50) as NodeId).unwrap())
+            .collect();
         let report = engine.shutdown();
         assert_eq!(report.completed, n as u64);
         assert_eq!(report.submitted, n as u64);
         let mut answered = std::collections::HashSet::new();
-        for response in responses.iter() {
-            let response = response.into_inference().expect("no updates submitted");
+        for ticket in &tickets {
+            let response = ticket.wait_inference(Duration::ZERO).expect("answered");
+            assert_eq!(response.id, ticket.id());
             assert!(answered.insert(response.id), "duplicate response");
-            assert!(ids.contains(&response.id));
             assert!(!response.logits.is_empty());
             assert!(response.batch_size >= 1);
         }
@@ -774,15 +746,22 @@ mod tests {
             workers: 2,
             ..ServeConfig::default()
         };
-        let (engine, responses) = ServeEngine::start(config, registry);
+        let engine = ServeEngine::start_detached(config, registry);
         engine.warm(&key).unwrap();
-        // Malformed payload fails fast.
+        // Malformed payloads fail fast: a missing feature row, and a row
+        // holding a NaN.
         let mut delta = GraphDelta::new();
         delta.add_node();
         assert!(matches!(
-            engine.submit_update(&key, delta, vec![]),
+            engine.submit_update(&key, delta.clone(), vec![]),
             Err(ServeError::BadUpdate(_))
         ));
+        assert_eq!(
+            engine
+                .submit_update(&key, delta, vec![vec![f32::NAN; 32]])
+                .unwrap_err(),
+            ServeError::BadUpdate("feature values must be finite".to_string())
+        );
         let missing = ModelKey::new("Nope", GnnKind::Gcn);
         assert!(matches!(
             engine.submit_update(&missing, GraphDelta::new(), vec![]),
@@ -791,20 +770,18 @@ mod tests {
         // A valid delta and a delta that fails at application time.
         let mut ok = GraphDelta::new();
         ok.insert_edge(1, 0);
-        let ok_id = engine.submit_update(&key, ok, vec![]).unwrap().id();
+        let ok_ticket = engine.submit_update(&key, ok, vec![]).unwrap();
         let mut stale = GraphDelta::new();
         stale.insert_edge(0, 1_000_000);
-        let bad_id = engine.submit_update(&key, stale, vec![]).unwrap().id();
+        let bad_ticket = engine.submit_update(&key, stale, vec![]).unwrap();
         let report = engine.shutdown();
         assert_eq!(report.updates_submitted, 2);
         assert_eq!(report.updates_applied, 1);
         assert_eq!(report.updates_failed, 1);
-        let updates: Vec<_> = responses.iter().filter_map(|r| r.into_update()).collect();
-        assert_eq!(updates.len(), 2);
-        let ok_ack = updates.iter().find(|u| u.id == ok_id).unwrap();
+        let ok_ack = ok_ticket.wait_update(Duration::ZERO).unwrap();
         assert!(ok_ack.applied());
         assert_eq!(ok_ack.version, 1);
-        let bad_ack = updates.iter().find(|u| u.id == bad_id).unwrap();
+        let bad_ack = bad_ticket.wait_update(Duration::ZERO).unwrap();
         assert!(bad_ack.error.as_deref().unwrap().contains("out of range"));
     }
 }

@@ -36,7 +36,7 @@
 //!
 //! [`ModelSpec::cache_bytes`]: crate::ModelSpec::cache_bytes
 
-use mega::sync::Mutex;
+use crate::sync::Mutex;
 use std::collections::{BTreeMap, HashMap};
 
 use crate::poison::LockRecoverExt;

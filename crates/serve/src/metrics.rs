@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mega::sync::RwLock;
+use crate::sync::RwLock;
 
 use crate::poison::LockRecoverExt;
 use std::time::Duration;

@@ -91,7 +91,7 @@ pub fn poisoned_components() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mega::sync::Mutex;
+    use crate::sync::Mutex;
     use std::sync::Arc;
 
     #[test]

@@ -1,7 +1,7 @@
 //! The model registry: which (dataset, architecture) pairs the engine
 //! serves, and with what policy/layout knobs.
 
-use mega::sync::RwLock;
+use crate::sync::RwLock;
 use std::collections::HashMap;
 
 use crate::poison::LockRecoverExt;

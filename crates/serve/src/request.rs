@@ -189,7 +189,8 @@ impl UpdateResponse {
     }
 }
 
-/// Anything the engine can emit on its response stream.
+/// What a [`crate::Ticket`] slot holds once its request is answered:
+/// the inference result or the update acknowledgement.
 #[derive(Debug, Clone)]
 pub enum ServeResponse {
     /// A classified node.
@@ -204,22 +205,6 @@ impl ServeResponse {
         match self {
             ServeResponse::Inference(r) => r.id,
             ServeResponse::Update(r) => r.id,
-        }
-    }
-
-    /// The inference payload, if this is one.
-    pub fn as_inference(&self) -> Option<&InferenceResponse> {
-        match self {
-            ServeResponse::Inference(r) => Some(r),
-            ServeResponse::Update(_) => None,
-        }
-    }
-
-    /// The update payload, if this is one.
-    pub fn as_update(&self) -> Option<&UpdateResponse> {
-        match self {
-            ServeResponse::Update(r) => Some(r),
-            ServeResponse::Inference(_) => None,
         }
     }
 

@@ -46,7 +46,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use mega::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 
 use crate::poison::LockRecoverExt;
 use std::time::{Duration, Instant};

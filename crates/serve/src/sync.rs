@@ -45,8 +45,8 @@
 //! ([`LockResult`], [`PoisonError`], …). [`LockResultExt::unpoison`] is
 //! the repo-wide recovery idiom: take the guard whether or not a prior
 //! holder panicked. Serving code should prefer
-//! `mega_serve::poison::recover`, which additionally reports the
-//! component on `/healthz`.
+//! [`crate::poison::recover`], which additionally reports the component
+//! on `/healthz`.
 
 use std::any::Any;
 

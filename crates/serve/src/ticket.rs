@@ -1,24 +1,20 @@
 //! Event-driven request completion: per-request tickets and the
 //! completion router that delivers each response to its waiter the moment
-//! it exists.
+//! it exists. A ticket is the only way a response leaves the engine.
 //!
-//! Before this module, the only way to observe a response was to drain the
-//! engine's one global mpsc stream — fine for offline drains, hopeless for
-//! request/response callers, who had to scan every other caller's traffic
-//! (or sleep-poll) to find their own answer. MEGA's degree-aware tiering
-//! is a *latency* knob (low-degree nodes are cheap at 2–3 bits), and a
-//! poll loop puts a floor under exactly the latency the tiering buys back;
-//! AMPLE (Gimenes et al.) makes the same point architecturally with
-//! event-driven rather than polled dispatch. So completion is now pushed,
-//! not polled:
+//! MEGA's degree-aware tiering is a *latency* knob (low-degree nodes are
+//! cheap at 2–3 bits), and a poll loop would put a floor under exactly the
+//! latency the tiering buys back; AMPLE (Gimenes et al.) makes the same
+//! point architecturally with event-driven rather than polled dispatch. So
+//! completion is pushed, not polled:
 //!
 //! * [`ServeEngine::submit`](crate::ServeEngine::submit) registers a
 //!   [`Ticket`] — a per-request slot behind a `Mutex` + `Condvar` — in the
 //!   engine's [`CompletionRouter`] *before* the request can reach a worker.
 //! * Whoever produces the response (the submit-time logits-cache hit path,
-//!   a worker's batch/cached/update path) calls
-//!   [`Completions::send`], which delivers into the slot (waking its
-//!   waiter immediately) *and* onto the legacy broadcast stream.
+//!   a worker's batch/cached/update path) hands it by value to
+//!   [`CompletionRouter::deliver`], which moves it into the slot and wakes
+//!   its waiter.
 //! * [`Ticket::wait`] blocks until delivery or a per-request deadline —
 //!   no global channel, no poll tick, no wakeup for anyone else's
 //!   response.
@@ -29,10 +25,9 @@
 //! HTTP ingress ([`crate::http`]) sheds load on.
 
 use std::collections::HashMap;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use mega::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 
 use crate::poison::LockRecoverExt;
 use std::time::{Duration, Instant};
@@ -43,9 +38,8 @@ use crate::request::{InferenceResponse, ServeResponse, UpdateResponse};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaitError {
     /// The deadline passed before the response was delivered. The request
-    /// is still in flight: the response will land on this ticket (and the
-    /// legacy stream) whenever it completes, and a later `wait` can still
-    /// collect it.
+    /// is still in flight: the response will land on this ticket whenever
+    /// it completes, and a later `wait` can still collect it.
     Timeout(Duration),
     /// The engine dropped the request without answering (the model was
     /// re-registered out from under it, or the engine tore down first).
@@ -107,8 +101,8 @@ impl Slot {
 /// which blocks on the request's own `Condvar` until the worker (or the
 /// submit-time cache-hit path) delivers — the response arrives the moment
 /// it exists, not on the next poll tick. Dropping a ticket without waiting
-/// is fine: the response still flows to the legacy stream and the slot is
-/// reclaimed on delivery.
+/// is fine: the request is still answered and its slot is reclaimed on
+/// delivery.
 pub struct Ticket {
     id: u64,
     slot: Arc<Slot>,
@@ -128,8 +122,8 @@ impl Ticket {
 
     /// Blocks until the response is delivered, the request is dropped, or
     /// `timeout` elapses. A timed-out ticket stays valid: the in-flight
-    /// request keeps its slot, and a later `wait` (or the legacy stream)
-    /// still observes the response.
+    /// request keeps its slot, and a later `wait` still observes the
+    /// response. `wait(Duration::ZERO)` is the non-blocking probe.
     pub fn wait(&self, timeout: Duration) -> Result<ServeResponse, WaitError> {
         let deadline = Instant::now() + timeout;
         let mut state = self.slot.state.lock().recover("ticket-slot");
@@ -149,14 +143,6 @@ impl Ticket {
                 .wait_timeout(state, deadline - now)
                 .recover("ticket-slot");
             state = next;
-        }
-    }
-
-    /// Non-blocking probe: the response if it has already been delivered.
-    pub fn try_take(&self) -> Option<ServeResponse> {
-        match &*self.slot.state.lock().recover("ticket-slot") {
-            SlotState::Delivered(response) => Some(response.clone()),
-            _ => None,
         }
     }
 
@@ -214,19 +200,36 @@ impl CompletionRouter {
         Ticket { id, slot }
     }
 
-    /// Delivers `response` into its slot (if any waiter registered one)
-    /// and reclaims the slot. Requests submitted without keeping the
-    /// ticket still pass through here — the slot exists regardless, which
-    /// is what keeps `in_flight` exact.
-    pub fn deliver(&self, response: &ServeResponse) {
+    /// Moves `response` into its request's slot, wakes the waiter, and
+    /// reclaims the slot. Requests submitted without keeping the ticket
+    /// still pass through here — the slot exists regardless, which is what
+    /// keeps `in_flight` exact.
+    pub fn deliver(&self, response: ServeResponse) {
         let slot = self
             .slots
             .lock()
             .recover("completion-router")
             .remove(&response.id());
         if let Some(slot) = slot {
-            slot.deliver(response.clone());
+            slot.deliver(response);
         }
+    }
+
+    /// [`CompletionRouter::deliver`] for a traced inference response:
+    /// stamps [`TraceStage::Delivered`](crate::trace::TraceStage::Delivered),
+    /// folds the finished timeline into `tracer` (stage histograms plus
+    /// the flight recorder), then delivers. Every inference delivery path
+    /// — submit-time cache hit, worker partial-batch split, worker batch —
+    /// funnels through here so a timeline can never escape unrecorded.
+    pub fn deliver_traced(
+        &self,
+        response: InferenceResponse,
+        trace: &mut crate::trace::RequestTrace,
+        tracer: &crate::trace::Tracer,
+    ) {
+        trace.stamp(crate::trace::TraceStage::Delivered);
+        tracer.complete(trace, &response);
+        self.deliver(ServeResponse::Inference(response));
     }
 
     /// Marks `id` as dropped-without-answer and wakes its waiter (if any).
@@ -243,72 +246,11 @@ impl CompletionRouter {
     }
 }
 
-/// The single completion fan-out every response producer goes through:
-/// deliver into the request's ticket slot (waking its waiter immediately)
-/// and onto the legacy broadcast stream (when the engine was started with
-/// one). Workers hold a clone; the engine's own clone serves the
-/// submit-time cache-hit path.
-#[derive(Clone)]
-pub struct Completions {
-    router: Arc<CompletionRouter>,
-    /// `None` when the engine runs stream-less
-    /// ([`crate::ServeEngine::start_detached`]) — tickets are then the
-    /// only delivery path, and nothing accumulates unread.
-    stream: Option<Sender<ServeResponse>>,
-}
-
-impl Completions {
-    /// A fan-out over `router` plus an optional legacy stream.
-    pub fn new(router: Arc<CompletionRouter>, stream: Option<Sender<ServeResponse>>) -> Self {
-        Self { router, stream }
-    }
-
-    /// The shared in-flight table.
-    pub fn router(&self) -> &Arc<CompletionRouter> {
-        &self.router
-    }
-
-    /// Delivers one response to its ticket and the stream. A dropped
-    /// stream receiver means the caller stopped listening; tickets still
-    /// get their delivery, and draining continues.
-    pub fn send(&self, response: ServeResponse) {
-        self.router.deliver(&response);
-        if let Some(stream) = &self.stream {
-            let _ = stream.send(response);
-        }
-    }
-
-    /// Reports a request the engine will never answer (see
-    /// [`CompletionRouter::drop_request`]).
-    pub fn drop_request(&self, id: u64) {
-        self.router.drop_request(id);
-    }
-
-    /// [`Completions::send`] for a traced inference response: stamps
-    /// [`TraceStage::Delivered`](crate::trace::TraceStage::Delivered),
-    /// folds the finished timeline into `tracer` (stage histograms plus
-    /// the flight recorder), then fans the response out. Every inference
-    /// delivery path — submit-time cache hit, worker partial-batch split,
-    /// worker batch — funnels through here so a timeline can never escape
-    /// unrecorded.
-    pub fn deliver_traced(
-        &self,
-        response: InferenceResponse,
-        trace: &mut crate::trace::RequestTrace,
-        tracer: &crate::trace::Tracer,
-    ) {
-        trace.stamp(crate::trace::TraceStage::Delivered);
-        tracer.complete(trace, &response);
-        self.send(ServeResponse::Inference(response));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::ModelKey;
     use mega_gnn::GnnKind;
-    use std::sync::mpsc;
 
     fn response(id: u64) -> ServeResponse {
         ServeResponse::Inference(InferenceResponse {
@@ -333,12 +275,12 @@ mod tests {
         let router = Arc::new(CompletionRouter::new());
         let ticket = router.register(7);
         assert_eq!(router.in_flight(), 1);
-        assert!(ticket.try_take().is_none());
+        assert!(ticket.wait(Duration::ZERO).is_err());
         let waiter = {
             let ticket_router = router.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(5));
-                ticket_router.deliver(&response(7));
+                ticket_router.deliver(response(7));
             })
         };
         let got = ticket.wait(Duration::from_secs(5)).expect("delivered");
@@ -347,7 +289,6 @@ mod tests {
         assert_eq!(router.in_flight(), 0);
         // Repeated waits keep succeeding (delivery is sticky).
         assert!(ticket.wait(Duration::ZERO).is_ok());
-        assert!(ticket.try_take().is_some());
     }
 
     #[test]
@@ -359,7 +300,7 @@ mod tests {
             WaitError::Timeout(Duration::from_millis(1))
         );
         assert_eq!(router.in_flight(), 1, "timed-out request stays in flight");
-        router.deliver(&response(1));
+        router.deliver(response(1));
         assert_eq!(ticket.wait(Duration::ZERO).unwrap().id(), 1);
     }
 
@@ -373,21 +314,5 @@ mod tests {
             WaitError::Dropped
         );
         assert_eq!(router.in_flight(), 0);
-    }
-
-    #[test]
-    fn completions_fan_out_to_stream_and_ticket() {
-        let router = Arc::new(CompletionRouter::new());
-        let (tx, rx) = mpsc::channel();
-        let completions = Completions::new(router.clone(), Some(tx));
-        let ticket = router.register(9);
-        completions.send(response(9));
-        assert_eq!(ticket.wait(Duration::ZERO).unwrap().id(), 9);
-        assert_eq!(rx.try_recv().unwrap().id(), 9);
-        // Stream-less mode still delivers tickets.
-        let detached = Completions::new(router.clone(), None);
-        let ticket = router.register(10);
-        detached.send(response(10));
-        assert_eq!(ticket.wait(Duration::ZERO).unwrap().id(), 10);
     }
 }

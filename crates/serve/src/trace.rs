@@ -30,7 +30,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mega::sync::Mutex;
+use crate::sync::Mutex;
 
 use crate::poison::LockRecoverExt;
 use std::time::{Duration, Instant};

@@ -34,7 +34,7 @@ use crate::request::{
 };
 use crate::scheduler::{Batch, FlushReason, UpdateQueue, WorkItem};
 use crate::shard::estimate_batch_hw;
-use crate::ticket::Completions;
+use crate::ticket::CompletionRouter;
 use crate::trace::TraceStage;
 
 /// Routes [`WorkItem`]s to worker lanes with shard affinity: batches go to
@@ -196,16 +196,16 @@ impl WorkerPool {
     /// shared FIFO; workers pop update payloads from it when an update
     /// token arrives (they never hold the scheduler itself — its router
     /// must die with the engine for shutdown to disconnect this pool).
-    /// Every response leaves through `completions`, which delivers into
-    /// the request's [`crate::Ticket`] slot (waking its waiter the moment
-    /// the result exists) and onto the legacy stream when one is attached.
+    /// Every response leaves through `completions`, which delivers it into
+    /// the request's [`crate::Ticket`] slot, waking its waiter the moment
+    /// the result exists.
     pub fn spawn(
         workers: usize,
         registry: Arc<ModelRegistry>,
         cache: Arc<ArtifactCache>,
         updates: Arc<UpdateQueue>,
         metrics: Arc<Metrics>,
-        completions: Completions,
+        completions: Arc<CompletionRouter>,
     ) -> (Self, WorkRouter) {
         let mut lanes = Vec::new();
         let handles = (0..workers.max(1))
@@ -304,7 +304,7 @@ fn run_batch(
     registry: &ModelRegistry,
     cache: &ArtifactCache,
     metrics: &Metrics,
-    completions: &Completions,
+    completions: &CompletionRouter,
 ) {
     // One clock read stamps the whole batch's dequeue.
     let dequeued = Instant::now();
@@ -410,7 +410,7 @@ fn respond_cached(
     mut request: InferenceRequest,
     shard: u32,
     hit: CachedLogits,
-    completions: &Completions,
+    completions: &CompletionRouter,
     metrics: &Metrics,
 ) {
     request.trace.stamp(TraceStage::CacheHit);
@@ -469,7 +469,7 @@ fn respond_batch(
     order: &[usize],
     logits: &Matrix,
     halo_rows: usize,
-    completions: &Completions,
+    completions: &CompletionRouter,
     metrics: &Metrics,
 ) {
     let batch_size = requests.len();
@@ -511,7 +511,7 @@ fn execute_shard_batch(
     shard: u32,
     mut requests: Vec<InferenceRequest>,
     metrics: &Metrics,
-    completions: &Completions,
+    completions: &CompletionRouter,
 ) {
     let nodes: Vec<NodeId> = requests.iter().map(|r| r.node).collect();
     let (targets, order) = ordered_targets(&nodes);
@@ -563,7 +563,7 @@ fn run_update(
     cache: &ArtifactCache,
     updates: &UpdateQueue,
     metrics: &Metrics,
-    completions: &Completions,
+    completions: &CompletionRouter,
 ) {
     let Some(spec) = registry.get(&model) else {
         // The model vanished from the registry mid-flight: consume the
@@ -638,7 +638,7 @@ fn run_update(
             }
         }
     };
-    completions.send(ServeResponse::Update(response));
+    completions.deliver(ServeResponse::Update(response));
 }
 
 #[cfg(test)]
@@ -740,8 +740,7 @@ mod tests {
         let model = registry.register(spec().with_shards(2).with_cache_bytes(0));
         let cache = ArtifactCache::new(1);
         let metrics = Metrics::default();
-        let router = Arc::new(crate::ticket::CompletionRouter::new());
-        let completions = Completions::new(router.clone(), None);
+        let router = CompletionRouter::new();
         let entry = cache.get_or_build(&model, || {
             ModelArtifacts::build(&registry.get(&model).expect("registered"))
         });
@@ -785,7 +784,7 @@ mod tests {
                 requests,
                 reason: FlushReason::Size,
             };
-            run_batch(0, batch, &registry, &cache, &metrics, &completions);
+            run_batch(0, batch, &registry, &cache, &metrics, &router);
 
             let artifacts = entry.read();
             for (ticket, &node) in tickets.iter().zip(nodes.iter()) {

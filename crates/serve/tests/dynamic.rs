@@ -4,16 +4,18 @@
 //! mutations, stale cached artifacts must never be served, and updates to
 //! the same model must apply in submission order.
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
     batch_logits, InferenceResponse, ModelArtifacts, ModelRegistry, ModelSpec, SchedulerConfig,
-    ServeConfig, ServeEngine, ServeResponse, UpdateResponse,
+    ServeConfig, ServeEngine,
 };
+
+/// Per-request deadline for every ticket wait in this file.
+const WAIT: Duration = Duration::from_secs(30);
 
 fn tiny_spec(kind: GnnKind) -> ModelSpec {
     ModelSpec::standard(DatasetSpec::cora().scaled(0.08).with_feature_dim(48), kind)
@@ -27,40 +29,6 @@ fn engine_config() -> ServeConfig {
             max_delay: Duration::from_millis(1),
         },
         ..ServeConfig::default()
-    }
-}
-
-/// Pulls responses until the update with `id` is acknowledged, collecting
-/// inference responses seen along the way.
-fn wait_for_ack(
-    responses: &Receiver<ServeResponse>,
-    id: u64,
-    inferences: &mut Vec<InferenceResponse>,
-) -> UpdateResponse {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .expect("timed out waiting for update ack");
-        match responses.recv_timeout(remaining).expect("response stream") {
-            ServeResponse::Update(ack) if ack.id == id => return ack,
-            ServeResponse::Update(_) => {}
-            ServeResponse::Inference(r) => inferences.push(r),
-        }
-    }
-}
-
-/// Pulls responses until the inference with `id` arrives.
-fn wait_for_inference(responses: &Receiver<ServeResponse>, id: u64) -> InferenceResponse {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .expect("timed out waiting for inference");
-        match responses.recv_timeout(remaining).expect("response stream") {
-            ServeResponse::Inference(r) if r.id == id => return r,
-            _ => {}
-        }
     }
 }
 
@@ -78,7 +46,7 @@ fn tier_crossing_changes_served_bitwidth_live() {
 
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(spec);
-    let (engine, responses) = ServeEngine::start(engine_config(), registry);
+    let engine = ServeEngine::start_detached(engine_config(), registry);
     engine.warm(&key).unwrap();
 
     let target = (0..reference.num_nodes() as NodeId)
@@ -88,8 +56,7 @@ fn tier_crossing_changes_served_bitwidth_live() {
     assert_eq!(bits0, reference.node_bits(target));
 
     // Baseline: served logits equal the sequential reference, bit for bit.
-    let id = engine.submit(&key, target).unwrap().id();
-    let response = wait_for_inference(&responses, id);
+    let response = engine.submit_wait(&key, target, WAIT).unwrap();
     let expected = batch_logits(&reference, &[target]);
     for (c, &logit) in response.logits.iter().enumerate() {
         assert_eq!(logit.to_bits(), expected.get(0, c).to_bits());
@@ -103,7 +70,6 @@ fn tier_crossing_changes_served_bitwidth_live() {
         .take(12)
         .collect();
     assert!(sources.len() >= 12, "graph too small for the crossing test");
-    let mut inferences = Vec::new();
     while let Some(chunk) = {
         let take = sources.len().min(3);
         (take > 0).then(|| sources.drain(..take).collect::<Vec<_>>())
@@ -112,11 +78,9 @@ fn tier_crossing_changes_served_bitwidth_live() {
         for &s in &chunk {
             delta.insert_edge(s, target);
         }
-        let id = engine
-            .submit_update(&key, delta.clone(), vec![])
-            .unwrap()
-            .id();
-        let ack = wait_for_ack(&responses, id, &mut inferences);
+        let ack = engine
+            .submit_update_wait(&key, delta.clone(), vec![], WAIT)
+            .unwrap();
         assert!(ack.applied(), "churn delta must apply: {:?}", ack.error);
         assert_eq!(ack.inserted_edges, chunk.len());
         let effect = reference.apply_delta(&delta, &[]).unwrap();
@@ -127,8 +91,7 @@ fn tier_crossing_changes_served_bitwidth_live() {
         // degree, logits match the mutated reference bit-exactly. A stale
         // cached artifact would fail both.
         let degree = reference.graph.in_degree(target as usize);
-        let id = engine.submit(&key, target).unwrap().id();
-        let response = wait_for_inference(&responses, id);
+        let response = engine.submit_wait(&key, target, WAIT).unwrap();
         assert_eq!(response.bits, policy.bits_for_degree(degree));
         assert_eq!(response.tier, policy.tier_of_degree(degree));
         let expected = batch_logits(&reference, &[target]);
@@ -162,7 +125,7 @@ fn batched_equals_sequential_after_mutation() {
     let mut reference = ModelArtifacts::build(&spec);
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(spec);
-    let (engine, responses) = ServeEngine::start(engine_config(), registry);
+    let engine = ServeEngine::start_detached(engine_config(), registry);
     engine.warm(&key).unwrap();
 
     // Mutate: a few inserts, removals, an isolation, and a node add.
@@ -185,12 +148,9 @@ fn batched_equals_sequential_after_mutation() {
     let new_node = reference.num_nodes() as NodeId;
     delta.insert_edge(9, new_node).insert_edge(3, new_node);
     let rows = vec![vec![0.75; dim]];
-    let id = engine
-        .submit_update(&key, delta.clone(), rows.clone())
-        .unwrap()
-        .id();
-    let mut scratch = Vec::new();
-    let ack = wait_for_ack(&responses, id, &mut scratch);
+    let ack = engine
+        .submit_update_wait(&key, delta.clone(), rows.clone(), WAIT)
+        .unwrap();
     assert!(ack.applied());
     assert_eq!(ack.added_nodes, vec![new_node]);
     reference.apply_delta(&delta, &rows).unwrap();
@@ -203,27 +163,14 @@ fn batched_equals_sequential_after_mutation() {
         .map(|&t| batch_logits(&reference, &[t]).row(0).to_vec())
         .collect();
 
-    let ids: Vec<u64> = targets
+    // Submit the whole set before redeeming any ticket, so the targets
+    // can share batches.
+    let tickets: Vec<_> = targets
         .iter()
-        .map(|&t| engine.submit(&key, t).unwrap().id())
+        .map(|&t| engine.submit(&key, t).unwrap())
         .collect();
-    let mut received: Vec<InferenceResponse> = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while received.len() < ids.len() {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .expect("timed out waiting for batch responses");
-        if let ServeResponse::Inference(r) =
-            responses.recv_timeout(remaining).expect("response stream")
-        {
-            received.push(r);
-        }
-    }
-    for response in received {
-        let i = ids
-            .iter()
-            .position(|&id| id == response.id)
-            .expect("response for a submitted id");
+    for (i, ticket) in tickets.iter().enumerate() {
+        let response = ticket.wait_inference(WAIT).expect("batch response");
         assert_eq!(response.node, targets[i]);
         for (c, &logit) in response.logits.iter().enumerate() {
             assert_eq!(
@@ -244,13 +191,13 @@ fn updates_serialize_in_submission_order() {
     let spec = tiny_spec(GnnKind::Gcn);
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(spec);
-    let (engine, responses) = ServeEngine::start(engine_config(), registry);
+    let engine = ServeEngine::start_detached(engine_config(), registry);
     engine.warm(&key).unwrap();
     assert!(engine.probe(&key, 5).is_ok());
 
     // Alternating insert/remove of the same edge: only in-order
     // application yields the expected per-step effects.
-    let mut ids = Vec::new();
+    let mut tickets = Vec::new();
     for round in 0..6 {
         let mut delta = GraphDelta::new();
         if round % 2 == 0 {
@@ -258,12 +205,11 @@ fn updates_serialize_in_submission_order() {
         } else {
             delta.remove_edge(5, 7);
         }
-        ids.push(engine.submit_update(&key, delta, vec![]).unwrap().id());
+        tickets.push(engine.submit_update(&key, delta, vec![]).unwrap());
     }
-    let mut scratch = Vec::new();
     let mut versions = Vec::new();
-    for (round, id) in ids.iter().enumerate() {
-        let ack = wait_for_ack(&responses, *id, &mut scratch);
+    for (round, ticket) in tickets.iter().enumerate() {
+        let ack = ticket.wait_update(WAIT).expect("update ack");
         assert!(ack.applied());
         versions.push(ack.version);
         if round % 2 == 0 {
@@ -291,33 +237,29 @@ fn mutations_do_not_cross_contaminate_models() {
     let registry = Arc::new(ModelRegistry::new());
     let gcn = registry.register(tiny_spec(GnnKind::Gcn));
     let gin = registry.register(tiny_spec(GnnKind::Gin));
-    let (engine, responses) = ServeEngine::start(engine_config(), registry);
+    let engine = ServeEngine::start_detached(engine_config(), registry);
     engine.warm(&gcn).unwrap();
     engine.warm(&gin).unwrap();
 
     let witness: Vec<NodeId> = vec![0, 7, 21];
     let before: Vec<InferenceResponse> = witness
         .iter()
-        .map(|&t| {
-            let id = engine.submit(&gin, t).unwrap().id();
-            wait_for_inference(&responses, id)
-        })
+        .map(|&t| engine.submit_wait(&gin, t, WAIT).unwrap())
         .collect();
 
-    let mut scratch = Vec::new();
     for i in 0..20u32 {
         let mut delta = GraphDelta::new();
         delta
             .insert_edge(i, (i + 40) % 60)
             .remove_edge(i, (i + 40) % 60);
-        let id = engine.submit_update(&gcn, delta, vec![]).unwrap().id();
-        let ack = wait_for_ack(&responses, id, &mut scratch);
+        let ack = engine
+            .submit_update_wait(&gcn, delta, vec![], WAIT)
+            .unwrap();
         assert!(ack.applied());
     }
 
     for (i, &t) in witness.iter().enumerate() {
-        let id = engine.submit(&gin, t).unwrap().id();
-        let after = wait_for_inference(&responses, id);
+        let after = engine.submit_wait(&gin, t, WAIT).unwrap();
         assert_eq!(after.bits, before[i].bits);
         for (c, &logit) in after.logits.iter().enumerate() {
             assert_eq!(

@@ -315,10 +315,12 @@ fn retry_after_rounds_up_to_whole_seconds() {
     engine_shutdown(engine);
 }
 
-/// Non-finite feature values are rejected at ingress with 400. `1e999`
-/// overflows f64 parsing to `+inf`; before the ingress check it would
-/// reach quantization (NaN quantizes to level 0 silently, inf poisons
-/// every downstream alpha) and poison the logits caches.
+/// Non-finite feature values are rejected with 400. `1e999` overflows
+/// f64 parsing to `+inf`; `1e300` is a finite f64 that only overflows when
+/// narrowed to the f32 feature row, so the check must run on the f32
+/// values. Unchecked, either would reach quantization (NaN quantizes to
+/// level 0 silently, inf poisons every downstream alpha) and poison the
+/// logits caches.
 #[test]
 fn update_rejects_non_finite_feature_values() {
     let (engine, server) = start_stack(
@@ -332,6 +334,7 @@ fn update_rejects_non_finite_feature_values() {
     for payload in [
         "{\"add_nodes\": [[1.0, 1e999]]}",
         "{\"add_nodes\": [[-1e999, 0.5]]}",
+        "{\"add_nodes\": [[1.0, 1e300]]}",
     ] {
         let (status, _, body) = http(addr, "POST", "/v1/cora/gcn/update", payload);
         assert_eq!(status, 400, "{payload} must be rejected: {body}");

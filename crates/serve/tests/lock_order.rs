@@ -1,7 +1,7 @@
-//! The serve stack runs on `mega::sync`'s lock-order-checked wrappers in
-//! debug builds, which turns this whole test suite into a deadlock
-//! detector: any two code paths that disagree about lock acquisition
-//! order panic the run, even if no test interleaves them.
+//! The serve stack runs on `mega_serve::sync`'s lock-order-checked
+//! wrappers in debug builds, which turns this whole test suite into a
+//! deadlock detector: any two code paths that disagree about lock
+//! acquisition order panic the run, even if no test interleaves them.
 //!
 //! This file pins down both directions of that claim:
 //!
@@ -12,7 +12,7 @@
 //!   (scheduler buckets, ticket slots, completion router, artifact and
 //!   logits caches, metrics, flight recorder).
 //! * **The detector is live, not compiled out**: after that traffic,
-//!   `mega::sync::order_stats()` must show recorded acquisition-order
+//!   `mega_serve::sync::order_stats()` must show recorded acquisition-order
 //!   edges (in release it reports zeros by design — the wrappers are
 //!   std re-exports there).
 
@@ -141,7 +141,7 @@ fn busy_engine_is_cycle_free_and_detector_is_live() {
     }
     engine.shutdown();
 
-    let stats = mega::sync::order_stats();
+    let stats = mega_serve::sync::order_stats();
     #[cfg(debug_assertions)]
     {
         assert!(

@@ -16,7 +16,7 @@ use mega_gnn::{GnnKind, ReceptiveField};
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
     batch_logits, shard_logits_with_field, CachedLogits, ModelArtifacts, ModelRegistry, ModelSpec,
-    SchedulerConfig, ServeConfig, ServeEngine, ServeResponse,
+    SchedulerConfig, ServeConfig, ServeEngine,
 };
 use proptest::prelude::*;
 
@@ -210,26 +210,20 @@ fn engine_short_circuits_hot_nodes_and_recovers_after_updates() {
         },
         ..ServeConfig::default()
     };
-    let (engine, responses) = ServeEngine::start(config, registry);
+    let engine = ServeEngine::start_detached(config, registry);
     engine.warm(&key).unwrap();
     let node: NodeId = 5;
-
-    let recv = |id: u64| -> mega_serve::InferenceResponse {
-        let deadline = std::time::Instant::now() + Duration::from_secs(60);
-        loop {
-            assert!(std::time::Instant::now() < deadline, "no response for {id}");
-            match responses.recv_timeout(Duration::from_secs(60)).unwrap() {
-                ServeResponse::Inference(r) if r.id == id => return r,
-                _ => {}
-            }
-        }
-    };
+    let wait = Duration::from_secs(60);
 
     // First query computes; the second must short-circuit at submit time
-    // with identical bits.
-    let first = recv(engine.submit(&key, node).unwrap().id());
+    // with identical bits: its ticket is redeemable before submit returns.
+    let first = engine.submit_wait(&key, node, wait).unwrap();
     assert!(!first.cached, "cold cache computes");
-    let second = recv(engine.submit(&key, node).unwrap().id());
+    let second = engine
+        .submit(&key, node)
+        .unwrap()
+        .wait_inference(Duration::ZERO)
+        .expect("a hit is delivered on the submitting thread");
     assert!(second.cached, "warm cache short-circuits");
     assert_eq!(second.batch_size, 1);
     assert_eq!(
@@ -247,19 +241,15 @@ fn engine_short_circuits_hot_nodes_and_recovers_after_updates() {
     let mut delta = GraphDelta::new();
     let src = if node == 0 { 1 } else { 0 };
     delta.insert_edge(src, node);
-    let update_id = engine.submit_update(&key, delta, vec![]).unwrap().id();
-    let ack = loop {
-        match responses.recv_timeout(Duration::from_secs(60)).unwrap() {
-            ServeResponse::Update(ack) if ack.id == update_id => break ack,
-            _ => {}
-        }
-    };
+    let ack = engine
+        .submit_update_wait(&key, delta, vec![], wait)
+        .unwrap();
     assert!(ack.applied(), "{:?}", ack.error);
     assert!(
         ack.logits_invalidated >= 1,
         "the cached target must be invalidated"
     );
-    let third = recv(engine.submit(&key, node).unwrap().id());
+    let third = engine.submit_wait(&key, node, wait).unwrap();
     assert!(!third.cached, "invalidated entry recomputes");
 
     let report = engine.shutdown();

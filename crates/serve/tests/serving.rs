@@ -44,22 +44,19 @@ fn batched_execution_is_bit_exact_with_sequential() {
         },
         ..ServeConfig::default()
     };
-    let (engine, responses) = ServeEngine::start(config, registry);
+    let engine = ServeEngine::start_detached(config, registry);
     engine.warm(&key).unwrap();
-    for &t in &targets {
-        engine.submit(&key, t).unwrap();
-    }
+    let tickets: Vec<_> = targets
+        .iter()
+        .map(|&t| engine.submit(&key, t).unwrap())
+        .collect();
     let report = engine.shutdown();
     assert_eq!(report.completed, targets.len() as u64);
 
     let mut batched = 0usize;
-    for response in responses.iter() {
-        let response = response.into_inference().expect("inference-only traffic");
-        let position = targets
-            .iter()
-            .position(|&t| t == response.node)
-            .expect("response for a submitted target");
-        let expected = &sequential[position];
+    for (ticket, (&target, expected)) in tickets.iter().zip(targets.iter().zip(&sequential)) {
+        let response = ticket.wait_inference(Duration::ZERO).expect("answered");
+        assert_eq!(response.node, target, "response for the submitted target");
         assert_eq!(response.logits.len(), expected.len());
         for (a, b) in response.logits.iter().zip(expected) {
             assert_eq!(
@@ -84,7 +81,7 @@ fn batches_are_tier_homogeneous() {
     let reference = ModelArtifacts::build(&spec);
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(spec);
-    let (engine, responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 2,
             scheduler: SchedulerConfig {
@@ -97,15 +94,15 @@ fn batches_are_tier_homogeneous() {
     );
     engine.warm(&key).unwrap();
     let n = reference.num_nodes() as NodeId;
-    for t in 0..n.min(120) {
-        engine.submit(&key, t).unwrap();
-    }
+    let tickets: Vec<_> = (0..n.min(120))
+        .map(|t| engine.submit(&key, t).unwrap())
+        .collect();
     engine.shutdown();
 
     use std::collections::HashMap;
     let mut by_id: HashMap<u64, (usize, u8)> = HashMap::new();
-    for response in responses.iter() {
-        let response = response.into_inference().expect("inference-only traffic");
+    for ticket in &tickets {
+        let response = ticket.wait_inference(Duration::ZERO).expect("answered");
         assert_eq!(
             response.bits,
             reference.node_bits(response.node),
@@ -125,7 +122,7 @@ fn batches_are_tier_homogeneous() {
 fn deadline_flush_answers_partial_batches_live() {
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(tiny_spec(GnnKind::Gcn));
-    let (engine, responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 2,
             scheduler: SchedulerConfig {
@@ -139,15 +136,11 @@ fn deadline_flush_answers_partial_batches_live() {
         registry,
     );
     engine.warm(&key).unwrap();
-    for t in 0..5 {
-        engine.submit(&key, t).unwrap();
-    }
-    for _ in 0..5 {
-        let response = responses
-            .recv_timeout(Duration::from_secs(10))
-            .expect("deadline sweeper must flush the partial batch")
-            .into_inference()
-            .expect("inference-only traffic");
+    let tickets: Vec<_> = (0..5).map(|t| engine.submit(&key, t).unwrap()).collect();
+    for ticket in &tickets {
+        let response = ticket
+            .wait_inference(Duration::from_secs(10))
+            .expect("deadline sweeper must flush the partial batch");
         assert!(response.batch_size <= 5);
     }
     let report = engine.shutdown();
@@ -165,7 +158,7 @@ fn multi_model_traffic_hits_the_cache() {
     let registry = Arc::new(ModelRegistry::new());
     let gcn = registry.register(tiny_spec(GnnKind::Gcn));
     let gin = registry.register(tiny_spec(GnnKind::Gin));
-    let (engine, responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 4,
             scheduler: SchedulerConfig {
@@ -178,17 +171,18 @@ fn multi_model_traffic_hits_the_cache() {
     );
     engine.warm(&gcn).unwrap();
     engine.warm(&gin).unwrap();
+    let mut tickets = Vec::new();
     for t in 0..40 {
-        engine.submit(&gcn, t).unwrap();
-        engine.submit(&gin, t).unwrap();
+        tickets.push(engine.submit(&gcn, t).unwrap());
+        tickets.push(engine.submit(&gin, t).unwrap());
     }
     let report = engine.shutdown();
     assert_eq!(report.completed, 80);
     assert_eq!(report.cache_misses, 2, "one build per model");
     assert!(report.cache_hit_rate > 0.9);
     let mut per_model = std::collections::HashMap::new();
-    for response in responses.iter() {
-        let response = response.into_inference().expect("inference-only traffic");
+    for ticket in &tickets {
+        let response = ticket.wait_inference(Duration::ZERO).expect("answered");
         *per_model.entry(response.model.clone()).or_insert(0u32) += 1;
     }
     assert_eq!(per_model.len(), 2);

@@ -172,60 +172,48 @@ fn engine_sharded_matches_unsharded_reference() {
         },
         ..ServeConfig::default()
     };
-    let (engine, responses) = ServeEngine::start(config, registry);
+    let engine = ServeEngine::start_detached(config, registry);
     engine.warm(&key).unwrap();
+    let wait = Duration::from_secs(60);
 
     let n = reference.num_nodes() as NodeId;
     let targets: Vec<NodeId> = (0..n).step_by(3).collect();
-    let mut ids: Vec<u64> = targets
+    let pre: Vec<_> = targets
         .iter()
-        .map(|&t| engine.submit(&key, t).unwrap().id())
+        .map(|&t| engine.submit(&key, t).unwrap())
         .collect();
 
     // Mutate mid-stream: cross-shard churn applied to both sides.
     let (delta, rows) = cross_shard_delta(&reference);
-    let update_id = engine
+    let update = engine
         .submit_update(&key, delta.clone(), rows.clone())
-        .unwrap()
-        .id();
+        .unwrap();
     reference.apply_delta(&delta, &rows).unwrap();
-    let post_targets: Vec<NodeId> = (0..n).step_by(11).chain([n]).collect();
-    let mut post_ids = Vec::new();
-    let mut update_acked = false;
     // Submit the post-delta wave only after the ack (FIFO guarantees the
     // delta is applied before these batches run).
-    let mut pre = Vec::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while !update_acked {
-        assert!(std::time::Instant::now() < deadline, "no ack");
-        match responses.recv_timeout(Duration::from_secs(60)).unwrap() {
-            mega_serve::ServeResponse::Update(ack) => {
-                assert_eq!(ack.id, update_id);
-                assert!(ack.applied(), "{:?}", ack.error);
-                assert!(ack.balance >= 1.0);
-                update_acked = true;
-            }
-            mega_serve::ServeResponse::Inference(r) => pre.push(r),
-        }
-    }
-    for &t in &post_targets {
-        post_ids.push(engine.submit(&key, t).unwrap().id());
-    }
-    ids.extend(post_ids.iter().copied());
+    let ack = update.wait_update(wait).expect("no ack");
+    assert!(ack.applied(), "{:?}", ack.error);
+    assert!(ack.balance >= 1.0);
+    let post_targets: Vec<NodeId> = (0..n).step_by(11).chain([n]).collect();
+    let post: Vec<_> = post_targets
+        .iter()
+        .map(|&t| engine.submit(&key, t).unwrap())
+        .collect();
     engine.shutdown();
 
-    let pre_expected: Vec<(u64, NodeId)> =
-        targets.iter().zip(&ids).map(|(&t, &id)| (id, t)).collect();
-    let mut answered = pre.len();
-    let check = |r: mega_serve::InferenceResponse| {
-        // Which wave does this response belong to?
-        let node = r.node;
+    // Pre-delta responses may have executed against pre-delta state; only
+    // post-ack responses are comparable to the mutated reference.
+    for ticket in &pre {
+        ticket
+            .wait_inference(Duration::ZERO)
+            .expect("pre-delta answer");
+    }
+    for (ticket, &node) in post.iter().zip(&post_targets) {
+        let r = ticket
+            .wait_inference(Duration::ZERO)
+            .expect("post-delta answer");
+        assert_eq!(r.node, node);
         let expected = batch_logits(&reference, &[node]);
-        // Pre-delta responses may have executed against pre-delta state;
-        // only post-ack responses are comparable to the mutated reference.
-        if pre_expected.iter().any(|&(id, _)| id == r.id) {
-            return;
-        }
         for (c, &logit) in r.logits.iter().enumerate() {
             assert_eq!(
                 logit.to_bits(),
@@ -233,17 +221,7 @@ fn engine_sharded_matches_unsharded_reference() {
                 "node {node} diverged between K=4 engine and K=1 reference"
             );
         }
-    };
-    for r in pre {
-        check(r);
     }
-    for response in responses.iter() {
-        if let mega_serve::ServeResponse::Inference(r) = response {
-            answered += 1;
-            check(r);
-        }
-    }
-    assert_eq!(answered, targets.len() + post_targets.len());
 }
 
 // ───────────────────────── property test ─────────────────────────

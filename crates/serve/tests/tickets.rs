@@ -1,12 +1,10 @@
-//! Event-driven completion: tickets must deliver exactly what the legacy
-//! stream delivers (bit for bit), survive timeouts, fail fast on dropped
-//! requests, and the execution path must restamp tier/bits from live
-//! artifacts so churn between submit and execution never mis-reports
-//! what the forward pass served.
+//! Event-driven completion: tickets must deliver bit-exact answers in any
+//! redemption order, reclaim the slots of tickets dropped unredeemed,
+//! survive timeouts, fail fast on dropped requests, and the execution path
+//! must restamp tier/bits from live artifacts so churn between submit and
+//! execution never mis-reports what the forward pass served.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,24 +12,25 @@ use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
     batch_logits, scheduler::UpdateQueue, ArtifactCache, BatchScheduler, CompletionRouter,
-    Completions, InferenceRequest, Metrics, ModelArtifacts, ModelRegistry, ModelSpec,
-    SchedulerConfig, ServeConfig, ServeEngine, ServeError, WaitError, WorkerPool,
+    InferenceRequest, Metrics, ModelArtifacts, ModelRegistry, ModelSpec, SchedulerConfig,
+    ServeConfig, ServeEngine, ServeError, WaitError, WorkerPool,
 };
 
 fn tiny_spec(kind: GnnKind) -> ModelSpec {
     ModelSpec::standard(DatasetSpec::cora().scaled(0.08).with_feature_dim(48), kind)
 }
 
-/// Tickets and the legacy stream observe the *same* response object: same
-/// ids, bit-identical logits, and both agree with the sequential
-/// reference pass.
+/// One burst of 40 tickets, redeemed in reverse submission order with
+/// every fourth dropped unredeemed: each redeemed answer is bit-exact with
+/// the sequential reference, and the dropped tickets' requests are still
+/// answered and their slots reclaimed.
 #[test]
-fn ticket_waits_are_bit_exact_with_the_stream() {
+fn ticket_waits_are_bit_exact_in_any_order() {
     let spec = tiny_spec(GnnKind::Gcn);
     let reference = ModelArtifacts::build(&spec);
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(spec);
-    let (engine, responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 2,
             scheduler: SchedulerConfig {
@@ -44,33 +43,33 @@ fn ticket_waits_are_bit_exact_with_the_stream() {
     );
     engine.warm(&key).unwrap();
     let targets: Vec<NodeId> = (0..40).collect();
-    let mut by_ticket: HashMap<u64, Vec<u32>> = HashMap::new();
-    for &t in &targets {
-        let response = engine
-            .submit_wait(&key, t, Duration::from_secs(30))
+    let tickets: Vec<_> = targets
+        .iter()
+        .map(|&t| engine.submit(&key, t).unwrap())
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate().rev() {
+        if i % 4 == 3 {
+            drop(ticket);
+            continue;
+        }
+        let response = ticket
+            .wait_inference(Duration::from_secs(30))
             .expect("answered");
-        assert_eq!(response.node, t);
-        // submit_wait answers bit-exactly like the sequential reference.
-        let expected = batch_logits(&reference, &[t]);
+        assert_eq!((response.id, response.node), (ticket.id(), targets[i]));
+        let expected = batch_logits(&reference, &[targets[i]]);
         for (c, &logit) in response.logits.iter().enumerate() {
             assert_eq!(logit.to_bits(), expected.get(0, c).to_bits());
         }
-        by_ticket.insert(
-            response.id,
-            response.logits.iter().map(|l| l.to_bits()).collect(),
-        );
+    }
+    // A dropped ticket's request may still be executing on another lane;
+    // its delivery reclaims the slot all the same.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while engine.in_flight() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(engine.in_flight(), 0, "every slot reclaimed on delivery");
-    engine.shutdown();
-    // The same responses rode the stream, bit-identical.
-    let mut streamed = 0;
-    for response in responses.iter() {
-        let response = response.into_inference().expect("inference-only");
-        let bits: Vec<u32> = response.logits.iter().map(|l| l.to_bits()).collect();
-        assert_eq!(by_ticket.get(&response.id), Some(&bits));
-        streamed += 1;
-    }
-    assert_eq!(streamed, targets.len());
+    let report = engine.shutdown();
+    assert_eq!(report.completed, targets.len() as u64);
 }
 
 /// Timeout vs. late delivery: a wait shorter than the batching delay
@@ -80,7 +79,7 @@ fn ticket_waits_are_bit_exact_with_the_stream() {
 fn ticket_timeout_then_late_delivery() {
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(tiny_spec(GnnKind::Gcn));
-    let (engine, _responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 1,
             scheduler: SchedulerConfig {
@@ -127,7 +126,7 @@ fn ticket_timeout_then_late_delivery() {
 fn update_tickets_acknowledge_and_fence() {
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(tiny_spec(GnnKind::Gcn));
-    let (engine, _responses) = ServeEngine::start(
+    let engine = ServeEngine::start_detached(
         ServeConfig {
             workers: 2,
             ..ServeConfig::default()
@@ -186,15 +185,13 @@ fn execution_restamps_tier_and_bits_from_live_artifacts() {
     let metrics = Arc::new(Metrics::default());
     let updates = Arc::new(UpdateQueue::default());
     let router = Arc::new(CompletionRouter::new());
-    let (stream_tx, stream_rx) = mpsc::channel();
-    let completions = Completions::new(router.clone(), Some(stream_tx));
     let (pool, work_router) = WorkerPool::spawn(
         1,
         registry.clone(),
         cache.clone(),
         updates.clone(),
         metrics.clone(),
-        completions,
+        router.clone(),
     );
     let scheduler = BatchScheduler::with_updates(
         SchedulerConfig {
@@ -266,12 +263,11 @@ fn execution_restamps_tier_and_bits_from_live_artifacts() {
     assert!(!response.cached);
     drop(scheduler);
     pool.join();
-    drop(stream_rx);
 }
 
 /// An idle engine's sweeper parks instead of spin-polling: wakeups while
 /// idle stay near zero (the old fixed 500 µs poll recorded ~600 over the
-/// same window), and a detached engine (no stream) still answers tickets.
+/// same window).
 #[test]
 fn idle_engine_sweeper_parks() {
     let registry = Arc::new(ModelRegistry::new());
@@ -292,7 +288,7 @@ fn idle_engine_sweeper_parks() {
     for t in 0..4 {
         engine
             .submit_wait(&key, t, Duration::from_secs(30))
-            .expect("detached engines answer via tickets");
+            .expect("answered");
     }
     let before = engine.metrics().sweeper_wakeups.load(Ordering::Relaxed);
     std::thread::sleep(Duration::from_millis(300));

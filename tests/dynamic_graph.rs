@@ -3,16 +3,15 @@
 //! under interleaved churn, and isolation/regrowth cycles — each checked
 //! against from-scratch rebuilds for bit-exact equivalence.
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mega_format::planes::{self, PlaneRows};
 use mega_gnn::{build_adjacency, GnnKind};
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
     batch_logits, ModelArtifacts, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig,
-    ServeEngine, ServeResponse,
+    ServeEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -157,28 +156,6 @@ fn long_mutation_streams_keep_artifacts_equivalent_to_rebuild() {
     );
 }
 
-fn drain_engine_round(
-    responses: &Receiver<ServeResponse>,
-    expected_acks: usize,
-    expected_inferences: usize,
-) -> (usize, usize) {
-    let (mut acks, mut inferences) = (0usize, 0usize);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while acks < expected_acks || inferences < expected_inferences {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .expect("timed out draining a churn round");
-        match responses.recv_timeout(remaining).expect("response stream") {
-            ServeResponse::Update(ack) => {
-                assert!(ack.applied(), "churn delta rejected: {:?}", ack.error);
-                acks += 1;
-            }
-            ServeResponse::Inference(_) => inferences += 1,
-        }
-    }
-    (acks, inferences)
-}
-
 /// Engine round trip: interleaved updates and inference over multiple
 /// rounds, with a lockstep local replica; after each quiesced round the
 /// engine's probe agrees with the replica's policy state.
@@ -196,7 +173,8 @@ fn engine_stays_consistent_under_interleaved_churn() {
         },
         ..ServeConfig::default()
     };
-    let (engine, responses) = ServeEngine::start(config, registry);
+    let engine = ServeEngine::start_detached(config, registry);
+    let wait = Duration::from_secs(60);
     engine.warm(&key).unwrap();
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
 
@@ -222,16 +200,20 @@ fn engine_stays_consistent_under_interleaved_churn() {
             deltas.push(delta);
         }
         // Interleave: update, inference, update, ...
-        let mut inferences = 0;
+        let mut round = Vec::new();
         for delta in &deltas {
-            engine.submit_update(&key, delta.clone(), vec![]).unwrap();
+            let ack = engine.submit_update(&key, delta.clone(), vec![]).unwrap();
             total_updates += 1;
             let t = rng.gen_range(0..n) as NodeId;
-            engine.submit(&key, t).unwrap();
-            inferences += 1;
+            round.push((ack, engine.submit(&key, t).unwrap()));
         }
-        drain_engine_round(&responses, deltas.len(), inferences);
-        total_inferences += inferences as u64;
+        // Quiesce the round: every ack and every answer arrives.
+        for (ack, inference) in &round {
+            let ack = ack.wait_update(wait).expect("churn ack");
+            assert!(ack.applied(), "churn delta rejected: {:?}", ack.error);
+            inference.wait_inference(wait).expect("churn inference");
+        }
+        total_inferences += round.len() as u64;
         for delta in &deltas {
             replica.apply_delta(delta, &[]).unwrap();
         }
@@ -243,18 +225,8 @@ fn engine_stays_consistent_under_interleaved_churn() {
         }
         // And serves bit-exact logits for a replica-checked witness.
         let witness = rng.gen_range(0..n) as NodeId;
-        let id = engine.submit(&key, witness).unwrap().id();
+        let response = engine.submit_wait(&key, witness, wait).unwrap();
         total_inferences += 1;
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let response = loop {
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .expect("timed out waiting for witness");
-            match responses.recv_timeout(remaining).expect("response stream") {
-                ServeResponse::Inference(r) if r.id == id => break r,
-                _ => {}
-            }
-        };
         let expected = batch_logits(&replica, &[witness]);
         for (c, &logit) in response.logits.iter().enumerate() {
             assert_eq!(
