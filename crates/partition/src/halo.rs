@@ -1,26 +1,19 @@
-//! Shard specifications: per-part owned node sets plus the *halo* — the
-//! L-hop in-neighborhood a shard must replicate to aggregate its owned
-//! nodes without touching another shard's memory.
+//! Receptive-field closures over a graph's edges.
 //!
-//! This generalizes [`crate::SparseConnections`] from the paper's one-hop
-//! `eID` lists (the external sources one aggregation step reads, §III-B)
-//! to the L-hop receptive field an L-layer GNN needs: `halo` at `hops = 1`
-//! is exactly `SparseConnections::external_sources[part]`, and each extra
-//! hop closes the frontier over in-neighbors once more. A serving engine
-//! slices per-shard adjacency/feature state out of these specs so a worker
-//! with shard affinity never reads global state on the batch path.
+//! An `L`-layer GNN's logits for a target `t` read every row within `L`
+//! in-edge hops of `t` — at one hop, for the nodes of a part, exactly the
+//! paper's `eID` lists ([`crate::SparseConnections`], §III-B). The
+//! *influence closure* answers the inverse question: which targets does a
+//! changed row reach within `L` out-edge hops. A serving result cache uses
+//! it to invalidate exactly the logits a mutation can have affected.
 
-use mega_graph::{Graph, NodeId};
-
-use crate::Partitioning;
+use mega_graph::NodeId;
 
 /// Expands `frontier` for `hops` rounds through `neighbors`, marking
 /// reached nodes in `seen` and returning every *newly* reached node,
-/// sorted ascending. This is the closure kernel both directions of the
-/// halo machinery share: [`Partitioning::shard_spec_with`] walks
-/// *in*-neighbors (which rows does a target's receptive field need), and
-/// [`influence_closure_with`] walks *out*-neighbors (which targets does a
-/// dirtied row influence).
+/// sorted ascending. Walking *in*-neighbors yields the rows a target's
+/// receptive field reads; [`influence_closure_with`] walks *out*-neighbors
+/// (which targets does a dirtied row influence).
 fn close_frontier<'a, F>(
     seen: &mut [bool],
     mut frontier: Vec<NodeId>,
@@ -51,21 +44,20 @@ where
     reached
 }
 
-/// The *inverse* halo closure: every node within `hops` **out**-edge hops
+/// The *inverse* receptive-field closure: every node within `hops` **out**-edge hops
 /// of a seed, including the seeds themselves, sorted ascending.
 ///
-/// Where [`Partitioning::shard_spec_with`] answers "which rows does an
-/// `L`-layer receptive field *read*" (the halo an owner must replicate),
-/// this answers the reverse question a result cache needs for precise
-/// invalidation: "which targets' `L`-hop receptive fields *contain* one of
-/// these rows". A target `t` reads row `u` iff `u` reaches `t` within `L`
-/// out-edge hops, so the returned set is exactly the cached logits a
-/// delta dirtying `seeds` can have affected — everything outside it is
-/// provably untouched and may keep serving from cache.
+/// Where the in-edge closure answers "which rows does an `L`-layer
+/// receptive field *read*", this answers the reverse question a result
+/// cache needs for precise invalidation: "which targets' `L`-hop
+/// receptive fields *contain* one of these rows". A target `t` reads row
+/// `u` iff `u` reaches `t` within `L` out-edge hops, so the returned set
+/// is exactly the cached logits a delta dirtying `seeds` can have
+/// affected — everything outside it is provably untouched and may keep
+/// serving from cache.
 ///
-/// `num_nodes` bounds the id space; `out_neighbors` reads topology the
-/// same way `shard_spec_with` reads `in_neighbors`, so static and dynamic
-/// graphs share one implementation.
+/// `num_nodes` bounds the id space; `out_neighbors` reads topology, so
+/// static and dynamic graphs share one implementation.
 ///
 /// # Panics
 ///
@@ -93,173 +85,20 @@ where
     closure
 }
 
-/// One shard of a partitioned graph: the nodes a shard owns (and answers
-/// requests for) plus the halo nodes it replicates read-only.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// The part this shard serves.
-    pub part: u32,
-    /// Nodes assigned to the part, ascending.
-    pub owned: Vec<NodeId>,
-    /// Nodes within `hops` in-edge hops of an owned node but owned by
-    /// another shard, ascending and disjoint from `owned`. These are the
-    /// rows a halo exchange must keep coherent with their owners.
-    pub halo: Vec<NodeId>,
-}
-
-impl ShardSpec {
-    /// Owned and halo nodes merged ascending — the shard's local id space
-    /// (local id = position in this list). Keeping locals in ascending
-    /// *global* order is what preserves per-row column order, and therefore
-    /// floating-point summation order, when adjacency rows are remapped.
-    pub fn locals(&self) -> Vec<NodeId> {
-        let mut locals = Vec::with_capacity(self.owned.len() + self.halo.len());
-        let (mut o, mut h) = (0, 0);
-        while o < self.owned.len() && h < self.halo.len() {
-            if self.owned[o] < self.halo[h] {
-                locals.push(self.owned[o]);
-                o += 1;
-            } else {
-                locals.push(self.halo[h]);
-                h += 1;
-            }
-        }
-        locals.extend_from_slice(&self.owned[o..]);
-        locals.extend_from_slice(&self.halo[h..]);
-        locals
-    }
-
-    /// Number of local rows (owned + halo).
-    pub fn num_locals(&self) -> usize {
-        self.owned.len() + self.halo.len()
-    }
-
-    /// Whether the shard owns `v`.
-    pub fn owns(&self, v: NodeId) -> bool {
-        self.owned.binary_search(&v).is_ok()
-    }
-
-    /// Whether `v` is replicated in this shard's halo.
-    pub fn in_halo(&self, v: NodeId) -> bool {
-        self.halo.binary_search(&v).is_ok()
-    }
-}
-
-impl Partitioning {
-    /// Extracts the [`ShardSpec`] of `part` with an `hops`-hop halo,
-    /// reading topology through `in_neighbors` (so static [`Graph`]s and
-    /// dynamic graphs share one implementation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part >= k`.
-    pub fn shard_spec_with<'a, F>(&self, part: u32, hops: usize, in_neighbors: F) -> ShardSpec
-    where
-        F: Fn(usize) -> &'a [NodeId],
-    {
-        assert!((part as usize) < self.k(), "part id out of range");
-        let assignment = self.assignment();
-        let owned: Vec<NodeId> = assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p == part)
-            .map(|(v, _)| v as NodeId)
-            .collect();
-        let mut seen = vec![false; assignment.len()];
-        for &v in &owned {
-            seen[v as usize] = true;
-        }
-        let halo = close_frontier(&mut seen, owned.clone(), hops, in_neighbors);
-        ShardSpec { part, owned, halo }
-    }
-
-    /// [`Partitioning::shard_spec_with`] over a static [`Graph`].
-    pub fn shard_spec(&self, graph: &Graph, part: u32, hops: usize) -> ShardSpec {
-        self.shard_spec_with(part, hops, |v| graph.in_neighbors(v))
-    }
-
-    /// Shard specs for every part.
-    pub fn shard_specs(&self, graph: &Graph, hops: usize) -> Vec<ShardSpec> {
-        (0..self.k() as u32)
-            .map(|p| self.shard_spec(graph, p, hops))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// 0-1-2 in part 0; 3-4-5 in part 1; cross edges 2->3, 5->0.
-    fn setup() -> (Graph, Partitioning) {
-        let g = Graph::from_directed_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (5, 0)]);
-        let p = Partitioning::new(vec![0, 0, 0, 1, 1, 1], 2);
-        (g, p)
-    }
+    use mega_graph::Graph;
 
-    #[test]
-    fn one_hop_halo_matches_sparse_connections() {
-        let (g, p) = setup();
-        let sc = p.sparse_connections(&g);
-        for part in 0..2u32 {
-            let spec = p.shard_spec(&g, part, 1);
-            assert_eq!(
-                spec.halo, sc.external_sources[part as usize],
-                "part {part}: one-hop halo must equal the eID list"
-            );
-        }
-    }
-
-    #[test]
-    fn halo_grows_with_hops_and_stays_disjoint() {
-        let (g, p) = setup();
-        let h1 = p.shard_spec(&g, 0, 1);
-        let h2 = p.shard_spec(&g, 0, 2);
-        assert_eq!(h1.owned, vec![0, 1, 2]);
-        // 1 hop: node 0 needs 5. 2 hops: 5 needs 4 as well.
-        assert_eq!(h1.halo, vec![5]);
-        assert_eq!(h2.halo, vec![4, 5]);
-        for spec in [&h1, &h2] {
-            assert!(spec.halo.iter().all(|&v| !spec.owns(v)));
-            assert!(spec.halo.iter().all(|&v| spec.in_halo(v)));
-        }
-    }
-
-    #[test]
-    fn locals_merge_ascending() {
-        let (g, p) = setup();
-        let spec = p.shard_spec(&g, 1, 2);
-        let locals = spec.locals();
-        assert!(locals.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(locals.len(), spec.num_locals());
-        for &v in &spec.owned {
-            assert!(locals.binary_search(&v).is_ok());
-        }
-        for &v in &spec.halo {
-            assert!(locals.binary_search(&v).is_ok());
-        }
-    }
-
-    #[test]
-    fn hop_expansion_saturates() {
-        let (g, p) = setup();
-        // The graph has 6 nodes; an absurd hop count terminates early once
-        // the frontier empties.
-        let spec = p.shard_spec(&g, 0, 64);
-        assert!(spec.num_locals() <= 6);
-    }
-
-    #[test]
-    fn zero_hops_means_no_halo() {
-        let (g, p) = setup();
-        let spec = p.shard_spec(&g, 0, 0);
-        assert!(spec.halo.is_empty());
-        assert_eq!(spec.locals(), spec.owned);
+    /// Edges 0→1→2→3→4→5 and 5→0: a directed 6-cycle.
+    fn cycle() -> Graph {
+        Graph::from_directed_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (5, 0)])
     }
 
     #[test]
     fn influence_closure_walks_out_edges() {
-        let (g, _) = setup();
+        let g = cycle();
         let out = |v: usize| g.out_neighbors(v);
         // Seeds alone at zero hops (deduplicated and sorted).
         assert_eq!(influence_closure_with(&[2, 2, 0], 6, 0, out), vec![0, 2]);
@@ -275,15 +114,15 @@ mod tests {
     fn influence_closure_inverts_the_halo_closure() {
         // u is in the L-hop in-closure of t exactly when t is in the L-hop
         // influence (out-)closure of u — on every pair of this graph.
-        let (g, _) = setup();
+        let g = cycle();
         for hops in 0..3usize {
             for u in 0..6u32 {
                 let influenced = influence_closure_with(&[u], 6, hops, |v| g.out_neighbors(v));
                 for t in 0..6u32 {
-                    let p =
-                        Partitioning::new((0..6).map(|v| u32::from(v != t)).collect::<Vec<_>>(), 2);
-                    let spec = p.shard_spec(&g, 0, hops);
-                    let field_has_u = spec.owns(u) || spec.in_halo(u);
+                    let mut seen = vec![false; 6];
+                    seen[t as usize] = true;
+                    let field = close_frontier(&mut seen, vec![t], hops, |v| g.in_neighbors(v));
+                    let field_has_u = u == t || field.binary_search(&u).is_ok();
                     assert_eq!(
                         field_has_u,
                         influenced.binary_search(&t).is_ok(),

@@ -15,6 +15,11 @@
 //! 3. **Uncoarsening + refinement** — the assignment is projected back and
 //!    improved by boundary Kernighan–Lin moves ([`refine`]).
 //!
+//! The serving engine runs none of this. It uses only the streaming
+//! placement [`Partitioning::push_balanced`] (one linear deterministic
+//! greedy rule for the nodes of a model build and for nodes added at run
+//! time) and the receptive-field [`influence_closure_with`].
+//!
 //! # Example
 //!
 //! ```
@@ -41,7 +46,7 @@ pub mod partitioning;
 pub mod refine;
 pub mod wgraph;
 
-pub use halo::{influence_closure_with, ShardSpec};
+pub use halo::influence_closure_with;
 pub use partitioning::{Partitioning, SparseConnections};
 pub use wgraph::WGraph;
 

@@ -9,8 +9,8 @@ pub struct Partitioning {
     assignment: Vec<u32>,
     k: usize,
     /// Node count per part, maintained incrementally so append-heavy
-    /// dynamic growth ([`Partitioning::push_balanced`]) stays `O(k)` per
-    /// add instead of rescanning the assignment.
+    /// streaming placement ([`Partitioning::push_balanced`]) stays
+    /// `O(k + degree)` per node instead of rescanning the assignment.
     sizes: Vec<usize>,
 }
 
@@ -65,41 +65,42 @@ impl Partitioning {
         self.assignment[v]
     }
 
-    /// Appends the assignment for a freshly added node (dynamic-graph
-    /// growth keeps the partitioning aligned without a re-partition; the
-    /// assignment is a locality hint, so a heuristic part is fine).
+    /// Streams one more node into a part by linear deterministic greedy
+    /// placement (LDG; Stanton & Kliot, KDD 2012): among the parts below
+    /// the capacity `C = ⌈1.05 · (len + 1) / k⌉`, choose the one
+    /// maximizing `|N(v) ∩ P_i| · (1 − |P_i| / C)`, where `neighbor_parts`
+    /// lists the parts of the node's already-placed neighbors (repeats
+    /// count). Ties go to the smaller part, then to the lower id. Returns
+    /// the chosen part.
     ///
-    /// # Panics
+    /// Every part stays within `C`, so a stream of any shape — a path, a
+    /// star, a whole graph replayed from empty — fills all `k` parts
+    /// instead of following its neighbors into one. A node with no placed
+    /// neighbor goes to the smallest eligible part.
     ///
-    /// Panics if `part >= k`.
-    pub fn push(&mut self, part: u32) {
-        assert!((part as usize) < self.k, "part id out of range");
-        self.assignment.push(part);
-        self.sizes[part as usize] += 1;
-    }
-
-    /// Appends a freshly added node to the least-loaded part among
-    /// `neighbor_parts` (the parts of its already-assigned neighbors), so
-    /// growth preserves locality without piling onto one shard. With no
-    /// eligible neighbor part, falls back to the globally least-loaded
-    /// part. Ties break toward the lowest part id, keeping the assignment
-    /// deterministic. Returns the chosen part.
-    ///
-    /// Out-of-range entries in `neighbor_parts` are ignored rather than
-    /// panicking: callers may feed parts recorded before a re-partition.
+    /// Out-of-range entries in `neighbor_parts` are ignored.
     pub fn push_balanced(&mut self, neighbor_parts: &[u32]) -> u32 {
-        let part = neighbor_parts
-            .iter()
-            .copied()
-            .filter(|&p| (p as usize) < self.k)
-            .min_by_key(|&p| (self.sizes[p as usize], p))
-            .unwrap_or_else(|| {
-                (0..self.k as u32)
-                    .min_by_key(|&p| (self.sizes[p as usize], p))
-                    .expect("k is positive")
-            });
-        self.push(part);
-        part
+        // Integer arithmetic keeps the 1.05 slack exact: C = ⌈105·(len+1) / 100k⌉.
+        let capacity = (105 * (self.assignment.len() + 1)).div_ceil(100 * self.k);
+        let mut shared = vec![0usize; self.k];
+        for &p in neighbor_parts {
+            if let Some(count) = shared.get_mut(p as usize) {
+                *count += 1;
+            }
+        }
+        // The score is `C` times the LDG score, so comparing it in
+        // integers is exact. Some part is always below `C`, because
+        // `k·C ≥ 1.05·(len + 1) > len`.
+        let part = (0..self.k)
+            .filter(|&p| self.sizes[p] < capacity)
+            .max_by_key(|&p| {
+                let score = shared[p] * (capacity - self.sizes[p]);
+                (score, std::cmp::Reverse((self.sizes[p], p)))
+            })
+            .expect("some part is below capacity");
+        self.assignment.push(part as u32);
+        self.sizes[part] += 1;
+        part as u32
     }
 
     /// Node count per part (`O(k)` — maintained incrementally).
@@ -114,15 +115,6 @@ impl Partitioning {
             members[p as usize].push(v as NodeId);
         }
         members
-    }
-
-    /// Reorders `nodes` so members of the same part are adjacent (stable
-    /// within a part). Batch executors use this to walk a batch's targets
-    /// in partition-locality order.
-    pub fn order_by_part(&self, nodes: &[NodeId]) -> Vec<NodeId> {
-        let mut ordered = nodes.to_vec();
-        ordered.sort_by_key(|&v| (self.part_of(v as usize), v));
-        ordered
     }
 
     /// Number of directed edges whose endpoints lie in different parts.
@@ -262,15 +254,53 @@ mod tests {
 
     #[test]
     fn push_balanced_prefers_lightest_neighbor_part() {
-        // Part 0 holds 3 nodes, part 1 holds 1.
-        let mut p = Partitioning::new(vec![0, 0, 0, 1], 2);
-        // Neighbors live in both parts: the lighter one (1) wins.
-        assert_eq!(p.push_balanced(&[0, 1, 0]), 1);
-        assert_eq!(p.part_of(4), 1);
-        // Neighbor parts now tie 3 vs 2 — still part 1.
-        assert_eq!(p.push_balanced(&[1, 0]), 1);
-        // With only heavy-part neighbors, locality still wins over balance.
+        // Sizes [2, 1]; placing node 3 gives C = ⌈1.05 · 4 / 2⌉ = 3.
+        let mut p = Partitioning::new(vec![0, 0, 1], 2);
+        // One neighbor in each part: scores 1·(3−2) < 1·(3−1), so the
+        // lighter part wins.
+        assert_eq!(p.push_balanced(&[0, 1]), 1);
+        // Sizes [2, 2], C = 3. Three neighbors in part 0 outweigh one in
+        // part 1: 3·(3−2) > 1·(3−2).
+        assert_eq!(p.push_balanced(&[0, 0, 0, 1]), 0);
+        // Sizes [3, 2], C = ⌈1.05 · 6 / 2⌉ = 4. Two neighbors in part 0
+        // score 2·(4−3) = 2, one in part 1 scores 1·(4−2) = 2; the tie
+        // goes to the smaller part.
+        assert_eq!(p.push_balanced(&[0, 0, 1]), 1);
+        // Sizes [3, 3], C = ⌈1.05 · 7 / 2⌉ = 4: a lone neighbor part wins.
         assert_eq!(p.push_balanced(&[0]), 0);
+        // Sizes [4, 3], C = ⌈1.05 · 8 / 2⌉ = 5: still below C, part 0
+        // keeps its locality.
+        assert_eq!(p.push_balanced(&[0]), 0);
+        // Sizes [5, 3], C = ⌈1.05 · 9 / 2⌉ = 5: part 0 is full, so the
+        // node goes to part 1 however many neighbors sit in part 0.
+        assert_eq!(p.push_balanced(&[0, 0, 0]), 1);
+        assert_eq!(p.part_sizes(), vec![5, 4]);
+    }
+
+    #[test]
+    fn push_balanced_spreads_a_path_within_capacity() {
+        // Grow the path 0 → 1 → … node by node: each node's only placed
+        // neighbor is its predecessor. Following the neighbor alone would
+        // put the whole path in one part.
+        let k = 4;
+        let mut p = Partitioning::new(Vec::new(), k);
+        for v in 0..1000usize {
+            let neighbors: Vec<u32> = v.checked_sub(1).map(|u| p.part_of(u)).into_iter().collect();
+            p.push_balanced(&neighbors);
+            let capacity = (105 * (v + 1)).div_ceil(100 * k);
+            let largest = p.part_sizes().into_iter().max().unwrap();
+            assert!(
+                largest <= capacity,
+                "node {v}: a part holds {largest} > C = {capacity}"
+            );
+        }
+        assert!(p.part_sizes().iter().all(|&s| s > 0));
+        // Locality survives: a random 4-way assignment cuts ~3/4 of the
+        // path's 999 edges; the stream keeps same-part stretches and cuts
+        // under a quarter.
+        let path = Graph::from_directed_edges(1000, (1..1000u32).map(|v| (v - 1, v)).collect());
+        let cut = p.edge_cut(&path);
+        assert!(cut * 4 < 999, "cut {cut}");
     }
 
     #[test]

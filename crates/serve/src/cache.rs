@@ -2,7 +2,7 @@
 //! workers.
 //!
 //! Building a model's artifacts (materializing the dataset, normalizing the
-//! adjacency, partitioning the graph, quantizing weights and features) costs
+//! adjacency, placing nodes into shards, quantizing weights and features) costs
 //! seconds; serving one request costs microseconds. The cache keeps the
 //! `capacity` most-recently-used artifact sets alive behind `Arc`s so every
 //! worker shares one copy, and builds each missing entry exactly once even
@@ -29,7 +29,7 @@ use mega_format::TierPackedFeatures;
 use mega_gnn::{DynAdjacency, Gnn, ModelConfig, PackedGnn};
 use mega_graph::datasets::{Features, RowSynth};
 use mega_graph::{Dataset, DynamicGraph, GraphDelta, NodeId};
-use mega_partition::{influence_closure_with, partition, PartitionConfig, Partitioning};
+use mega_partition::{influence_closure_with, Partitioning};
 use mega_quant::quantizer::{dequantize, fake_quantize, qmax, quantize};
 use mega_quant::DegreePolicy;
 
@@ -165,10 +165,11 @@ pub struct ModelArtifacts {
     pub bits: Vec<u8>,
     /// Per-node precision tier (0 = fewest bits).
     pub tiers: Vec<usize>,
-    /// The k-way partitioning shards are cut along: shard `p` owns the
-    /// nodes of part `p` ([`ModelArtifacts::shard`]). Doubles as the batch
-    /// locality order; extended via [`Partitioning::push_balanced`] for
-    /// added nodes, never re-partitioned in place.
+    /// The k-way node-to-shard assignment: shard `p` owns the nodes of
+    /// part `p` ([`ModelArtifacts::shard`]). Every node, at build and when
+    /// a delta adds it, is placed by one streaming rule
+    /// ([`Partitioning::push_balanced`]); nothing is re-partitioned in
+    /// place.
     pub partitioning: Partitioning,
     /// Per-shard logits caches, one per part (a node's entry lives in its
     /// owning shard's cache). Kept sound by
@@ -185,6 +186,23 @@ pub struct ModelArtifacts {
     pub input_follows_degree: bool,
     /// Monotone mutation counter; bumped once per applied delta.
     pub version: u64,
+}
+
+/// Places the next unplaced node — id `partitioning.assignment().len()` —
+/// with [`Partitioning::push_balanced`], from the parts of its in- and
+/// out-neighbors that are already placed (lower ids). The one placement
+/// path for a model build and for nodes a delta adds.
+fn place_next_node(graph: &DynamicGraph, partitioning: &mut Partitioning) {
+    let v = partitioning.assignment().len();
+    let placed = |u: &&NodeId| (**u as usize) < v;
+    let neighbor_parts: Vec<u32> = graph
+        .in_neighbors(v)
+        .iter()
+        .filter(placed)
+        .chain(graph.out_neighbors(v).iter().filter(placed))
+        .map(|&u| partitioning.part_of(u as usize))
+        .collect();
+    partitioning.push_balanced(&neighbor_parts);
 }
 
 /// Symmetric per-row fake quantization with a dynamic scale
@@ -283,16 +301,19 @@ impl ModelArtifacts {
         let model = Gnn::from_parts(config, weights, biases);
 
         let graph = DynamicGraph::from_graph(&dataset.graph);
-        let adjacency = DynAdjacency::build(&graph, spec.kind.aggregator(spec.dataset.seed));
-
-        let k = spec.shards.clamp(1, dataset.graph.num_nodes().max(1));
-        let partitioning = partition(
-            &dataset.graph,
-            &PartitionConfig::new(k).with_seed(spec.dataset.seed),
-        );
         // The live topology is `graph`; drop the frozen snapshot so it can
         // neither waste memory nor serve stale degrees after mutations.
         dataset.graph = mega_graph::Graph::from_directed_edges(0, vec![]);
+        let adjacency = DynAdjacency::build(&graph, spec.kind.aggregator(spec.dataset.seed));
+
+        // Build is growth replayed from empty: every node streams into its
+        // shard in id order through the rule `apply_delta` uses.
+        let n = graph.num_nodes();
+        let k = spec.shards.clamp(1, n.max(1));
+        let mut partitioning = Partitioning::new(Vec::with_capacity(n), k);
+        for _ in 0..n {
+            place_next_node(&graph, &mut partitioning);
+        }
 
         // One logits cache per shard, splitting the model's byte budget
         // evenly. A nonzero model budget is clamped so every shard can
@@ -340,9 +361,9 @@ impl ModelArtifacts {
         delta: &GraphDelta,
         node_features: &[Vec<f32>],
     ) -> Result<UpdateEffect, String> {
-        // Non-finite feature payloads are rejected at the HTTP ingress;
-        // anything that reaches this point through another path is a
-        // caller bug (quantization would silently map NaN to level 0 and
+        // Non-finite feature payloads are rejected by
+        // `ServeEngine::submit_update`; anything that reaches this point
+        // through another path is a caller bug (quantization would silently map NaN to level 0 and
         // poison every receptive field the row joins).
         debug_assert!(
             node_features
@@ -387,20 +408,7 @@ impl ModelArtifacts {
             // Placeholder packed row keeps ids aligned; the re-tier pass
             // below rewrites it at the node's final bitwidth.
             self.packed_features.push_empty(1);
-            // Shard-aware placement: the least-loaded shard among the
-            // neighbors' shards keeps the new node's receptive field local
-            // without piling growth onto one shard; an unconnected node
-            // falls back to the globally least-loaded shard.
-            let assigned = |u: &&NodeId| (**u as usize) < v as usize;
-            let neighbor_parts: Vec<u32> = self
-                .graph
-                .in_neighbors(v as usize)
-                .iter()
-                .filter(assigned)
-                .chain(self.graph.out_neighbors(v as usize).iter().filter(assigned))
-                .map(|&u| self.partitioning.part_of(u as usize))
-                .collect();
-            self.partitioning.push_balanced(&neighbor_parts);
+            place_next_node(&self.graph, &mut self.partitioning);
         }
 
         let adjacency_dirty = self.adjacency.apply_dirty(&self.graph, &effect);

@@ -23,9 +23,10 @@ pub struct ModelSpec {
     pub policy: DegreePolicy,
     /// Bitwidth for (static) weights.
     pub weight_bits: u8,
-    /// Shard count: the graph is partitioned into this many parts, each
-    /// served by a shard-affine worker lane with its own logits cache
-    /// (also the locality-ordering granularity for batches).
+    /// Shard count: nodes stream into this many parts
+    /// ([`mega_partition::Partitioning::push_balanced`]), each served by a
+    /// shard-affine worker lane with its own logits cache (batches are
+    /// bucketed per shard).
     pub shards: usize,
     /// Logits-cache byte budget for this model, split evenly across its
     /// shards ([`crate::LogitsCache`]). `0` disables result caching — every

@@ -1,10 +1,12 @@
 //! The sharding acceptance suite. A shard is an ownership view over the
-//! model's global state, so the shard count must not change a single
-//! logit: every test builds the same model at K ∈ {2, 4} and at K = 1,
-//! applies the same deltas to both, and compares sampled nodes' logits
-//! through the worker's entry point at `f32::to_bits` — including nodes
-//! `push_balanced` placed and deltas that cross shard boundaries. A
-//! property test drives random mutation streams through both.
+//! model's global state, and every node — at build and when a delta adds
+//! it — is streamed into its shard by one placement rule
+//! (`Partitioning::push_balanced`). So the shard count must not change a
+//! single logit: every test builds the same model at K ∈ {2, 4} and at
+//! K = 1, applies the same deltas to both, and compares sampled nodes'
+//! logits through the worker's entry point at `f32::to_bits` — including
+//! added nodes and deltas that cross shard boundaries. A property test
+//! drives random mutation streams through both.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -106,7 +108,17 @@ fn sharded_stays_bit_exact_after_cross_shard_deltas() {
             let (delta, rows) = cross_shard_delta(&artifacts);
             let effect = artifacts.apply_delta(&delta, &rows).expect("valid delta");
             reference.apply_delta(&delta, &rows).expect("valid delta");
+            // Build and growth share one streaming rule, which keeps every
+            // shard within its capacity C = ⌈1.05 · n / k⌉: the largest
+            // shard is at most C nodes, i.e. `balance` ≤ C · k / n.
+            let n = artifacts.num_nodes();
+            let capacity = (105 * n).div_ceil(100 * k);
             assert!(effect.balance >= 1.0);
+            assert!(
+                effect.balance <= (capacity * k) as f64 / n as f64 + 1e-9,
+                "K={k}: balance {} exceeds the capacity bound C = {capacity}",
+                effect.balance
+            );
             // The added node landed on some shard, which owns it.
             let added = effect.added_nodes[0];
             let owner = artifacts.shard_of(added);
