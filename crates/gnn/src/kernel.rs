@@ -19,9 +19,18 @@
 //!   the oracle the blocked kernels are tested against.
 //! * **Aggregation stays `f32` in CSR row order**, a fixed per-node order,
 //!   so a node's logits are identical whichever other nodes share its batch.
-//! * **Flat arenas.** All scratch (activation slabs, level buffers, lane
-//!   tiles) lives in one reusable [`KernelArena`] owned by the worker
-//!   thread; steady-state batches allocate nothing.
+//! * **Chunk pipeline.** A level is combined [`CHUNK_ROWS`] rows at a time,
+//!   and each chunk is aggregated into the next level before the following
+//!   chunk is combined, the way MEGA's combination and aggregation engines
+//!   pipeline through bounded buffers. Every destination keeps a cursor
+//!   into its adjacency row; since level lists and adjacency rows both
+//!   ascend, the cursors visit sources in CSR row order, so the chunking
+//!   changes no logit bit.
+//! * **Flat arenas.** All scratch (activation slabs, the combination
+//!   chunk, lane tiles) lives in one reusable [`KernelArena`] owned by the
+//!   worker thread; steady-state batches allocate nothing. Only the
+//!   aggregated activations (`needed[l+1]` × width) and the node-position
+//!   map scale with the field or the graph.
 //!
 //! [`forward_targets_packed_with_field`] is the one entry point. It runs in
 //! global node ids over any [`AdjacencyView`]; the serving engine's shards
@@ -172,13 +181,26 @@ impl PackedGnn {
     }
 }
 
-/// Reusable scratch for the kernel forward pass: flat activation arenas
-/// (one slab per level) plus the quantize/pack/dot staging buffers. One
-/// arena per worker thread serves every batch; buffers only ever grow.
+/// Rows of a level that one combination chunk holds. The forward pass
+/// combines a level `CHUNK_ROWS` rows at a time and aggregates each chunk
+/// before it combines the next, so the combination slab and its per-row
+/// staging stay this size whatever the receptive field's.
+pub const CHUNK_ROWS: usize = 256;
+
+/// Reusable scratch for the kernel forward pass. One arena per worker
+/// thread serves every batch, and steady-state batches allocate nothing.
+///
+/// Capacities persist across batches, so what a hub target leaves behind
+/// stays reserved. Only three buffers scale with the field or the graph:
+/// `h`/`next` (a level's aggregated activations, `needed[l+1]` × width)
+/// and `pos` (one `u32` per graph row). The combination slab, its
+/// quantization staging and the tier groups are [`CHUNK_ROWS`]-sized;
+/// [`KernelArena::scratch_bytes`] reports the total.
 #[derive(Default)]
 pub struct KernelArena {
     h: Vec<f32>,
     next: Vec<f32>,
+    /// One chunk's combined rows (`CHUNK_ROWS` × width at most).
     combined: Vec<f32>,
     levels: Vec<i32>,
     /// Node id → position in the current level's `needed` list, one `u32`
@@ -187,9 +209,12 @@ pub struct KernelArena {
     /// valid by the [`ReceptiveField`] invariant that every aggregation
     /// source is present in the previous level.
     pos: Vec<u32>,
-    // Blocked-dispatch staging: per-row quantization metadata, the tier
-    // group lists, and the gathered lane tiles the multi-row kernels
-    // consume.
+    /// One per destination of the current level: how far the chunks so
+    /// far have walked its adjacency row.
+    cursor: Vec<Cursor>,
+    // Blocked-dispatch staging for one chunk: per-row quantization
+    // metadata, the tier group lists, and the gathered lane tiles the
+    // multi-row kernels consume.
     row_scale: Vec<f32>,
     row_qalpha: Vec<f32>,
     row_qbits: Vec<u8>,
@@ -201,18 +226,277 @@ pub struct KernelArena {
     tile_dots: Vec<i64>,
 }
 
+/// A destination's progress through its adjacency row across the chunks
+/// of a level.
+#[derive(Clone, Copy)]
+struct Cursor {
+    /// Sources summed so far: the row index of the next one.
+    done: u32,
+    /// Level position of the next source, `u32::MAX` once the row is
+    /// done. A chunk skips the destination while this is past its end, so
+    /// a level of `c` chunks costs `c` compares per destination, not `c`
+    /// adjacency-row lookups.
+    next: u32,
+}
+
+impl KernelArena {
+    /// The summed capacity of every buffer, in bytes: what this arena keeps
+    /// reserved between batches.
+    pub fn scratch_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.h)
+            + bytes(&self.next)
+            + bytes(&self.combined)
+            + bytes(&self.levels)
+            + bytes(&self.pos)
+            + bytes(&self.cursor)
+            + bytes(&self.row_scale)
+            + bytes(&self.row_qalpha)
+            + bytes(&self.row_qbits)
+            + bytes(&self.ternary_rows)
+            + bytes(&self.levels_rows)
+            + bytes(&self.tile_levels)
+            + bytes(&self.tile_words)
+            + bytes(&self.tile_acc)
+            + bytes(&self.tile_dots)
+    }
+
+    /// Combination of one chunk: the level rows at positions
+    /// `base..base + chunk.len()` (nodes `chunk`) into
+    /// `combined[..chunk.len() * w_out]`, as integer dots plus one
+    /// dequantize per output element. Layer 0 (`first`) reads packed input
+    /// rows; deeper layers quantize their `h` rows at `bits_of(node)`.
+    #[allow(clippy::too_many_arguments)]
+    fn combine_chunk<R: PlaneRows>(
+        &mut self,
+        first: bool,
+        layer: &QuantizedLayer,
+        bias: &[f32],
+        rows: &R,
+        bits_of: &mut dyn FnMut(NodeId) -> u8,
+        mode: KernelMode,
+        chunk: &[NodeId],
+        base: usize,
+    ) {
+        let (w_in, w_out) = (layer.in_dim, layer.out_dim);
+        self.combined.clear();
+        self.combined.resize(chunk.len() * w_out, 0.0);
+        self.levels.resize(w_in, 0);
+        match mode {
+            KernelMode::Blocked => {
+                // Sweep 1 — classify every row into its tier group and
+                // stage the quantization metadata the gather needs. Hidden
+                // rows whose activations are all zero short-circuit to the
+                // bias row here and join no group.
+                self.ternary_rows.clear();
+                self.levels_rows.clear();
+                self.row_scale.clear();
+                self.row_scale.resize(chunk.len(), 0.0);
+                self.row_qalpha.clear();
+                self.row_qalpha.resize(chunk.len(), 0.0);
+                self.row_qbits.clear();
+                self.row_qbits.resize(chunk.len(), 0);
+                for (i, &u) in chunk.iter().enumerate() {
+                    if first {
+                        let row = rows.plane_row(u as usize);
+                        self.row_scale[i] = row.alpha * layer.alpha;
+                        if row.bits <= 2 {
+                            self.ternary_rows.push(i as u32);
+                        } else {
+                            self.levels_rows.push(i as u32);
+                        }
+                    } else {
+                        let hrow = &self.h[(base + i) * w_in..][..w_in];
+                        let bits = bits_of(u);
+                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                        if max_abs == 0.0 {
+                            self.combined[i * w_out..][..w_out].copy_from_slice(bias);
+                            continue;
+                        }
+                        let alpha = row_alpha(max_abs, bits);
+                        self.row_qalpha[i] = alpha;
+                        self.row_qbits[i] = bits;
+                        self.row_scale[i] = alpha * layer.alpha;
+                        if bits <= 2 {
+                            self.ternary_rows.push(i as u32);
+                        } else {
+                            self.levels_rows.push(i as u32);
+                        }
+                    }
+                }
+
+                // Sweep 2 — dispatch each tier group in M-lane blocks
+                // through one weight-tile pass per block. Remainder blocks
+                // reuse the same entry points: an m == 1 call falls back to
+                // the single-row kernel inside `*_dot_multi`.
+                let span = 2 * planes::words_for(w_in);
+                self.tile_words.resize(MAX_MULTI_ROWS * span, 0);
+                self.tile_levels.resize(MAX_MULTI_ROWS * w_in, 0);
+                self.tile_acc.resize(2 * MAX_MULTI_ROWS * w_out, 0);
+                self.tile_dots.resize(MAX_MULTI_ROWS * w_out, 0);
+                for block in self.ternary_rows.chunks(MAX_MULTI_ROWS) {
+                    let m = block.len();
+                    for (r, &iu) in block.iter().enumerate() {
+                        let i = iu as usize;
+                        let lane = &mut self.tile_words[r * span..][..span];
+                        if first {
+                            // ≤ 2 bit rows are exactly two planes at rest,
+                            // so the packed words splice straight into the
+                            // lane.
+                            lane.copy_from_slice(rows.plane_row(chunk[i] as usize).words);
+                        } else {
+                            let hrow = &self.h[(base + i) * w_in..][..w_in];
+                            let (alpha, bits) = (self.row_qalpha[i], self.row_qbits[i]);
+                            for (slot, &x) in self.levels.iter_mut().zip(hrow) {
+                                *slot = quantize_level(x, alpha, bits);
+                            }
+                            pack_levels(&self.levels, bits, lane);
+                        }
+                    }
+                    ternary_dot_multi(
+                        &self.tile_words[..m * span],
+                        m,
+                        w_in,
+                        layer.weight_rows(),
+                        w_out,
+                        &mut self.tile_acc[..2 * m * w_out],
+                        &mut self.tile_dots[..m * w_out],
+                    );
+                    scatter_tile(
+                        block,
+                        &self.tile_dots,
+                        &self.row_scale,
+                        bias,
+                        w_out,
+                        &mut self.combined,
+                    );
+                }
+                for block in self.levels_rows.chunks(MAX_MULTI_ROWS) {
+                    let m = block.len();
+                    for (r, &iu) in block.iter().enumerate() {
+                        let i = iu as usize;
+                        let lane = &mut self.tile_levels[r * w_in..][..w_in];
+                        if first {
+                            let row = rows.plane_row(chunk[i] as usize);
+                            unpack_levels(row.words, row.bits, w_in, lane);
+                        } else {
+                            let hrow = &self.h[(base + i) * w_in..][..w_in];
+                            let (alpha, bits) = (self.row_qalpha[i], self.row_qbits[i]);
+                            for (slot, &x) in lane.iter_mut().zip(hrow) {
+                                *slot = quantize_level(x, alpha, bits);
+                            }
+                        }
+                    }
+                    levels_dot_multi(
+                        &self.tile_levels[..m * w_in],
+                        m,
+                        layer.weight_rows(),
+                        w_out,
+                        &mut self.tile_acc[..m * w_out],
+                        &mut self.tile_dots[..m * w_out],
+                    );
+                    scatter_tile(
+                        block,
+                        &self.tile_dots,
+                        &self.row_scale,
+                        bias,
+                        w_out,
+                        &mut self.combined,
+                    );
+                }
+            }
+            KernelMode::Scalar => {
+                for (i, &u) in chunk.iter().enumerate() {
+                    let scale = if first {
+                        let row = rows.plane_row(u as usize);
+                        unpack_levels(row.words, row.bits, w_in, &mut self.levels);
+                        row.alpha * layer.alpha
+                    } else {
+                        let hrow = &self.h[(base + i) * w_in..][..w_in];
+                        let bits = bits_of(u);
+                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                        if max_abs == 0.0 {
+                            self.combined[i * w_out..][..w_out].copy_from_slice(bias);
+                            continue;
+                        }
+                        let alpha = row_alpha(max_abs, bits);
+                        for (slot, &x) in self.levels.iter_mut().zip(hrow) {
+                            *slot = quantize_level(x, alpha, bits);
+                        }
+                        alpha * layer.alpha
+                    };
+                    let out_row = &mut self.combined[i * w_out..][..w_out];
+                    for (c, out) in out_row.iter_mut().enumerate() {
+                        let dot = planes::dot_levels(&self.levels, layer.level_col(c));
+                        *out = dot as f32 * scale + bias[c];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Aggregation of one combined chunk (level positions
+    /// `base..base + len`) into `next`: every destination's cursor advances
+    /// over the sources whose level position falls inside the chunk,
+    /// adding `a · s` in `f32`. Both `needed[l]` and every adjacency row
+    /// ascend, so positions along a row ascend too: across the chunks each
+    /// destination still sums its sources in CSR row order, one operation
+    /// at a time, exactly as one pass over a whole-level slab would.
+    fn aggregate_chunk<A: AdjacencyView + ?Sized>(
+        &mut self,
+        adjacency: &A,
+        level_nodes: &[NodeId],
+        out_nodes: &[NodeId],
+        base: usize,
+        len: usize,
+        w_out: usize,
+    ) {
+        let end = (base + len) as u32;
+        for (vi, &v) in out_nodes.iter().enumerate() {
+            let Cursor { done, next } = self.cursor[vi];
+            if next >= end {
+                continue;
+            }
+            let cols = adjacency.row_indices(v as usize);
+            let vals = adjacency.row_values(v as usize);
+            let row = &mut self.next[vi * w_out..][..w_out];
+            let (mut k, mut ui) = (done as usize, next);
+            while ui < end {
+                debug_assert_eq!(
+                    level_nodes.get(ui as usize),
+                    Some(&cols[k]),
+                    "aggregation source is in the receptive field"
+                );
+                let src = &self.combined[(ui as usize - base) * w_out..][..w_out];
+                let a = vals[k];
+                for (dst, &s) in row.iter_mut().zip(src) {
+                    *dst += a * s;
+                }
+                k += 1;
+                ui = cols.get(k).map_or(u32::MAX, |&u| self.pos[u as usize]);
+            }
+            self.cursor[vi] = Cursor {
+                done: k as u32,
+                next: ui,
+            };
+        }
+    }
+}
+
 /// Dequantizes one M-block's lane-major dot tile into the combined rows:
 /// `combined[i·w_out + c] = dots[r·w_out + c] · scale_i + bias[c]` — the
 /// identical per-element transform the scalar path applies.
 fn scatter_tile(
-    chunk: &[u32],
+    block: &[u32],
     tile_dots: &[i64],
     row_scale: &[f32],
     bias: &[f32],
     w_out: usize,
     combined: &mut [f32],
 ) {
-    for (r, &iu) in chunk.iter().enumerate() {
+    for (r, &iu) in block.iter().enumerate() {
         let i = iu as usize;
         let scale = row_scale[i];
         let dots = &tile_dots[r * w_out..][..w_out];
@@ -227,7 +511,8 @@ fn scatter_tile(
 /// allowed) over their receptive field, plus the field itself. Combination
 /// runs in the integer domain per `mode`, and every hidden activation row
 /// is quantized at `bits_of(node)` as it enters the next combination — the
-/// degree-aware transform of the serving policy.
+/// degree-aware transform of the serving policy. Each level is combined
+/// and aggregated [`CHUNK_ROWS`] rows at a time.
 ///
 /// # Panics
 ///
@@ -264,205 +549,47 @@ where
     // `arena.h` holds level-`l` input activations, flat, indexed by
     // position in `field.needed[l]` (level 0 reads packed rows instead).
     arena.h.clear();
+    if arena.pos.len() < n {
+        arena.pos.resize(n, u32::MAX);
+    }
     let mut out_dim = 0;
     for l in 0..layers {
         let layer = &packed.layers[l];
-        let (w_in, w_out) = (layer.in_dim, layer.out_dim);
+        let w_out = layer.out_dim;
         out_dim = w_out;
         let bias = model.biases()[l].row(0);
         let level_nodes = &field.needed[l];
+        let out_nodes = &field.needed[l + 1];
 
-        // Combination: integer dots + one dequantize per output element.
-        arena.combined.clear();
-        arena.combined.resize(level_nodes.len() * w_out, 0.0);
-        arena.levels.resize(w_in, 0);
-        match mode {
-            KernelMode::Blocked => {
-                // Sweep 1 — classify every row into its tier group and
-                // stage the quantization metadata the gather needs. Hidden
-                // rows whose activations are all zero short-circuit to the
-                // bias row here and join no group.
-                arena.ternary_rows.clear();
-                arena.levels_rows.clear();
-                arena.row_scale.clear();
-                arena.row_scale.resize(level_nodes.len(), 0.0);
-                arena.row_qalpha.clear();
-                arena.row_qalpha.resize(level_nodes.len(), 0.0);
-                arena.row_qbits.clear();
-                arena.row_qbits.resize(level_nodes.len(), 0);
-                for (i, &u) in level_nodes.iter().enumerate() {
-                    if l == 0 {
-                        let row = rows.plane_row(u as usize);
-                        arena.row_scale[i] = row.alpha * layer.alpha;
-                        if row.bits <= 2 {
-                            arena.ternary_rows.push(i as u32);
-                        } else {
-                            arena.levels_rows.push(i as u32);
-                        }
-                    } else {
-                        let hrow = &arena.h[i * w_in..][..w_in];
-                        let bits = bits_of(u);
-                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                        if max_abs == 0.0 {
-                            arena.combined[i * w_out..][..w_out].copy_from_slice(bias);
-                            continue;
-                        }
-                        let alpha = row_alpha(max_abs, bits);
-                        arena.row_qalpha[i] = alpha;
-                        arena.row_qbits[i] = bits;
-                        arena.row_scale[i] = alpha * layer.alpha;
-                        if bits <= 2 {
-                            arena.ternary_rows.push(i as u32);
-                        } else {
-                            arena.levels_rows.push(i as u32);
-                        }
-                    }
-                }
-
-                // Sweep 2 — dispatch each tier group in M-lane blocks
-                // through one weight-tile pass per block. Remainder chunks
-                // reuse the same entry points: an m == 1 call falls back to
-                // the single-row kernel inside `*_dot_multi`.
-                let span = 2 * planes::words_for(w_in);
-                arena.tile_words.resize(MAX_MULTI_ROWS * span, 0);
-                arena.tile_levels.resize(MAX_MULTI_ROWS * w_in, 0);
-                arena.tile_acc.resize(2 * MAX_MULTI_ROWS * w_out, 0);
-                arena.tile_dots.resize(MAX_MULTI_ROWS * w_out, 0);
-                for chunk in arena.ternary_rows.chunks(MAX_MULTI_ROWS) {
-                    let m = chunk.len();
-                    for (r, &iu) in chunk.iter().enumerate() {
-                        let i = iu as usize;
-                        let lane = &mut arena.tile_words[r * span..][..span];
-                        if l == 0 {
-                            // ≤ 2 bit rows are exactly two planes at rest,
-                            // so the packed words splice straight into the
-                            // lane.
-                            lane.copy_from_slice(rows.plane_row(level_nodes[i] as usize).words);
-                        } else {
-                            let hrow = &arena.h[i * w_in..][..w_in];
-                            let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
-                            for (slot, &x) in arena.levels.iter_mut().zip(hrow) {
-                                *slot = quantize_level(x, alpha, bits);
-                            }
-                            pack_levels(&arena.levels, bits, lane);
-                        }
-                    }
-                    ternary_dot_multi(
-                        &arena.tile_words[..m * span],
-                        m,
-                        w_in,
-                        layer.weight_rows(),
-                        w_out,
-                        &mut arena.tile_acc[..2 * m * w_out],
-                        &mut arena.tile_dots[..m * w_out],
-                    );
-                    scatter_tile(
-                        chunk,
-                        &arena.tile_dots,
-                        &arena.row_scale,
-                        bias,
-                        w_out,
-                        &mut arena.combined,
-                    );
-                }
-                for chunk in arena.levels_rows.chunks(MAX_MULTI_ROWS) {
-                    let m = chunk.len();
-                    for (r, &iu) in chunk.iter().enumerate() {
-                        let i = iu as usize;
-                        let lane = &mut arena.tile_levels[r * w_in..][..w_in];
-                        if l == 0 {
-                            let row = rows.plane_row(level_nodes[i] as usize);
-                            unpack_levels(row.words, row.bits, w_in, lane);
-                        } else {
-                            let hrow = &arena.h[i * w_in..][..w_in];
-                            let (alpha, bits) = (arena.row_qalpha[i], arena.row_qbits[i]);
-                            for (slot, &x) in lane.iter_mut().zip(hrow) {
-                                *slot = quantize_level(x, alpha, bits);
-                            }
-                        }
-                    }
-                    levels_dot_multi(
-                        &arena.tile_levels[..m * w_in],
-                        m,
-                        layer.weight_rows(),
-                        w_out,
-                        &mut arena.tile_acc[..m * w_out],
-                        &mut arena.tile_dots[..m * w_out],
-                    );
-                    scatter_tile(
-                        chunk,
-                        &arena.tile_dots,
-                        &arena.row_scale,
-                        bias,
-                        w_out,
-                        &mut arena.combined,
-                    );
-                }
-            }
-            KernelMode::Scalar => {
-                for (i, &u) in level_nodes.iter().enumerate() {
-                    let scale = if l == 0 {
-                        let row = rows.plane_row(u as usize);
-                        unpack_levels(row.words, row.bits, w_in, &mut arena.levels);
-                        row.alpha * layer.alpha
-                    } else {
-                        let hrow = &arena.h[i * w_in..][..w_in];
-                        let bits = bits_of(u);
-                        let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                        if max_abs == 0.0 {
-                            arena.combined[i * w_out..][..w_out].copy_from_slice(bias);
-                            continue;
-                        }
-                        let alpha = row_alpha(max_abs, bits);
-                        for (slot, &x) in arena.levels.iter_mut().zip(hrow) {
-                            *slot = quantize_level(x, alpha, bits);
-                        }
-                        alpha * layer.alpha
-                    };
-                    let out_row = &mut arena.combined[i * w_out..][..w_out];
-                    for (c, out) in out_row.iter_mut().enumerate() {
-                        let dot = planes::dot_levels(&arena.levels, layer.level_col(c));
-                        *out = dot as f32 * scale + bias[c];
-                    }
-                }
-            }
-        }
-
-        // Aggregation: Ã·combined in CSR row order over f32. The position
-        // array replaces the per-edge binary search: one write per level
-        // row, one O(1) read per edge. Reads are in range by the
-        // `ReceptiveField` invariant that every aggregation source appears
-        // in the previous level (property-tested in
+        // The position array replaces the per-edge binary search: one
+        // write per level row, one O(1) read per edge. Reads are in range
+        // by the `ReceptiveField` invariant that every aggregation source
+        // appears in the previous level (property-tested in
         // `tests/receptive_field.rs`).
-        if arena.pos.len() < n {
-            arena.pos.resize(n, u32::MAX);
-        }
         for (i, &u) in level_nodes.iter().enumerate() {
             arena.pos[u as usize] = i as u32;
         }
-        let out_nodes = &field.needed[l + 1];
         arena.next.clear();
         arena.next.resize(out_nodes.len() * w_out, 0.0);
-        for (vi, &v) in out_nodes.iter().enumerate() {
-            let row = &mut arena.next[vi * w_out..][..w_out];
-            let cols = adjacency.row_indices(v as usize);
-            let vals = adjacency.row_values(v as usize);
-            for (&u, &a) in cols.iter().zip(vals) {
-                let ui = arena.pos[u as usize] as usize;
-                debug_assert_eq!(
-                    level_nodes.get(ui),
-                    Some(&u),
-                    "aggregation source is in the receptive field"
-                );
-                let src = &arena.combined[ui * w_out..][..w_out];
-                for (dst, &s) in row.iter_mut().zip(src) {
-                    *dst += a * s;
-                }
+        let pos = &arena.pos;
+        arena.cursor.clear();
+        arena.cursor.extend(out_nodes.iter().map(|&v| {
+            Cursor {
+                done: 0,
+                next: adjacency
+                    .row_indices(v as usize)
+                    .first()
+                    .map_or(u32::MAX, |&u| pos[u as usize]),
             }
-            if l + 1 < layers {
-                for x in row.iter_mut() {
-                    *x = x.max(0.0);
-                }
+        }));
+        for (c, chunk) in level_nodes.chunks(CHUNK_ROWS).enumerate() {
+            let base = c * CHUNK_ROWS;
+            arena.combine_chunk(l == 0, layer, bias, rows, bits_of, mode, chunk, base);
+            arena.aggregate_chunk(adjacency, level_nodes, out_nodes, base, chunk.len(), w_out);
+        }
+        if l + 1 < layers {
+            for x in arena.next.iter_mut() {
+                *x = x.max(0.0);
             }
         }
         std::mem::swap(&mut arena.h, &mut arena.next);
@@ -487,15 +614,17 @@ mod tests {
     use mega_format::TierPackedFeatures;
     use mega_graph::datasets::DatasetSpec;
 
-    /// Packs a dataset's raw features at per-node bitwidths.
-    fn pack_features(features: &mega_graph::datasets::Features, bits: &[u8]) -> TierPackedFeatures {
-        let mut store = TierPackedFeatures::new(features.dim());
-        let mut levels = vec![0i32; features.dim()];
-        for (v, &row_bits) in bits.iter().enumerate().take(features.rows()) {
-            let row = features.row(v);
+    /// Packs `nodes` raw feature rows (`fill(v, row)`) at per-node
+    /// bitwidths.
+    fn pack_rows(dim: usize, bits: &[u8], fill: impl Fn(usize, &mut [f32])) -> TierPackedFeatures {
+        let mut store = TierPackedFeatures::new(dim);
+        let mut row = vec![0.0f32; dim];
+        let mut levels = vec![0i32; dim];
+        for (v, &row_bits) in bits.iter().enumerate() {
+            fill(v, &mut row);
             let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             let alpha = row_alpha(max_abs, row_bits);
-            for (slot, &x) in levels.iter_mut().zip(row) {
+            for (slot, &x) in levels.iter_mut().zip(&row) {
                 *slot = if alpha == 0.0 {
                     0
                 } else {
@@ -507,25 +636,41 @@ mod tests {
         store
     }
 
-    fn setup(kind: GnnKind) -> (mega_graph::Dataset, Gnn, PackedGnn, TierPackedFeatures) {
-        let d = DatasetSpec::cora()
-            .scaled(0.05)
-            .with_feature_dim(48)
-            .materialize();
-        let cfg = ModelConfig::for_dataset(kind, &d);
+    /// The degree tiers the tests serve at.
+    fn tier_bits(in_degree: usize) -> u8 {
+        match in_degree {
+            0..=2 => 2,
+            3..=8 => 3,
+            9..=32 => 4,
+            _ => 5,
+        }
+    }
+
+    /// A 4-bit kernel model for `cfg` plus the f32 model built from the
+    /// same fake-quantized weights.
+    fn quantized_model(cfg: ModelConfig) -> (Gnn, PackedGnn) {
         let trained = Gnn::new(cfg.clone());
         let (packed, weights) = PackedGnn::from_model(&trained, 4);
         let model = Gnn::from_parts(cfg, weights, trained.biases().to_vec());
+        (model, packed)
+    }
+
+    /// A dataset's model, packed at its degree tiers.
+    fn setup_dataset(
+        kind: GnnKind,
+        spec: DatasetSpec,
+    ) -> (mega_graph::Dataset, Gnn, PackedGnn, TierPackedFeatures) {
+        let d = spec.materialize();
+        let (model, packed) = quantized_model(ModelConfig::for_dataset(kind, &d));
         let bits: Vec<u8> = (0..d.graph.num_nodes())
-            .map(|v| match d.graph.in_degree(v) {
-                0..=2 => 2,
-                3..=8 => 3,
-                9..=32 => 4,
-                _ => 5,
-            })
+            .map(|v| tier_bits(d.graph.in_degree(v)))
             .collect();
-        let store = pack_features(d.features(), &bits);
+        let store = pack_rows(d.spec.feature_dim, &bits, |v, row| d.fill_row(v, row));
         (d, model, packed, store)
+    }
+
+    fn setup(kind: GnnKind) -> (mega_graph::Dataset, Gnn, PackedGnn, TierPackedFeatures) {
+        setup_dataset(kind, DatasetSpec::cora().scaled(0.05).with_feature_dim(48))
     }
 
     /// Logits of the global pass in `mode`, on a fresh arena.
@@ -564,12 +709,7 @@ mod tests {
             let (d, model, packed, store) = setup(kind);
             let adj = build_adjacency(&d.graph, kind.aggregator(1));
             let targets: Vec<NodeId> = (0..d.graph.num_nodes() as NodeId).step_by(7).collect();
-            let mut bits_of = |v: NodeId| match d.graph.in_degree(v as usize) {
-                0..=2 => 2u8,
-                3..=8 => 3,
-                9..=32 => 4,
-                _ => 5,
-            };
+            let mut bits_of = |v: NodeId| tier_bits(d.graph.in_degree(v as usize));
             let scalar = logits(
                 &model,
                 &packed,
@@ -649,5 +789,242 @@ mod tests {
         for c in 0..solo.cols() {
             assert_eq!(solo.get(0, c).to_bits(), grouped.get(1, c).to_bits());
         }
+    }
+
+    /// The whole-level reference for the aggregation order: combines every
+    /// row of a level into one slab with scalar integer dots, then pulls
+    /// each destination's sources in CSR row order (found by binary search,
+    /// not through the kernel's position array or cursors).
+    fn whole_level_logits(
+        model: &Gnn,
+        packed: &PackedGnn,
+        rows: &impl PlaneRows,
+        adj: &impl AdjacencyView,
+        targets: &[NodeId],
+        bits_of: &mut dyn FnMut(NodeId) -> u8,
+    ) -> Matrix {
+        let layers = model.config().layers;
+        let field = ReceptiveField::expand(adj, targets, layers);
+        let mut h: Vec<f32> = Vec::new();
+        let mut out_dim = 0;
+        for (l, layer) in packed.layers().iter().enumerate() {
+            let (w_in, w_out) = (layer.in_dim(), layer.out_dim());
+            out_dim = w_out;
+            let bias = model.biases()[l].row(0);
+            let level = &field.needed[l];
+            let mut combined = vec![0.0f32; level.len() * w_out];
+            let mut levels = vec![0i32; w_in];
+            for (i, &u) in level.iter().enumerate() {
+                let out = &mut combined[i * w_out..][..w_out];
+                let scale = if l == 0 {
+                    let row = rows.plane_row(u as usize);
+                    unpack_levels(row.words, row.bits, w_in, &mut levels);
+                    row.alpha * layer.alpha
+                } else {
+                    let hrow = &h[i * w_in..][..w_in];
+                    let bits = bits_of(u);
+                    let max_abs = hrow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                    if max_abs == 0.0 {
+                        out.copy_from_slice(bias);
+                        continue;
+                    }
+                    let alpha = row_alpha(max_abs, bits);
+                    for (slot, &x) in levels.iter_mut().zip(hrow) {
+                        *slot = quantize_level(x, alpha, bits);
+                    }
+                    alpha * layer.alpha
+                };
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o = planes::dot_levels(&levels, layer.level_col(c)) as f32 * scale + bias[c];
+                }
+            }
+            let out_level = &field.needed[l + 1];
+            let mut next = vec![0.0f32; out_level.len() * w_out];
+            for (vi, &v) in out_level.iter().enumerate() {
+                let row = &mut next[vi * w_out..][..w_out];
+                let cols = adj.row_indices(v as usize);
+                for (&u, &a) in cols.iter().zip(adj.row_values(v as usize)) {
+                    let ui = level.binary_search(&u).expect("source in the field");
+                    for (dst, &s) in row.iter_mut().zip(&combined[ui * w_out..][..w_out]) {
+                        *dst += a * s;
+                    }
+                }
+                if l + 1 < layers {
+                    for x in row.iter_mut() {
+                        *x = x.max(0.0);
+                    }
+                }
+            }
+            h = next;
+        }
+        let last = &field.needed[layers];
+        let mut data = Vec::new();
+        for t in targets {
+            let pos = last.binary_search(t).expect("targets are the last level");
+            data.extend_from_slice(&h[pos * out_dim..][..out_dim]);
+        }
+        Matrix::from_vec(targets.len(), out_dim, data)
+    }
+
+    /// Chunks `needed[0]` spans (the level with the most rows).
+    fn chunks_of(adj: &impl AdjacencyView, targets: &[NodeId]) -> usize {
+        ReceptiveField::expand(adj, targets, 2).needed[0]
+            .len()
+            .div_ceil(CHUNK_ROWS)
+    }
+
+    /// Both modes on a shared arena against the whole-level reference.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_whole_level(
+        model: &Gnn,
+        packed: &PackedGnn,
+        rows: &impl PlaneRows,
+        adj: &impl AdjacencyView,
+        targets: &[NodeId],
+        bits_of: &mut dyn FnMut(NodeId) -> u8,
+        arena: &mut KernelArena,
+        what: &str,
+    ) {
+        let reference = whole_level_logits(model, packed, rows, adj, targets, bits_of);
+        for mode in [KernelMode::Blocked, KernelMode::Scalar] {
+            let (got, _) = forward_targets_packed_with_field(
+                model, packed, rows, adj, targets, bits_of, mode, arena,
+            );
+            assert_bit_exact(&reference, &got, &format!("{what} {mode:?}"));
+        }
+    }
+
+    #[test]
+    fn chunked_pass_matches_whole_level_aggregation() {
+        // One arena across every case and model, so chunk-sized and
+        // field-sized buffers are reused at changing widths (GCN/GIN at
+        // hidden 128, then SAGE at hidden 256).
+        let mut arena = KernelArena::default();
+        for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
+            let (d, model, packed, store) = setup_dataset(kind, DatasetSpec::synth(4000));
+            let adj = build_adjacency(&d.graph, kind.aggregator(1));
+            let n = d.graph.num_nodes();
+            let mut bits_of = |v: NodeId| tier_bits(d.graph.in_degree(v as usize));
+            let hub = (0..n).max_by_key(|&v| d.graph.in_degree(v)).unwrap() as NodeId;
+            let mixed: Vec<NodeId> = (0..n as NodeId)
+                .step_by(n / 16)
+                .chain([hub, 3, hub])
+                .collect();
+            let small = (0..n as NodeId)
+                .find(|&v| d.graph.in_degree(v as usize) <= 2)
+                .unwrap();
+
+            // GraphSAGE samples 25 neighbours per row, which caps a lone
+            // hub's 2-hop field below 3 chunks; the mixed batch spans 4+
+            // for every kind.
+            let min_hub_chunks = if kind == GnnKind::GraphSage { 1 } else { 4 };
+            assert!(
+                chunks_of(adj.as_ref(), &[hub]) >= min_hub_chunks,
+                "{kind:?} hub"
+            );
+            assert!(chunks_of(adj.as_ref(), &mixed) >= 4, "{kind:?} mixed");
+            assert_eq!(chunks_of(adj.as_ref(), &[small]), 1, "{kind:?} small");
+            for (targets, what) in [
+                (vec![hub], "hub"),
+                (mixed, "mixed batch"),
+                (vec![small], "sub-chunk field"),
+            ] {
+                assert_matches_whole_level(
+                    &model,
+                    &packed,
+                    &store,
+                    adj.as_ref(),
+                    &targets,
+                    &mut bits_of,
+                    &mut arena,
+                    &format!("{kind:?} {what}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_pass_matches_whole_level_on_exact_chunk_multiples() {
+        // A ring: a contiguous run of targets has a contiguous field that
+        // grows one node per side per hop (with or without self-loops), so
+        // `needed[0]` of targets `4..4 + 2·CHUNK_ROWS - 4` is exactly two
+        // chunks for every aggregator.
+        const NODES: usize = 3 * CHUNK_ROWS;
+        let edges: Vec<(NodeId, NodeId)> = (0..NODES as NodeId)
+            .map(|v| (v, (v + 1) % NODES as NodeId))
+            .collect();
+        let graph = mega_graph::Graph::from_undirected_edges(NODES, edges);
+        let bits: Vec<u8> = (0..NODES).map(|v| [2, 3, 5][v % 3]).collect();
+        let store = pack_rows(48, &bits, |v, row| {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = ((v * 31 + j * 17) % 23) as f32 / 7.0 - 1.5;
+            }
+        });
+        let targets: Vec<NodeId> = (4..(4 + 2 * CHUNK_ROWS - 4) as NodeId).collect();
+        let mut arena = KernelArena::default();
+        for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
+            let (model, packed) = quantized_model(ModelConfig {
+                kind,
+                in_dim: 48,
+                hidden: kind.default_hidden(),
+                out_dim: 8,
+                layers: 2,
+                seed: 7,
+            });
+            let adj = build_adjacency(&graph, kind.aggregator(1));
+            let field = ReceptiveField::expand(adj.as_ref(), &targets, 2);
+            assert_eq!(field.needed[0].len(), 2 * CHUNK_ROWS, "{kind:?}");
+            assert_matches_whole_level(
+                &model,
+                &packed,
+                &store,
+                adj.as_ref(),
+                &targets,
+                &mut |v| bits[v as usize],
+                &mut arena,
+                &format!("{kind:?} ring"),
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_stays_chunk_sized_under_a_hub_field() {
+        let (d, model, packed, store) = setup_dataset(GnnKind::Gcn, DatasetSpec::synth(8000));
+        let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
+        let n = d.graph.num_nodes();
+        let hub = (0..n).max_by_key(|&v| d.graph.in_degree(v)).unwrap() as NodeId;
+        let mut arena = KernelArena::default();
+        let (_, field) = forward_targets_packed_with_field(
+            &model,
+            &packed,
+            &store,
+            adj.as_ref(),
+            &[hub],
+            &mut |v| tier_bits(d.graph.in_degree(v as usize)),
+            KernelMode::Blocked,
+            &mut arena,
+        );
+        assert!(
+            field.needed[0].len() >= 8 * CHUNK_ROWS,
+            "the hub field spans many chunks"
+        );
+
+        // What may scale: `pos` (one u32 per graph row) and, per level
+        // past the input, `h`/`next` rows plus a cursor each (doubled for
+        // amortized Vec growth). Everything else is chunk- or tile-sized.
+        // Nothing here grows with `needed[0].len() × width`.
+        let width = model.config().hidden.max(model.config().in_dim);
+        let f32s = std::mem::size_of::<f32>();
+        let wide_rows = field.needed[1..].iter().map(Vec::len).max().unwrap();
+        let bound = n * 4
+            + 2 * wide_rows * (2 * width * f32s + 4)
+            + CHUNK_ROWS * (width * f32s + 16)
+            + 64 * 1024;
+        assert!(
+            arena.scratch_bytes() <= bound,
+            "arena holds {} B, bound {bound} B (needed[0] = {} rows × {width})",
+            arena.scratch_bytes(),
+            field.needed[0].len()
+        );
     }
 }

@@ -1045,18 +1045,24 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
                 "Items routed to each lane but not yet dequeued (sampled).",
             ),
             (
+                "mega_serve_lane_arena_bytes",
+                "gauge",
+                "Bytes each lane's kernel arena keeps reserved after its last batch.",
+            ),
+            (
                 "mega_serve_lane_alive",
                 "gauge",
                 "1 while the lane's thread is running, 0 once it exited.",
             ),
         ] {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            for (lane, &(busy_us, items, depth, alive)) in lanes.iter().enumerate() {
+            for (lane, snapshot) in lanes.iter().enumerate() {
                 let value = match name {
-                    "mega_serve_lane_busy_us_total" => busy_us,
-                    "mega_serve_lane_items_total" => items,
-                    "mega_serve_lane_queue_depth" => depth,
-                    _ => u64::from(alive),
+                    "mega_serve_lane_busy_us_total" => snapshot.busy_us,
+                    "mega_serve_lane_items_total" => snapshot.items,
+                    "mega_serve_lane_queue_depth" => snapshot.depth,
+                    "mega_serve_lane_arena_bytes" => snapshot.arena_bytes,
+                    _ => u64::from(snapshot.alive),
                 };
                 out.push_str(&format!("{name}{{lane=\"{lane}\"}} {value}\n"));
             }

@@ -127,7 +127,9 @@ pub mod worker;
 pub use cache::{ArtifactCache, ModelArtifacts, ModelEntry, Retier, UpdateEffect};
 pub use http::{HttpServer, HttpServerConfig};
 pub use logits::{CachedLogits, LogitsCache};
-pub use metrics::{LaneStat, LogHistogram, Metrics, MetricsReport, ShardReport, ShardStat};
+pub use metrics::{
+    LaneSnapshot, LaneStat, LogHistogram, Metrics, MetricsReport, ShardReport, ShardStat,
+};
 pub use registry::{ModelRegistry, ModelSpec};
 pub use request::{
     InferenceRequest, InferenceResponse, ModelKey, ServeResponse, UpdateRequest, UpdateResponse,

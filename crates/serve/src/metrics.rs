@@ -156,10 +156,29 @@ pub struct LaneStat {
     /// Items currently queued on the lane's channel (incremented at
     /// routing, decremented at dequeue).
     pub depth: AtomicU64,
+    /// Bytes the lane's kernel arena keeps reserved (its
+    /// `KernelArena::scratch_bytes`), set after every batch. Worker
+    /// scratch, not model state: `ModelMemory` does not count it.
+    pub arena_bytes: AtomicU64,
     /// Cleared when the lane's thread exits (normal shutdown drain or a
     /// panic — `/healthz` distinguishes the two by whether the engine is
     /// shutting down).
     pub alive: AtomicBool,
+}
+
+/// One lane's counters as [`Metrics::lane_snapshot`] reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneSnapshot {
+    /// [`LaneStat::busy_us`].
+    pub busy_us: u64,
+    /// [`LaneStat::items`].
+    pub items: u64,
+    /// [`LaneStat::depth`].
+    pub depth: u64,
+    /// [`LaneStat::arena_bytes`].
+    pub arena_bytes: u64,
+    /// [`LaneStat::alive`].
+    pub alive: bool,
 }
 
 /// Aggregate serving counters. All methods are safe to call concurrently
@@ -306,20 +325,18 @@ impl Metrics {
         lanes[lane].clone()
     }
 
-    /// Snapshot of every lane's counters: `(busy_us, items, depth,
-    /// alive)`, indexed by lane.
-    pub fn lane_snapshot(&self) -> Vec<(u64, u64, u64, bool)> {
+    /// Snapshot of every lane's counters, indexed by lane.
+    pub fn lane_snapshot(&self) -> Vec<LaneSnapshot> {
         self.lanes
             .read()
             .recover("lane-metrics")
             .iter()
-            .map(|l| {
-                (
-                    l.busy_us.load(Ordering::Relaxed),
-                    l.items.load(Ordering::Relaxed),
-                    l.depth.load(Ordering::Relaxed),
-                    l.alive.load(Ordering::Relaxed),
-                )
+            .map(|l| LaneSnapshot {
+                busy_us: l.busy_us.load(Ordering::Relaxed),
+                items: l.items.load(Ordering::Relaxed),
+                depth: l.depth.load(Ordering::Relaxed),
+                arena_bytes: l.arena_bytes.load(Ordering::Relaxed),
+                alive: l.alive.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -751,10 +768,18 @@ mod tests {
         m.lane_stat(2).busy_us.fetch_add(500, Ordering::Relaxed);
         m.lane_stat(2).alive.store(true, Ordering::Relaxed);
         m.lane_stat(0).items.fetch_add(1, Ordering::Relaxed);
+        m.lane_stat(0).arena_bytes.store(4096, Ordering::Relaxed);
         let snapshot = m.lane_snapshot();
         assert_eq!(snapshot.len(), 3, "table grew to the highest lane");
-        assert_eq!(snapshot[0], (0, 1, 0, false));
-        assert_eq!(snapshot[2], (500, 0, 0, true));
+        let lane = |busy_us, items, arena_bytes, alive| LaneSnapshot {
+            busy_us,
+            items,
+            depth: 0,
+            arena_bytes,
+            alive,
+        };
+        assert_eq!(snapshot[0], lane(0, 1, 4096, false));
+        assert_eq!(snapshot[2], lane(500, 0, 0, true));
     }
 
     #[test]

@@ -124,7 +124,8 @@ impl Drop for LaneLiveness {
 }
 
 // Each worker thread reuses one flat kernel arena across every batch it
-// executes; steady-state batches allocate nothing.
+// executes; steady-state batches allocate nothing. Its reserved size is
+// published per lane as `LaneStat::arena_bytes`.
 thread_local! {
     static ARENA: std::cell::RefCell<KernelArena> = std::cell::RefCell::new(KernelArena::default());
 }
@@ -231,14 +232,20 @@ impl WorkerPool {
                             );
                             let started = Instant::now();
                             match item {
-                                WorkItem::Batch(batch) => run_batch(
-                                    worker_id,
-                                    batch,
-                                    &registry,
-                                    &cache,
-                                    &metrics,
-                                    &completions,
-                                ),
+                                WorkItem::Batch(batch) => {
+                                    run_batch(
+                                        worker_id,
+                                        batch,
+                                        &registry,
+                                        &cache,
+                                        &metrics,
+                                        &completions,
+                                    );
+                                    stat.arena_bytes.store(
+                                        with_arena(|arena| arena.scratch_bytes()) as u64,
+                                        std::sync::atomic::Ordering::Relaxed,
+                                    );
+                                }
                                 WorkItem::Update(model) => run_update(
                                     worker_id,
                                     model,

@@ -583,6 +583,7 @@ fn metrics_exposition_is_prometheus_parseable_and_complete() {
         "mega_serve_model_feature_dim",
         "mega_serve_lane_busy_us_total",
         "mega_serve_lane_queue_depth",
+        "mega_serve_lane_arena_bytes",
         "mega_serve_lane_alive",
     ] {
         assert!(

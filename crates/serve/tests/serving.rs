@@ -188,3 +188,41 @@ fn multi_model_traffic_hits_the_cache() {
     assert_eq!(per_model.len(), 2);
     assert!(per_model.values().all(|&n| n == 40));
 }
+
+/// A lane that ran a batch publishes its kernel arena's reserved bytes.
+/// The lane stores the gauge just after it answers, so the test polls.
+#[test]
+fn lanes_publish_their_kernel_arena_size() {
+    let registry = Arc::new(ModelRegistry::new());
+    let key = registry.register(tiny_spec(GnnKind::Gcn));
+    let engine = ServeEngine::start_detached(ServeConfig::default(), registry);
+    engine.warm(&key).unwrap();
+    assert!(engine
+        .metrics()
+        .lane_snapshot()
+        .iter()
+        .all(|lane| lane.arena_bytes == 0));
+    engine
+        .submit(&key, 5)
+        .unwrap()
+        .wait_inference(Duration::from_secs(30))
+        .expect("answered");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let published = loop {
+        let bytes: u64 = engine
+            .metrics()
+            .lane_snapshot()
+            .iter()
+            .map(|lane| lane.arena_bytes)
+            .sum();
+        if bytes > 0 || std::time::Instant::now() > deadline {
+            break bytes;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        published > 0,
+        "the lane that ran the batch reports its arena"
+    );
+    engine.shutdown();
+}
