@@ -1,7 +1,7 @@
 //! End-to-end demo of `mega-serve`: registers the three citation datasets
 //! (plus a second architecture on Cora) sharded K ways, drives ≥10k
 //! synthetic requests through the batched degree-aware engine on a
-//! shard-affine worker pool, then runs a *churn* phase — streaming edge
+//! worker pool sharing one work queue, then runs a *churn* phase — streaming edge
 //! insertions and node upserts that promote a node across degree-tier
 //! boundaries (and across shard boundaries) while inference traffic keeps
 //! flowing — and prints per-model and per-shard summary tables plus the
@@ -33,9 +33,8 @@
 //! responses, and the demo asserts that none was lost: nothing is left in
 //! flight before shutdown, and the per-model totals equal the predicts
 //! submitted. After the closed loop the demo holds the engine *idle* for
-//! `--idle-ms` and reports sweeper wakeups per idle second: the
-//! timer-driven sweeper parks instead of spin-polling, so this is ~0
-//! where the old 500 µs sleep-poll recorded ~2000/s.
+//! `--idle-ms` and reports worker wakeups per idle second: workers park
+//! on the work-queue condvar while it is empty, so this is ~0.
 //!
 //! Flags: `--shards K` (default 4), `--requests N`, `--scale F`,
 //! `--workers W`, `--cache-mb MB` (default 16), `--zipf S` (default 1.0),
@@ -409,20 +408,15 @@ fn main() {
     }
 
     // ── Idle phase ─────────────────────────────────────────────────────
-    // Everything submitted is answered; the engine is idle. The
-    // timer-driven sweeper must be parked on its condvar — near-zero
-    // wakeups — where the old fixed 500 µs sleep-poll burned ~2000
-    // wakeups per second keeping an idle core warm.
+    // Everything submitted is answered; the engine is idle. Every worker
+    // must be parked on the work-queue condvar — near-zero wakeups.
     let idle_wakeups_per_s = {
         use std::sync::atomic::Ordering;
-        let before = engine.metrics().sweeper_wakeups.load(Ordering::Relaxed);
+        let before = engine.metrics().queue_wakeups.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(idle_ms.max(1)));
-        let woke = engine.metrics().sweeper_wakeups.load(Ordering::Relaxed) - before;
+        let woke = engine.metrics().queue_wakeups.load(Ordering::Relaxed) - before;
         let per_s = woke as f64 * 1000.0 / idle_ms.max(1) as f64;
-        println!(
-            "[idle] {woke} sweeper wakeups over {idle_ms} ms idle ({per_s:.1}/s; \
-             the fixed 500 µs sleep-poll was ~2000/s)"
-        );
+        println!("[idle] {woke} worker wakeups over {idle_ms} ms idle ({per_s:.1}/s)");
         per_s
     };
 
@@ -626,7 +620,7 @@ fn main() {
         "\nserve_demo OK: {} requests + {} graph updates ({} nodes retiered, \
          {} cached logits invalidated) over {} models x {} shards \
          on {workers} workers ({:.0} req/s open-loop, {:.0} req/s closed-loop, \
-         {:.1}% logits-cache hits, {:.1} idle sweeper wakeups/s, \
+         {:.1}% logits-cache hits, {:.1} idle worker wakeups/s, \
          est {} MEGA cycles / {} DRAM bytes)",
         report.completed,
         updates_acked,

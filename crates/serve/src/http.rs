@@ -741,7 +741,6 @@ fn render_update(ack: &UpdateResponse) -> String {
 fn render_health(health: &EngineHealth) -> String {
     let mut out = String::from("{");
     json::field(&mut out, "ok", Json::Bool(health.ok()));
-    json::field(&mut out, "sweeper_alive", Json::Bool(health.sweeper_alive));
     json::field(
         &mut out,
         "lanes_alive",
@@ -891,10 +890,16 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
         report.batches.to_string(),
     );
     metric(
-        "mega_serve_sweeper_wakeups_total",
+        "mega_serve_queue_depth",
+        "gauge",
+        "Inference requests waiting in the work queue.",
+        engine.pending().to_string(),
+    );
+    metric(
+        "mega_serve_queue_wakeups_total",
         "counter",
-        "Deadline-sweeper wakeups (timer-driven: ~0 while idle).",
-        report.sweeper_wakeups.to_string(),
+        "Times a worker woke from the work-queue condvar (~0 while idle).",
+        report.queue_wakeups.to_string(),
     );
     metric(
         "mega_serve_logits_cache_hits_total",
@@ -1040,11 +1045,6 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
                 "Work items (batches + update tokens) each lane finished.",
             ),
             (
-                "mega_serve_lane_queue_depth",
-                "gauge",
-                "Items routed to each lane but not yet dequeued (sampled).",
-            ),
-            (
                 "mega_serve_lane_arena_bytes",
                 "gauge",
                 "Bytes each lane's kernel arena keeps reserved after its last batch.",
@@ -1060,7 +1060,6 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
                 let value = match name {
                     "mega_serve_lane_busy_us_total" => snapshot.busy_us,
                     "mega_serve_lane_items_total" => snapshot.items,
-                    "mega_serve_lane_queue_depth" => snapshot.depth,
                     "mega_serve_lane_arena_bytes" => snapshot.arena_bytes,
                     _ => u64::from(snapshot.alive),
                 };

@@ -9,17 +9,17 @@
 //! a serving architecture:
 //!
 //! ```text
-//!  submit()──► degree-aware policy ──► LogitsCache ──► BatchScheduler ──► WorkRouter ──► WorkerPool
-//!              shard = owner(node)     per (model,      buckets by          (model,       one lane per
-//!              tier  = f(in-degree)    shard); HIT      (model, shard,       shard) ──►   worker; a shard's
-//!                                      answers here,    tier); flush on      lane hash    batches always hit
-//!                                      MISS falls       size or deadline                  the same thread
-//!                                      through                                   │
-//!                    ArtifactCache (LRU): quantized Gnn, live                    ▼  split late hits from
-//!                    DynamicGraph + Ã, packed features, K-way                misses; forward misses over
-//!                    partitioning (a shard is a view: the                    the global Ã and packed
-//!                    nodes of one part), and per-shard                       store; fill the logits
-//!                    byte-budgeted logits caches                             cache on the way out
+//!  submit()──► degree-aware policy ──► LogitsCache ──► BatchScheduler ──────► WorkerPool
+//!              shard = owner(node)     per (model,      one FIFO; the head     every worker pulls
+//!              tier  = f(in-degree)    shard); HIT      request's (model,      the next due batch
+//!                                      answers here,    shard) batch leaves    or update token
+//!                                      MISS falls       on size, deadline,        │
+//!                                      through          barrier or drain          ▼
+//!                    ArtifactCache (LRU): quantized Gnn, live             split late hits from
+//!                    DynamicGraph + Ã, packed features, K-way             misses; forward misses over
+//!                    partitioning (a shard is a view: the                 the global Ã and packed
+//!                    nodes of one part), and per-shard                    store; fill the logits
+//!                    byte-budgeted logits caches                          cache on the way out
 //! ```
 //!
 //! * [`ModelRegistry`] holds [`ModelSpec`]s — recipes for everything a
@@ -28,14 +28,14 @@
 //! * [`ArtifactCache`] LRU-shares the heavy artifacts across workers and
 //!   builds each at most once; entries sit behind a readers/writer lock so
 //!   graph mutations serialize against batch execution.
-//! * [`BatchScheduler`] coalesces requests per (model, shard,
-//!   precision-tier) bucket and flushes on size or deadline.
-//! * [`WorkerPool`] is *shard-affine*: [`WorkRouter`] pins every
-//!   `(model, shard)` to one worker lane, and the worker executes batches
-//!   with [`mega_gnn::forward_targets_packed_with_field`] over the model's
-//!   global adjacency and packed store. A [`Shard`] is an ownership view,
-//!   not a copy, so logits do not depend on batch composition or shard
-//!   count.
+//! * [`BatchScheduler`] is one FIFO of requests and update tokens: the
+//!   head request's `(model, shard)` batch leaves on size, deadline,
+//!   update barrier or drain.
+//! * [`WorkerPool`] threads all pull from that queue, and a worker
+//!   executes a batch with [`mega_gnn::forward_targets_packed_with_field`]
+//!   over the model's global adjacency and packed store. A [`Shard`] is an
+//!   ownership view, not a copy, so logits do not depend on batch
+//!   composition, shard count or which worker ran the batch.
 //! * [`LogitsCache`] (one per `(model, shard)`) short-circuits the whole
 //!   pipeline for hot nodes: a byte-budgeted LRU over final logits rows,
 //!   consulted at submit time and again per batch, kept bit-exact under
@@ -67,8 +67,8 @@
 //! ticket is the only way a response leaves the engine.
 //! [`ServeEngine::submit_wait`] and [`ServeEngine::submit_update_wait`]
 //! wrap that into blocking request/response calls with per-request
-//! deadlines, and the deadline sweeper parks on a condvar until exactly
-//! the earliest bucket deadline instead of sleep-polling. A std-only
+//! deadlines, and idle workers park on the queue's condvar (until the
+//! head batch's deadline, or a submit) instead of sleep-polling. A std-only
 //! TCP/HTTP ingress ([`http`]) exposes the same calls over the wire with
 //! admission-control backpressure.
 //!
@@ -134,28 +134,22 @@ pub use registry::{ModelRegistry, ModelSpec};
 pub use request::{
     InferenceRequest, InferenceResponse, ModelKey, ServeResponse, UpdateRequest, UpdateResponse,
 };
-pub use scheduler::{Batch, BatchScheduler, FlushReason, SchedulerConfig, WorkItem};
+pub use scheduler::{Batch, BatchScheduler, FlushReason, SchedulerConfig, Take, WorkItem};
 pub use shard::{HwEstimate, Shard};
 pub use ticket::{CompletionRouter, Ticket, WaitError};
 pub use trace::{
     process_memory, FlightRecorder, MemorySnapshot, ModelMemory, RequestTrace, TraceConfig,
     TraceRecord, TraceStage, Tracer,
 };
-pub use worker::{
-    batch_logits, batch_logits_with_mode, shard_logits_with_field, WorkRouter, WorkerPool,
-};
+pub use worker::{batch_logits, batch_logits_with_mode, shard_logits_with_field, WorkerPool};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mega_graph::{GraphDelta, NodeId};
 
 /// Engine-level knobs.
-///
-/// There is deliberately no sweep-interval knob anymore: the deadline
-/// sweeper is timer-driven ([`BatchScheduler::sweeper_park`]), waking at
-/// exactly the earliest bucket deadline instead of on a fixed poll tick.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads executing batches.
@@ -226,9 +220,7 @@ impl std::error::Error for ServeError {}
 /// What [`ServeEngine::health`] reports (and `GET /healthz` serializes).
 #[derive(Debug, Clone)]
 pub struct EngineHealth {
-    /// Whether the deadline-sweeper thread is running.
-    pub sweeper_alive: bool,
-    /// Per-lane liveness, indexed by worker lane.
+    /// Per-worker liveness, indexed by worker (its metrics lane).
     pub lanes_alive: Vec<bool>,
     /// Requests submitted but not yet answered.
     pub in_flight: usize,
@@ -243,16 +235,11 @@ impl EngineHealth {
     /// Healthy means every thread the request path depends on is alive
     /// and no shared lock has been poisoned by a panicking holder.
     pub fn ok(&self) -> bool {
-        self.sweeper_alive
-            && self.lanes_alive.iter().all(|&alive| alive)
-            && self.poisoned.is_empty()
+        self.lanes_alive.iter().all(|&alive| alive) && self.poisoned.is_empty()
     }
 
     /// A human-readable reason when unhealthy.
     pub fn reason(&self) -> Option<String> {
-        if !self.sweeper_alive {
-            return Some("deadline sweeper thread is dead".to_string());
-        }
         let dead: Vec<String> = self
             .lanes_alive
             .iter()
@@ -270,16 +257,14 @@ impl EngineHealth {
     }
 }
 
-/// The serving engine: scheduler + sweeper + worker pool + shared caches
-/// + the completion router that wakes per-request waiters.
+/// The serving engine: work queue + worker pool + shared caches + the
+/// completion router that wakes per-request waiters.
 pub struct ServeEngine {
     registry: Arc<ModelRegistry>,
     cache: Arc<ArtifactCache>,
     scheduler: Arc<BatchScheduler>,
     metrics: Arc<Metrics>,
     pool: WorkerPool,
-    sweeper: std::thread::JoinHandle<()>,
-    shutdown: Arc<AtomicBool>,
     next_id: AtomicU64,
     started_at: Instant,
     /// Per-request completion slots ([`Ticket`]s) keyed by request id —
@@ -291,64 +276,27 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Starts the workers and the deadline sweeper. Every response is
-    /// delivered to the [`Ticket`] its submit call returned.
+    /// Starts the workers. Every response is delivered to the [`Ticket`]
+    /// its submit call returned.
     pub fn start_detached(config: ServeConfig, registry: Arc<ModelRegistry>) -> Self {
         let cache = Arc::new(ArtifactCache::new(config.cache_capacity));
         let metrics = Arc::new(Metrics::with_trace(&config.trace));
         let router = Arc::new(CompletionRouter::new());
-        // Workers first: each owns a private lane, and the router pinning
-        // (model, shard) pairs to lanes becomes the scheduler's output.
-        let updates = Arc::new(scheduler::UpdateQueue::default());
-        let (pool, work_router) = WorkerPool::spawn(
+        let scheduler = Arc::new(BatchScheduler::new(config.scheduler.clone()));
+        let pool = WorkerPool::spawn(
             config.workers,
+            scheduler.clone(),
             registry.clone(),
             cache.clone(),
-            updates.clone(),
             metrics.clone(),
             router.clone(),
         );
-        let scheduler = Arc::new(BatchScheduler::with_updates(
-            config.scheduler.clone(),
-            work_router,
-            updates,
-        ));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // The deadline sweeper is timer-driven: it parks on the
-        // scheduler's condvar until exactly the earliest bucket deadline
-        // (or indefinitely while idle) and is woken early only when a
-        // submit advances that deadline or at shutdown. Replaces the
-        // fixed-interval sleep poll that woke ~2000×/s on an idle engine
-        // and delivered deadline flushes up to one sweep interval late.
-        let sweeper = {
-            let scheduler = scheduler.clone();
-            let shutdown = shutdown.clone();
-            let metrics = metrics.clone();
-            std::thread::Builder::new()
-                .name("mega-serve-sweeper".into())
-                .spawn(move || loop {
-                    // Generation first: a re-arm landing after this capture
-                    // (but before the park) makes the park return
-                    // immediately, so no deadline is ever missed.
-                    let generation = scheduler.sweep_generation();
-                    if shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    metrics.sweeper_wakeups.fetch_add(1, Ordering::Relaxed);
-                    scheduler.poll_deadlines(Instant::now());
-                    let deadline = scheduler.next_deadline();
-                    scheduler.sweeper_park(generation, deadline);
-                })
-                .expect("spawn sweeper thread")
-        };
         Self {
             registry,
             cache,
             scheduler,
             metrics,
             pool,
-            sweeper,
-            shutdown,
             next_id: AtomicU64::new(0),
             started_at: Instant::now(),
             router,
@@ -378,11 +326,6 @@ impl ServeEngine {
     /// and the request never reaches the scheduler. Delta-precise
     /// invalidation is what makes the cached row bit-exact with a fresh
     /// forward pass.
-    ///
-    /// The `(tier, bits)` stamped here only pick the scheduler bucket
-    /// (batching homogeneity); workers restamp both from the live
-    /// artifacts at execution time, so a concurrent re-tier never makes a
-    /// response mis-report what the forward pass served.
     pub fn submit(&self, key: &ModelKey, node: NodeId) -> Result<Ticket, ServeError> {
         self.submit_traced(key, node, RequestTrace::begin())
     }
@@ -426,15 +369,12 @@ impl ServeEngine {
                 .deliver_traced(response, &mut trace, &self.metrics.trace);
             return Ok(ticket);
         }
-        let (tier, bits) = (artifacts.node_tier(node), artifacts.node_bits(node));
         drop(artifacts);
         self.scheduler.submit(InferenceRequest {
             id,
             model: key.clone(),
             node,
             shard,
-            tier,
-            bits,
             submitted_at,
             trace,
         });
@@ -539,8 +479,8 @@ impl ServeEngine {
     }
 
     /// Where and how `node` is served right now: `(shard, tier, bits)`.
-    /// The shard is the partition owning the node; requests route to that
-    /// shard's affine worker.
+    /// The shard is the partition owning the node; its requests batch with
+    /// the shard's other requests.
     pub fn locate(&self, key: &ModelKey, node: NodeId) -> Result<(u32, usize, u8), ServeError> {
         let entry = self.entry_for(key)?;
         let artifacts = entry.read();
@@ -576,12 +516,12 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Requests waiting in scheduler buckets (not yet dispatched).
+    /// Requests waiting in the work queue (not yet taken by a worker).
     pub fn pending(&self) -> usize {
         self.scheduler.pending()
     }
 
-    /// Updates parked for application (token emitted, not yet taken by a
+    /// Updates parked for application (submitted, not yet taken by a
     /// worker).
     pub fn pending_updates(&self) -> usize {
         self.scheduler.pending_updates()
@@ -599,14 +539,12 @@ impl ServeEngine {
         &self.metrics
     }
 
-    /// Point-in-time liveness: is the sweeper thread running, which
-    /// worker lanes are running, and how many requests are in flight.
-    /// This is what `GET /healthz` reports — a panicked lane flips the
-    /// endpoint to 503 because every `(model, shard)` pinned to that lane
-    /// would otherwise time out silently.
+    /// Point-in-time liveness: which workers are running, and how many
+    /// requests are in flight. This is what `GET /healthz` reports — a
+    /// panicked worker flips the endpoint to 503: the other workers keep
+    /// draining the queue, but the panic signals a bug in execution.
     pub fn health(&self) -> EngineHealth {
         EngineHealth {
-            sweeper_alive: !self.sweeper.is_finished(),
             lanes_alive: self.pool.alive(),
             in_flight: self.in_flight(),
             poisoned: poison::poisoned_components(),
@@ -630,12 +568,12 @@ impl ServeEngine {
         memory
     }
 
-    /// Fault injection for liveness testing: makes worker lane
-    /// `lane % workers` panic on its next dequeue, exactly as a bug in
-    /// batch execution would. `/healthz` must flip to 503; requests
-    /// pinned to the dead lane will time out. Not for production use.
-    pub fn poison_lane(&self, lane: usize) {
-        self.scheduler.poison_lane(lane);
+    /// Fault injection for liveness testing: makes the next worker to
+    /// dequeue panic, exactly as a bug in batch execution would.
+    /// `/healthz` must flip to 503 while the other workers keep answering.
+    /// Not for production use.
+    pub fn poison_worker(&self) {
+        self.scheduler.poison_worker();
     }
 
     /// Point-in-time report including cache behaviour.
@@ -652,20 +590,11 @@ impl ServeEngine {
             scheduler,
             metrics,
             pool,
-            sweeper,
-            shutdown,
             started_at,
             ..
         } = self;
-        shutdown.store(true, Ordering::Relaxed);
-        // The sweeper may be parked indefinitely (idle engine); the
-        // generation bump is what wakes it to observe the flag.
-        scheduler.wake_sweeper();
-        sweeper.join().expect("sweeper thread panicked");
-        scheduler.flush_all();
-        // Dropping the scheduler drops the batch sender; workers drain the
-        // queue and exit.
-        drop(scheduler);
+        // Workers drain the queue and exit.
+        scheduler.close();
         pool.join();
         let (hits, misses) = cache.stats();
         metrics.report(started_at.elapsed(), hits, misses)

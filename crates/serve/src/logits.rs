@@ -81,8 +81,8 @@ struct Inner {
 
 /// A byte-capacity LRU of per-node logits for one `(model, shard)` pair.
 ///
-/// Thread-safe behind an internal mutex; contention is naturally low
-/// because the worker pool is shard-affine (one lane ever inserts into a
+/// Thread-safe behind an internal mutex; contention stays low because a
+/// batch holds one shard's misses (one worker at a time usually fills a
 /// given shard's cache) and submit-path lookups are sub-microsecond. The
 /// cache carries no counters of its own — every mutating call returns what
 /// it did so callers attribute hits/misses/evictions/invalidations to

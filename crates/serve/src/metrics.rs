@@ -144,18 +144,14 @@ pub struct ShardStat {
     pub est_dram_bytes: AtomicU64,
 }
 
-/// Per-worker-lane counters: utilization (busy time), item throughput,
-/// and the live queue depth (items routed to the lane but not yet
-/// dequeued — sampled by `/metrics` scrapes).
+/// Per-worker counters (lane `i` belongs to worker `i`): utilization
+/// (busy time), item throughput, kernel scratch and liveness.
 #[derive(Default)]
 pub struct LaneStat {
     /// Cumulative time the lane spent processing items, microseconds.
     pub busy_us: AtomicU64,
     /// Work items the lane finished (batches + update tokens).
     pub items: AtomicU64,
-    /// Items currently queued on the lane's channel (incremented at
-    /// routing, decremented at dequeue).
-    pub depth: AtomicU64,
     /// Bytes the lane's kernel arena keeps reserved (its
     /// `KernelArena::scratch_bytes`), set after every batch. Worker
     /// scratch, not model state: `ModelMemory` does not count it.
@@ -173,8 +169,6 @@ pub struct LaneSnapshot {
     pub busy_us: u64,
     /// [`LaneStat::items`].
     pub items: u64,
-    /// [`LaneStat::depth`].
-    pub depth: u64,
     /// [`LaneStat::arena_bytes`].
     pub arena_bytes: u64,
     /// [`LaneStat::alive`].
@@ -197,13 +191,12 @@ pub struct Metrics {
     pub rows_computed: AtomicU64,
     /// Batches flushed because they reached full size.
     pub size_flushes: AtomicU64,
-    /// Batches flushed by the deadline sweeper.
+    /// Batches that left the work queue at their deadline.
     pub deadline_flushes: AtomicU64,
-    /// Times the deadline-sweeper thread woke (to flush a due bucket or
-    /// re-arm on a new deadline). Timer-driven sweeping makes this scale
-    /// with *work*, not wall-clock: an idle engine records ~0/s where the
-    /// old fixed-interval poll recorded ~2000/s.
-    pub sweeper_wakeups: AtomicU64,
+    /// Times a worker woke from the work-queue condvar (for a submit, a
+    /// batch deadline or a hand-off). Workers park while the queue is
+    /// empty, so an idle engine records ~0/s.
+    pub queue_wakeups: AtomicU64,
     /// Submit-to-response latency distribution.
     pub latency: LogHistogram,
     /// Per-batch execution time distribution.
@@ -334,7 +327,6 @@ impl Metrics {
             .map(|l| LaneSnapshot {
                 busy_us: l.busy_us.load(Ordering::Relaxed),
                 items: l.items.load(Ordering::Relaxed),
-                depth: l.depth.load(Ordering::Relaxed),
                 arena_bytes: l.arena_bytes.load(Ordering::Relaxed),
                 alive: l.alive.load(Ordering::Relaxed),
             })
@@ -426,7 +418,7 @@ impl Metrics {
             rows_computed: self.rows_computed.load(Ordering::Relaxed),
             size_flushes: self.size_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
-            sweeper_wakeups: self.sweeper_wakeups.load(Ordering::Relaxed),
+            queue_wakeups: self.queue_wakeups.load(Ordering::Relaxed),
             per_bits: (1..=8)
                 .map(|b| (b as u8, self.per_bits[b].load(Ordering::Relaxed)))
                 .filter(|&(_, n)| n > 0)
@@ -534,9 +526,9 @@ pub struct MetricsReport {
     pub size_flushes: u64,
     /// Batches flushed by deadline.
     pub deadline_flushes: u64,
-    /// Deadline-sweeper thread wakeups (see
-    /// [`Metrics::sweeper_wakeups`]).
-    pub sweeper_wakeups: u64,
+    /// Worker wakeups from the work-queue condvar (see
+    /// [`Metrics::queue_wakeups`]).
+    pub queue_wakeups: u64,
     /// `(bits, requests)` pairs for every served bitwidth.
     pub per_bits: Vec<(u8, u64)>,
     /// Graph updates accepted.
@@ -595,8 +587,8 @@ impl std::fmt::Display for MetricsReport {
         )?;
         writeln!(
             f,
-            "sweeper     {:>10} wakeups (timer-driven: scales with deadlines, not wall-clock)",
-            self.sweeper_wakeups
+            "queue       {:>10} worker wakeups (scales with work, not wall-clock)",
+            self.queue_wakeups
         )?;
         writeln!(
             f,
@@ -774,7 +766,6 @@ mod tests {
         let lane = |busy_us, items, arena_bytes, alive| LaneSnapshot {
             busy_us,
             items,
-            depth: 0,
             arena_bytes,
             alive,
         };

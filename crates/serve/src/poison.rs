@@ -2,7 +2,7 @@
 //!
 //! A poisoned lock means a thread panicked while holding it. For every
 //! structure the engine shares (metric counters, cache maps, trace
-//! rings, scheduler buckets) the data is still structurally valid after
+//! rings, the work queue) the data is still structurally valid after
 //! such a panic — at worst a counter missed one increment — so taking
 //! the whole handler pool down with an `unwrap()` turns a survivable
 //! glitch into an outage. `mega-lint`'s `lock-unwrap` rule forbids
@@ -15,7 +15,7 @@
 //!    [`crate::EngineHealth`].
 //!
 //! `/healthz` then goes 503 with a `"lock(s) ... poisoned"` reason —
-//! the same dead-lane pattern the sweeper and worker lanes use — so the
+//! the same pattern a dead worker triggers — so the
 //! load balancer drains the replica while in-flight traffic keeps being
 //! answered.
 
@@ -65,8 +65,8 @@ impl<G> LockRecoverExt for Result<G, PoisonError<G>> {
 /// Records `component` as having seen a poisoned lock.
 ///
 /// Public for fault-injection tests (the same role
-/// [`crate::ServeEngine::poison_lane`]-style hooks play for lane
-/// liveness); production code goes through [`recover`].
+/// [`crate::ServeEngine::poison_worker`] plays for worker liveness);
+/// production code goes through [`recover`].
 pub fn note(component: &'static str) {
     poisoned_set()
         .lock()

@@ -24,9 +24,8 @@ pub struct ModelSpec {
     /// Bitwidth for (static) weights.
     pub weight_bits: u8,
     /// Shard count: nodes stream into this many parts
-    /// ([`mega_partition::Partitioning::push_balanced`]), each served by a
-    /// shard-affine worker lane with its own logits cache (batches are
-    /// bucketed per shard).
+    /// ([`mega_partition::Partitioning::push_balanced`]), each with its
+    /// own logits cache (batches are keyed per `(model, shard)`).
     pub shards: usize,
     /// Logits-cache byte budget for this model, split evenly across its
     /// shards ([`crate::LogitsCache`]). `0` disables result caching — every

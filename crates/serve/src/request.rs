@@ -42,17 +42,13 @@ pub struct InferenceRequest {
     pub model: ModelKey,
     /// The node to classify.
     pub node: NodeId,
-    /// The shard owning the node (its partition) — batches are bucketed
-    /// per shard so one shard-affine worker executes them.
+    /// The shard owning the node (its partition) at submit time — the
+    /// work queue batches requests by `(model, shard)`.
     pub shard: u32,
-    /// Precision tier the degree-aware policy assigned (0 = fewest bits).
-    pub tier: usize,
-    /// Bitwidth served to this node's activations.
-    pub bits: u8,
     /// When the engine accepted the request.
     pub submitted_at: Instant,
     /// The stage timeline, stamped in place as the request moves through
-    /// scheduler, lane, and forward pass ([`crate::trace`]).
+    /// work queue, worker, and forward pass ([`crate::trace`]).
     pub trace: RequestTrace,
 }
 

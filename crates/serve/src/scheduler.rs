@@ -1,66 +1,55 @@
-//! The batch scheduler: buckets requests by (model, shard, precision tier)
-//! and flushes size- or deadline-triggered batches to the worker pool.
+//! The work queue: one FIFO of inference requests and update tokens that
+//! every worker pulls batches from.
 //!
 //! The scheduler only ever sees logits-cache *misses*: the engine answers
 //! cache hits at submit time ([`crate::ServeEngine::submit`]), and workers
 //! split out any requests whose node was cached between submission and
 //! execution ([`crate::worker`]) before running the forward pass — so a
-//! bucket's eventual batch shrinks to exactly the targets that still need
-//! compute (partial-batch hit/miss splitting).
+//! batch shrinks to exactly the targets that still need compute
+//! (partial-batch hit/miss splitting).
 //!
-//! Bucketing by tier keeps a batch's per-node bitwidths — and therefore its
-//! per-row cost — homogeneous, so one slow hub node does not ride along
-//! with (and delay) a batch of cheap leaf nodes. Bucketing by *shard* keeps
-//! a batch's targets inside one partition, so the same worker lane keeps
-//! seeing the same neighbourhoods (emission goes through
-//! [`crate::worker::WorkRouter`], which pins each `(model, shard)` pair to
-//! one worker lane).
+//! **The batching rule.** The request at the head of the queue picks the
+//! key `(model, shard)`, and the batch is up to `max_batch` queued requests
+//! with that key, in arrival order. The batch leaves
 //!
-//! Graph mutations ride the same output path as inference batches (wrapped
-//! in [`WorkItem`]), so updates interleave with serving traffic on the
-//! worker pool instead of stopping the world. An update first flushes the
-//! target model's pending buckets ([`FlushReason::Barrier`]) so requests
-//! admitted before it are not left queued behind it, then parks its payload
-//! in a per-model FIFO ([`BatchScheduler::take_update`]) — workers pop from
-//! that FIFO, which serializes updates per model in submission order no
-//! matter which worker handles which token.
+//! * when it holds `max_batch` requests ([`FlushReason::Size`]);
+//! * at once when an update token for the same model is queued behind its
+//!   head ([`FlushReason::Barrier`]) — requests admitted before an update
+//!   are not left queued behind it, and the scan for the batch stops at
+//!   that token, so requests admitted after it do not jump ahead of it;
+//! * when its oldest request has waited `max_delay`
+//!   ([`FlushReason::Deadline`]);
+//! * at once after [`BatchScheduler::close`] ([`FlushReason::Drain`]).
 //!
-//! **Deadlines are timer-driven, not polled.** The scheduler knows the
-//! earliest pending bucket deadline ([`BatchScheduler::next_deadline`] —
-//! every bucket shares `max_delay`, so it belongs to the bucket with the
-//! oldest request), and the engine's sweeper thread
-//! [`BatchScheduler::sweeper_park`]s on a `Condvar` until exactly then:
-//! woken early only when a submit advances that earliest deadline (the
-//! scheduler re-arms from empty, or a submitter whose `submitted_at` —
-//! stamped before the scheduler lock — predates every resident bucket
-//! creates a sooner one) or at shutdown. An idle engine takes zero
-//! sweeper wakeups per second, and a deadline flush fires when the
-//! deadline passes — not up to one sweep interval later.
+//! An update token at the head leaves at once. Its payload is parked in a
+//! per-model FIFO ([`UpdateQueue`]) that the worker pops inside the
+//! model's write lock, which serializes updates per model in submission
+//! order no matter which worker handles which token.
 //!
-//! **Buckets are pruned, not recycled.** A drained bucket leaves the map
-//! entirely, so the map's size tracks the *live* working set of
-//! `(model, shard, tier)` keys instead of growing monotonically across
-//! every key ever seen (and keeping dead models' buckets alive after
-//! re-registration).
+//! The decision is a pure function of the queue and a clock reading
+//! ([`BatchScheduler::take`]), so tests drive it with a synthetic clock;
+//! [`BatchScheduler::next`] is the blocking loop workers call around it,
+//! parking on one condvar — indefinitely while the queue is empty, or until
+//! the head batch's deadline. A submit wakes one parked worker only when
+//! it changes that decision (the queue was empty, or the request filled
+//! the head batch or made it older), and a worker that leaves work behind
+//! wakes the next, so an idle engine takes no wakeups at all.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use crate::sync::{Condvar, Mutex};
-
-use crate::poison::LockRecoverExt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::poison::LockRecoverExt;
 use crate::request::{InferenceRequest, ModelKey, UpdateRequest};
+use crate::sync::{Condvar, Mutex};
 use crate::trace::TraceStage;
-use crate::worker::WorkRouter;
 
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Flush a bucket as soon as it holds this many requests.
+    /// A batch leaves as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a non-empty bucket once its oldest request has waited this
+    /// A partial batch leaves once its oldest request has waited this
     /// long.
     pub max_delay: Duration,
 }
@@ -77,60 +66,59 @@ impl Default for SchedulerConfig {
 /// Why a batch left the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
-    /// The bucket reached `max_batch`.
+    /// The batch reached `max_batch`.
     Size,
-    /// The bucket's oldest request hit `max_delay`.
+    /// The batch's oldest request hit `max_delay`.
     Deadline,
-    /// A graph update to the same model flushed the bucket ahead of
-    /// itself.
+    /// A graph update to the same model is queued behind the batch.
     Barrier,
-    /// The engine is draining (shutdown or explicit flush).
+    /// The scheduler is closed (shutdown).
     Drain,
 }
 
-/// A coalesced unit of work for one (model, shard, tier) bucket.
+/// A coalesced unit of work for one `(model, shard)` key.
 #[derive(Debug)]
 pub struct Batch {
     /// The model every request in the batch targets.
     pub model: ModelKey,
-    /// The shard owning every node in the batch.
+    /// The shard that owned every node in the batch at submit time.
     pub shard: u32,
-    /// The precision tier every request in the batch belongs to.
-    pub tier: usize,
     /// The requests, in arrival order.
     pub requests: Vec<InferenceRequest>,
-    /// Why the batch was flushed.
+    /// Why the batch left the queue.
     pub reason: FlushReason,
 }
 
-/// What the scheduler hands the worker pool.
+/// What a worker takes from the queue.
 #[derive(Debug)]
 pub enum WorkItem {
     /// A coalesced inference batch.
     Batch(Batch),
-    /// Fault injection: panics worker lane `lane % lanes` on dequeue, for
-    /// exercising `/healthz` lane-death detection in tests. Never emitted
-    /// by the scheduler itself.
-    Poison(usize),
     /// A token for one pending graph update to this model; the payload is
     /// popped from the scheduler's per-model FIFO
     /// ([`BatchScheduler::take_update`]).
     Update(ModelKey),
+    /// Fault injection: the worker that takes it panics, for exercising
+    /// `/healthz` worker-death detection in tests
+    /// ([`BatchScheduler::poison_worker`]).
+    Poison,
 }
 
-/// A non-empty run of same-key requests. Buckets only exist while they
-/// hold requests — draining one removes it from the map (pruning), so
-/// `oldest` is always the arrival of the first resident request.
-struct Bucket {
-    requests: Vec<InferenceRequest>,
-    oldest: Instant,
+/// What [`BatchScheduler::take`] decided at one clock reading.
+#[derive(Debug)]
+pub enum Take {
+    /// Work that is due now; it has left the queue.
+    Work(WorkItem),
+    /// Nothing is due: wait until this instant (the head batch's
+    /// deadline) or for a submit — with `None`, for a submit alone.
+    Wait(Option<Instant>),
+    /// The scheduler is closed and empty: the worker exits.
+    Exit,
 }
 
 /// The per-model FIFO parking update payloads between
-/// [`BatchScheduler::submit_update`] and the worker that receives the
-/// matching [`WorkItem::Update`] token. A separate shared structure (not
-/// part of the scheduler) so workers can hold it without keeping the
-/// scheduler's work `Sender` alive — that would deadlock shutdown.
+/// [`BatchScheduler::submit_update`] and the worker that takes the
+/// matching [`WorkItem::Update`] token.
 #[derive(Default)]
 pub struct UpdateQueue {
     queues: Mutex<HashMap<ModelKey, VecDeque<UpdateRequest>>>,
@@ -168,55 +156,79 @@ impl UpdateQueue {
     }
 }
 
-/// A bucket's identity: (model, shard, tier).
-type BucketKey = (ModelKey, u32, usize);
+/// One entry of the work queue.
+enum Queued {
+    Request(InferenceRequest),
+    Update(ModelKey),
+}
 
-/// Size- and deadline-triggered request coalescer plus the per-model
-/// update FIFO.
+/// Everything behind the queue lock.
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Queued>,
+    closed: bool,
+    poison: bool,
+}
+
+/// The batch the head request would take: where its requests sit in the
+/// queue, its oldest stamp, and whether a same-model update token stops
+/// it.
+struct HeadBatch {
+    positions: Vec<usize>,
+    oldest: Instant,
+    barrier: bool,
+}
+
+impl State {
+    /// Scans the queue for the head request's batch (`None` when the head
+    /// is not a request).
+    fn head_batch(&self, max_batch: usize) -> Option<HeadBatch> {
+        let Some(Queued::Request(head)) = self.queue.front() else {
+            return None;
+        };
+        let mut batch = HeadBatch {
+            positions: Vec::new(),
+            oldest: head.submitted_at,
+            barrier: false,
+        };
+        for (i, item) in self.queue.iter().enumerate() {
+            if batch.positions.len() == max_batch {
+                break;
+            }
+            match item {
+                Queued::Request(r) if r.model == head.model && r.shard == head.shard => {
+                    batch.positions.push(i);
+                    batch.oldest = batch.oldest.min(r.submitted_at);
+                }
+                Queued::Update(model) if *model == head.model => {
+                    batch.barrier = true;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        Some(batch)
+    }
+}
+
+/// The shared work queue plus the per-model update FIFO.
 pub struct BatchScheduler {
     config: SchedulerConfig,
-    buckets: Mutex<HashMap<BucketKey, Bucket>>,
-    updates: Arc<UpdateQueue>,
-    out: WorkRouter,
-    /// Wakeup generation for the deadline sweeper: bumped (with a
-    /// notify) whenever a submit advances the earliest pending deadline
-    /// or the engine wants the sweeper to re-evaluate (shutdown). The
-    /// sweeper parks on the condvar until the earliest deadline or a
-    /// generation bump — never on a fixed poll interval.
-    sweep_gen: Mutex<u64>,
-    sweep_cv: Condvar,
+    state: Mutex<State>,
+    /// Parked workers wait here.
+    ready: Condvar,
+    updates: UpdateQueue,
 }
 
 impl BatchScheduler {
-    /// A scheduler emitting work through `out` (which pins each
-    /// `(model, shard)` to a worker lane). Dropping the scheduler drops the
-    /// router — and with it every lane sender — which is what lets the
-    /// worker pool drain and exit at shutdown.
-    pub fn new(config: SchedulerConfig, out: WorkRouter) -> Self {
-        Self::with_updates(config, out, Arc::new(UpdateQueue::default()))
-    }
-
-    /// Like [`BatchScheduler::new`], but parking update payloads in an
-    /// externally owned FIFO (the engine shares it with the worker pool,
-    /// which must outlive the scheduler's router).
-    pub fn with_updates(
-        config: SchedulerConfig,
-        out: WorkRouter,
-        updates: Arc<UpdateQueue>,
-    ) -> Self {
+    /// An empty, open queue.
+    pub fn new(config: SchedulerConfig) -> Self {
         Self {
             config,
-            buckets: Mutex::new(HashMap::new()),
-            updates,
-            out,
-            sweep_gen: Mutex::new(0),
-            sweep_cv: Condvar::new(),
+            state: Mutex::new(State::default()),
+            ready: Condvar::new(),
+            updates: UpdateQueue::default(),
         }
-    }
-
-    /// The shared FIFO workers pop update payloads from.
-    pub fn update_queue(&self) -> Arc<UpdateQueue> {
-        self.updates.clone()
     }
 
     /// The configured knobs.
@@ -224,253 +236,168 @@ impl BatchScheduler {
         &self.config
     }
 
-    /// Enqueues one request; flushes its bucket if that fills it. Returns
-    /// `true` if a batch was emitted.
-    ///
-    /// The request's `tier` stamps the *bucket* it coalesces into; the
-    /// worker restamps tier/bits from the live artifacts at execution
-    /// time, so a concurrent re-tier between submit and execution can at
-    /// worst cost batching homogeneity, never answer accuracy.
-    pub fn submit(&self, mut request: InferenceRequest) -> bool {
+    /// Enqueues one request, waking a parked worker if the request changes
+    /// what is due: the queue was empty, or the request joins the head
+    /// batch and fills it or is older than its oldest request.
+    pub fn submit(&self, mut request: InferenceRequest) {
         request.trace.stamp(TraceStage::Enqueued);
-        let key = (request.model.clone(), request.shard, request.tier);
-        let mut buckets = self.buckets.lock().recover("scheduler-buckets");
-        // Every bucket shares `max_delay`, so the earliest deadline
-        // belongs to the minimum `oldest`. The sweeper needs a wake only
-        // when this submit *advances* that minimum: the scheduler went
-        // empty → non-empty, or (rare) this request's `submitted_at` —
-        // stamped before the scheduler lock, so a stalled submitter can
-        // carry an older timestamp than every resident bucket — creates a
-        // bucket older than the one the sweeper is parked on.
-        let prev_min_oldest = buckets.values().map(|b| b.oldest).min();
-        let mut rearmed = false;
-        let bucket = buckets.entry(key.clone()).or_insert_with(|| {
-            rearmed = prev_min_oldest.is_none_or(|min| request.submitted_at < min);
-            Bucket {
-                requests: Vec::new(),
-                oldest: request.submitted_at,
+        let mut state = self.state.lock().recover("work-queue");
+        let wake = match state.queue.front() {
+            None => true,
+            Some(Queued::Request(head))
+                if head.model == request.model && head.shard == request.shard =>
+            {
+                let batch = state
+                    .head_batch(self.config.max_batch)
+                    .expect("the head is a request");
+                let joins = !batch.barrier && batch.positions.len() < self.config.max_batch;
+                joins
+                    && (batch.positions.len() + 1 == self.config.max_batch
+                        || request.submitted_at < batch.oldest)
             }
-        });
-        bucket.requests.push(request);
-        if bucket.requests.len() >= self.config.max_batch {
-            let bucket = buckets.remove(&key).expect("bucket just filled");
-            drop(buckets);
-            self.emit(key.0, key.1, key.2, bucket.requests, FlushReason::Size);
-            true
-        } else {
-            drop(buckets);
-            if rearmed {
-                self.wake_sweeper();
-            }
-            false
+            Some(_) => false,
+        };
+        state.queue.push_back(Queued::Request(request));
+        drop(state);
+        if wake {
+            self.ready.notify_one();
         }
     }
 
-    /// Enqueues one graph update: flushes the model's pending inference
-    /// buckets ahead of it (barrier), parks the payload in the model's
-    /// FIFO, and emits an update token to the worker pool.
+    /// Enqueues one graph update: parks the payload in the model's FIFO and
+    /// queues a token for it behind every request already admitted.
     pub fn submit_update(&self, request: UpdateRequest) {
         let model = request.model.clone();
-        self.flush_model(&model);
         self.updates.push(request);
-        // Receiver gone means the engine is shutting down; the update
-        // stays in the FIFO and is dropped with the scheduler.
-        self.out.send(WorkItem::Update(model));
+        self.state
+            .lock()
+            .recover("work-queue")
+            .queue
+            .push_back(Queued::Update(model));
+        self.ready.notify_one();
     }
 
-    /// Pops the oldest pending update for `model` (delegates to the shared
+    /// Pops the oldest pending update for `model` (delegates to the
     /// [`UpdateQueue`]).
     pub fn take_update(&self, model: &ModelKey) -> Option<UpdateRequest> {
         self.updates.pop(model)
     }
 
-    /// Flushes every bucket of `model` regardless of age. Returns the
-    /// number of batches emitted.
-    pub fn flush_model(&self, model: &ModelKey) -> usize {
-        let drained: Vec<(BucketKey, Vec<InferenceRequest>)> = {
-            let mut buckets = self.buckets.lock().recover("scheduler-buckets");
-            let keys: Vec<BucketKey> = buckets
-                .keys()
-                .filter(|(m, _, _)| m == model)
-                .cloned()
-                .collect();
-            keys.into_iter()
-                .map(|k| {
-                    let bucket = buckets.remove(&k).expect("key just listed");
-                    (k, bucket.requests)
-                })
-                .collect()
-        };
-        let count = drained.len();
-        for ((model, shard, tier), requests) in drained {
-            self.emit(model, shard, tier, requests, FlushReason::Barrier);
+    /// Decides, at clock reading `now`, what a worker asking now gets, and
+    /// removes it from the queue if it is due. See the module docs for the
+    /// rule. Never waits for work and never reads the clock, so tests drive
+    /// it with a synthetic one.
+    pub fn take(&self, now: Instant) -> Take {
+        let mut state = self.state.lock().recover("work-queue");
+        self.take_locked(&mut state, now)
+    }
+
+    fn take_locked(&self, state: &mut State, now: Instant) -> Take {
+        if state.poison {
+            state.poison = false;
+            return Take::Work(WorkItem::Poison);
         }
-        count
-    }
-
-    /// Flushes (and prunes) every bucket whose oldest request has waited
-    /// at least `max_delay` as of `now`. Returns the number of batches
-    /// emitted. Called by the engine's deadline sweeper when a deadline
-    /// fires; taking `now` as a parameter keeps the policy unit-testable
-    /// without sleeping.
-    pub fn poll_deadlines(&self, now: Instant) -> usize {
-        let expired: Vec<(BucketKey, Vec<InferenceRequest>)> = {
-            let mut buckets = self.buckets.lock().recover("scheduler-buckets");
-            let keys: Vec<BucketKey> = buckets
-                .iter()
-                .filter(|(_, b)| now.duration_since(b.oldest) >= self.config.max_delay)
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.into_iter()
-                .map(|k| {
-                    let bucket = buckets.remove(&k).expect("key just listed");
-                    (k, bucket.requests)
-                })
-                .collect()
+        let Some(batch) = state.head_batch(self.config.max_batch) else {
+            return match state.queue.pop_front() {
+                Some(Queued::Update(model)) => Take::Work(WorkItem::Update(model)),
+                Some(Queued::Request(_)) => unreachable!("a request head has a batch"),
+                None if state.closed => Take::Exit,
+                None => Take::Wait(None),
+            };
         };
-        let count = expired.len();
-        for ((model, shard, tier), requests) in expired {
-            self.emit(model, shard, tier, requests, FlushReason::Deadline);
-        }
-        count
-    }
-
-    /// Flushes everything regardless of age (drain/shutdown path). Returns
-    /// the number of batches emitted.
-    pub fn flush_all(&self) -> usize {
-        let drained: HashMap<BucketKey, Bucket> = {
-            let mut buckets = self.buckets.lock().recover("scheduler-buckets");
-            std::mem::take(&mut *buckets)
+        let deadline = batch.oldest + self.config.max_delay;
+        let reason = if batch.positions.len() == self.config.max_batch {
+            FlushReason::Size
+        } else if batch.barrier {
+            FlushReason::Barrier
+        } else if now >= deadline {
+            FlushReason::Deadline
+        } else if state.closed {
+            FlushReason::Drain
+        } else {
+            return Take::Wait(Some(deadline));
         };
-        let count = drained.len();
-        for ((model, shard, tier), bucket) in drained {
-            self.emit(model, shard, tier, bucket.requests, FlushReason::Drain);
+        let mut requests: Vec<InferenceRequest> = batch
+            .positions
+            .iter()
+            .rev()
+            .map(|&i| match state.queue.remove(i) {
+                Some(Queued::Request(request)) => request,
+                _ => unreachable!("batch positions hold requests"),
+            })
+            .collect();
+        requests.reverse();
+        for request in &mut requests {
+            request.trace.stamp_at(TraceStage::Flushed, now);
         }
-        count
+        Take::Work(WorkItem::Batch(Batch {
+            model: requests[0].model.clone(),
+            shard: requests[0].shard,
+            requests,
+            reason,
+        }))
     }
 
-    /// Number of inference requests currently waiting in buckets.
-    pub fn pending(&self) -> usize {
-        self.buckets
-            .lock()
-            .recover("scheduler-buckets")
-            .values()
-            .map(|b| b.requests.len())
-            .sum()
-    }
-
-    /// Number of resident buckets. Because drained buckets are pruned,
-    /// this tracks the *live* set of `(model, shard, tier)` keys — it must
-    /// shrink back to zero whenever the scheduler drains (the regression
-    /// surface for unbounded bucket-map growth).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.lock().recover("scheduler-buckets").len()
-    }
-
-    /// The earliest pending deadline: when the sweeper must next flush.
-    /// `None` when no requests are queued (the sweeper can park
-    /// indefinitely). Every bucket shares `max_delay`, so this is the
-    /// oldest bucket's arrival plus the delay bound.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.buckets
-            .lock()
-            .recover("scheduler-buckets")
-            .values()
-            .map(|b| b.oldest)
-            .min()
-            .map(|oldest| oldest + self.config.max_delay)
-    }
-
-    /// The current sweeper wakeup generation. Capture it *before*
-    /// computing [`BatchScheduler::next_deadline`], then pass both to
-    /// [`BatchScheduler::sweeper_park`]: any re-arm between the capture
-    /// and the park bumps the generation and the park returns immediately,
-    /// so a wakeup can never be lost to that race.
-    pub fn sweep_generation(&self) -> u64 {
-        *self.sweep_gen.lock().recover("sweeper")
-    }
-
-    /// Blocks the calling (sweeper) thread until `deadline` passes, the
-    /// wakeup generation moves past `gen`, or — with no deadline — a
-    /// generation bump alone. Returns immediately when `gen` is already
-    /// stale. This replaces the fixed-interval sleep poll: an idle
-    /// scheduler parks its sweeper indefinitely (zero wakeups), and an
-    /// armed one wakes exactly at the earliest deadline.
-    pub fn sweeper_park(&self, gen: u64, deadline: Option<Instant>) {
-        let mut current = self.sweep_gen.lock().recover("sweeper");
+    /// Blocks until work is due and returns it, or returns `None` once the
+    /// scheduler is closed and drained. Every return from the condvar wait
+    /// is counted in `wakeups`. A worker that leaves work behind wakes
+    /// another parked worker to take over the new head.
+    pub fn next(&self, wakeups: &AtomicU64) -> Option<WorkItem> {
+        let mut state = self.state.lock().recover("work-queue");
         loop {
-            if *current != gen {
-                return;
-            }
-            match deadline {
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return;
+            let now = Instant::now();
+            match self.take_locked(&mut state, now) {
+                Take::Work(item) => {
+                    if !state.queue.is_empty() {
+                        self.ready.notify_one();
                     }
-                    let (next, timeout) = self
-                        .sweep_cv
-                        .wait_timeout(current, deadline - now)
-                        .recover("sweeper");
-                    current = next;
-                    if timeout.timed_out() {
-                        return;
-                    }
+                    return Some(item);
                 }
-                None => {
-                    current = self.sweep_cv.wait(current).recover("sweeper");
+                Take::Exit => return None,
+                Take::Wait(Some(deadline)) => {
+                    state = self
+                        .ready
+                        .wait_timeout(state, deadline - now)
+                        .recover("work-queue")
+                        .0;
+                }
+                Take::Wait(None) => {
+                    state = self.ready.wait(state).recover("work-queue");
                 }
             }
+            wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Bumps the wakeup generation and wakes a parked sweeper (deadline
-    /// advances on the submit side and engine shutdown both come through
-    /// here).
-    pub fn wake_sweeper(&self) {
-        let mut gen = self.sweep_gen.lock().recover("sweeper");
-        *gen = gen.wrapping_add(1);
-        self.sweep_cv.notify_all();
+    /// Closes the queue: every queued batch leaves at once
+    /// ([`FlushReason::Drain`]), and workers exit once it is empty.
+    pub fn close(&self) {
+        self.state.lock().recover("work-queue").closed = true;
+        self.ready.notify_all();
     }
 
-    /// Number of updates parked in per-model FIFOs (token emitted, not yet
+    /// Number of inference requests waiting in the queue.
+    pub fn pending(&self) -> usize {
+        self.state
+            .lock()
+            .recover("work-queue")
+            .queue
+            .iter()
+            .filter(|item| matches!(item, Queued::Request(_)))
+            .count()
+    }
+
+    /// Number of updates parked in per-model FIFOs (submitted, not yet
     /// taken by a worker).
     pub fn pending_updates(&self) -> usize {
         self.updates.pending()
     }
 
-    /// Fault injection: sends a poison pill to worker lane
-    /// `lane % lanes`, which panics that lane's thread on dequeue (see
-    /// [`crate::ServeEngine::poison_lane`]).
-    pub fn poison_lane(&self, lane: usize) {
-        self.out.send(WorkItem::Poison(lane));
-    }
-
-    fn emit(
-        &self,
-        model: ModelKey,
-        shard: u32,
-        tier: usize,
-        mut requests: Vec<InferenceRequest>,
-        reason: FlushReason,
-    ) {
-        if requests.is_empty() {
-            return;
-        }
-        // One clock read covers the whole batch.
-        let now = Instant::now();
-        for request in &mut requests {
-            request.trace.stamp_at(TraceStage::Flushed, now);
-        }
-        // Receiver gone means the engine is shutting down; dropping the
-        // batch here is fine because shutdown drains first.
-        self.out.send(WorkItem::Batch(Batch {
-            model,
-            shard,
-            tier,
-            requests,
-            reason,
-        }));
+    /// Fault injection: the next worker to dequeue panics
+    /// ([`WorkItem::Poison`]), after it has released the queue lock.
+    pub fn poison_worker(&self) {
+        self.state.lock().recover("work-queue").poison = true;
+        self.ready.notify_one();
     }
 }
 
@@ -479,265 +406,142 @@ mod tests {
     use super::*;
     use mega_gnn::GnnKind;
     use mega_graph::GraphDelta;
-    use std::sync::mpsc::{self, Receiver};
+    use std::sync::Arc;
 
-    fn request(id: u64, tier: usize, at: Instant) -> InferenceRequest {
-        request_on_shard(id, 0, tier, at)
+    fn cora() -> ModelKey {
+        ModelKey::new("Cora", GnnKind::Gcn)
     }
 
-    fn request_on_shard(id: u64, shard: u32, tier: usize, at: Instant) -> InferenceRequest {
+    fn request(id: u64, shard: u32, at: Instant) -> InferenceRequest {
         InferenceRequest {
             id,
-            model: ModelKey::new("Cora", GnnKind::Gcn),
+            model: cora(),
             node: id as u32,
             shard,
-            tier,
-            bits: 2,
             submitted_at: at,
             trace: crate::trace::RequestTrace::begin(),
         }
     }
 
-    fn recv_batch(rx: &Receiver<WorkItem>) -> Batch {
-        match rx.try_recv().expect("work item emitted") {
-            WorkItem::Batch(batch) => batch,
-            WorkItem::Update(key) => panic!("expected batch, got update token for {key}"),
-            WorkItem::Poison(lane) => panic!("expected batch, got poison pill for lane {lane}"),
+    fn scheduler(max_batch: usize, max_delay: Duration) -> BatchScheduler {
+        BatchScheduler::new(SchedulerConfig {
+            max_batch,
+            max_delay,
+        })
+    }
+
+    fn batch(take: Take) -> Batch {
+        match take {
+            Take::Work(WorkItem::Batch(batch)) => batch,
+            other => panic!("expected a batch, got {other:?}"),
         }
+    }
+
+    fn ids(batch: &Batch) -> Vec<u64> {
+        batch.requests.iter().map(|r| r.id).collect()
     }
 
     #[test]
     fn size_triggered_flush_emits_full_batch() {
-        let (tx, rx) = mpsc::channel();
-        let scheduler = BatchScheduler::new(
-            SchedulerConfig {
-                max_batch: 3,
-                max_delay: Duration::from_secs(60),
-            },
-            WorkRouter::single(tx),
-        );
+        let scheduler = scheduler(3, Duration::from_secs(60));
         let now = Instant::now();
-        assert!(!scheduler.submit(request(0, 0, now)));
-        assert!(!scheduler.submit(request(1, 0, now)));
-        assert!(scheduler.submit(request(2, 0, now)));
-        let batch = recv_batch(&rx);
-        assert_eq!(batch.requests.len(), 3);
+        for id in 0..3 {
+            scheduler.submit(request(id, 0, now));
+        }
+        let batch = batch(scheduler.take(now));
+        assert_eq!(ids(&batch), vec![0, 1, 2]);
         assert_eq!(batch.reason, FlushReason::Size);
         assert_eq!(scheduler.pending(), 0);
     }
 
+    /// The head picks the key: a full batch for another shard waits behind
+    /// a partial head batch, then leaves by size right after it.
     #[test]
-    fn tiers_bucket_independently() {
-        let (tx, rx) = mpsc::channel();
-        let scheduler = BatchScheduler::new(
-            SchedulerConfig {
-                max_batch: 2,
-                max_delay: Duration::from_secs(60),
-            },
-            WorkRouter::single(tx),
-        );
+    fn shards_batch_independently() {
+        let scheduler = scheduler(2, Duration::from_millis(5));
         let now = Instant::now();
         scheduler.submit(request(0, 0, now));
         scheduler.submit(request(1, 1, now));
-        assert!(rx.try_recv().is_err(), "no tier is full yet");
         scheduler.submit(request(2, 1, now));
-        let batch = recv_batch(&rx);
-        assert_eq!(batch.tier, 1);
-        assert_eq!(batch.requests.len(), 2);
-        assert_eq!(scheduler.pending(), 1);
+        assert!(matches!(scheduler.take(now), Take::Wait(Some(_))));
+        let head = batch(scheduler.take(now + Duration::from_millis(5)));
+        assert_eq!((head.shard, head.reason), (0, FlushReason::Deadline));
+        let full = batch(scheduler.take(now + Duration::from_millis(5)));
+        assert_eq!((full.shard, full.reason), (1, FlushReason::Size));
+        assert_eq!(ids(&full), vec![1, 2]);
     }
 
     #[test]
     fn deadline_flushes_partial_batch() {
-        let (tx, rx) = mpsc::channel();
-        let config = SchedulerConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(5),
-        };
-        let scheduler = BatchScheduler::new(config.clone(), WorkRouter::single(tx));
+        let max_delay = Duration::from_millis(5);
+        let scheduler = scheduler(64, max_delay);
         let t0 = Instant::now();
         scheduler.submit(request(0, 0, t0));
         scheduler.submit(request(1, 0, t0));
         // Before the deadline nothing moves.
-        assert_eq!(scheduler.poll_deadlines(t0 + Duration::from_millis(1)), 0);
-        assert!(rx.try_recv().is_err());
-        // At the deadline the partial batch flushes.
-        assert_eq!(scheduler.poll_deadlines(t0 + config.max_delay), 1);
-        let batch = recv_batch(&rx);
-        assert_eq!(batch.requests.len(), 2);
+        assert!(matches!(
+            scheduler.take(t0 + Duration::from_millis(1)),
+            Take::Wait(Some(d)) if d == t0 + max_delay
+        ));
+        // At the deadline the partial batch leaves.
+        let batch = batch(scheduler.take(t0 + max_delay));
+        assert_eq!(ids(&batch), vec![0, 1]);
         assert_eq!(batch.reason, FlushReason::Deadline);
         assert_eq!(scheduler.pending(), 0);
-        // Idempotent: nothing left to flush.
-        assert_eq!(scheduler.poll_deadlines(t0 + Duration::from_secs(1)), 0);
+        // Nothing left: wait for a submit.
+        assert!(matches!(
+            scheduler.take(t0 + Duration::from_secs(1)),
+            Take::Wait(None)
+        ));
+    }
+
+    /// The deadline belongs to the oldest request of the head batch, which
+    /// need not be the head itself (stamps are taken before the queue
+    /// lock). A batch behind it that is already overdue leaves at once.
+    #[test]
+    fn take_waits_for_the_head_deadline() {
+        let max_delay = Duration::from_millis(10);
+        let scheduler = scheduler(64, max_delay);
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        scheduler.submit(request(0, 0, t0 + ms(3)));
+        scheduler.submit(request(1, 1, t0));
+        scheduler.submit(request(2, 0, t0 + ms(1)));
+        assert!(matches!(
+            scheduler.take(t0),
+            Take::Wait(Some(d)) if d == t0 + ms(1) + max_delay
+        ));
+        let head = batch(scheduler.take(t0 + ms(1) + max_delay));
+        assert_eq!(
+            (ids(&head), head.reason),
+            (vec![0, 2], FlushReason::Deadline)
+        );
+        let overdue = batch(scheduler.take(t0 + ms(1) + max_delay));
+        assert_eq!(
+            (ids(&overdue), overdue.reason),
+            (vec![1], FlushReason::Deadline)
+        );
     }
 
     #[test]
-    fn flush_all_drains_every_bucket() {
-        let (tx, rx) = mpsc::channel();
-        let scheduler = BatchScheduler::new(SchedulerConfig::default(), WorkRouter::single(tx));
+    fn close_drains_every_key() {
+        let scheduler = scheduler(32, Duration::from_secs(60));
         let now = Instant::now();
         scheduler.submit(request(0, 0, now));
         scheduler.submit(request(1, 3, now));
-        assert_eq!(scheduler.flush_all(), 2);
-        let mut sizes: Vec<usize> = (0..2).map(|_| recv_batch(&rx).requests.len()).collect();
-        sizes.sort_unstable();
-        assert_eq!(sizes, vec![1, 1]);
-        assert_eq!(scheduler.flush_all(), 0);
-    }
-
-    /// Regression: the bucket map must shrink when buckets drain. It used
-    /// to keep an empty `Bucket` per `(model, shard, tier)` key forever —
-    /// unbounded growth across keys, and dead models' buckets staying
-    /// alive after re-registration.
-    #[test]
-    fn drained_buckets_are_pruned_from_the_map() {
-        let (tx, rx) = mpsc::channel();
-        let scheduler = BatchScheduler::new(
-            SchedulerConfig {
-                max_batch: 2,
-                max_delay: Duration::from_millis(5),
-            },
-            WorkRouter::single(tx),
-        );
-        let now = Instant::now();
-        assert_eq!(scheduler.bucket_count(), 0);
-        // Size flush prunes.
-        scheduler.submit(request(0, 0, now));
-        scheduler.submit(request(1, 0, now));
-        assert_eq!(scheduler.bucket_count(), 0, "size flush removed the bucket");
-        // Deadline flush prunes.
-        scheduler.submit(request(2, 1, now));
-        assert_eq!(scheduler.bucket_count(), 1);
-        assert_eq!(scheduler.poll_deadlines(now + Duration::from_secs(1)), 1);
-        assert_eq!(scheduler.bucket_count(), 0, "deadline flush removed it");
-        // Barrier flush prunes only the target model; drain prunes the rest.
-        let other = ModelKey::new("PubMed", GnnKind::Gcn);
-        scheduler.submit(request(3, 2, now));
-        scheduler.submit(InferenceRequest {
-            model: other.clone(),
-            ..request(4, 0, now)
-        });
-        assert_eq!(scheduler.bucket_count(), 2);
-        scheduler.flush_model(&ModelKey::new("Cora", GnnKind::Gcn));
-        assert_eq!(scheduler.bucket_count(), 1, "barrier pruned one model");
-        scheduler.flush_all();
-        assert_eq!(scheduler.bucket_count(), 0, "drain empties the map");
-        // A burst over many distinct keys leaves nothing resident after
-        // the drain — the map tracks the live working set, not history.
-        for tier in 0..64 {
-            scheduler.submit(request(100 + tier as u64, tier, now));
+        scheduler.close();
+        for (id, shard) in [(0, 0), (1, 3)] {
+            let batch = batch(scheduler.take(now));
+            assert_eq!((ids(&batch), batch.shard), (vec![id], shard));
+            assert_eq!(batch.reason, FlushReason::Drain);
         }
-        assert_eq!(scheduler.bucket_count(), 64);
-        scheduler.flush_all();
-        assert_eq!(scheduler.bucket_count(), 0);
-        while rx.try_recv().is_ok() {}
-    }
-
-    #[test]
-    fn next_deadline_follows_the_oldest_bucket() {
-        let (tx, _rx) = mpsc::channel();
-        let config = SchedulerConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(10),
-        };
-        let scheduler = BatchScheduler::new(config.clone(), WorkRouter::single(tx));
-        assert_eq!(scheduler.next_deadline(), None, "idle: park indefinitely");
-        let t0 = Instant::now();
-        scheduler.submit(request(0, 1, t0 + Duration::from_millis(3)));
-        scheduler.submit(request(1, 0, t0));
-        scheduler.submit(request(2, 2, t0 + Duration::from_millis(7)));
-        assert_eq!(
-            scheduler.next_deadline(),
-            Some(t0 + config.max_delay),
-            "earliest deadline belongs to the oldest bucket"
-        );
-        // Flushing the oldest moves the deadline to the next-oldest.
-        assert_eq!(scheduler.poll_deadlines(t0 + config.max_delay), 1);
-        assert_eq!(
-            scheduler.next_deadline(),
-            Some(t0 + Duration::from_millis(3) + config.max_delay)
-        );
-        scheduler.flush_all();
-        assert_eq!(scheduler.next_deadline(), None);
-    }
-
-    #[test]
-    fn sweeper_park_wakes_on_rearm_and_deadline() {
-        let (tx, _rx) = mpsc::channel();
-        let scheduler = Arc::new(BatchScheduler::new(
-            SchedulerConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(60),
-            },
-            WorkRouter::single(tx),
-        ));
-        // Deadline in the past returns immediately.
-        let gen = scheduler.sweep_generation();
-        scheduler.sweeper_park(gen, Some(Instant::now() - Duration::from_millis(1)));
-        // A stale generation returns immediately even with no deadline.
-        scheduler.wake_sweeper();
-        scheduler.sweeper_park(gen, None);
-        // A submit into an empty scheduler wakes an indefinitely parked
-        // sweeper (the empty → non-empty re-arm).
-        let parked = {
-            let scheduler = scheduler.clone();
-            std::thread::spawn(move || {
-                let gen = scheduler.sweep_generation();
-                if scheduler.next_deadline().is_none() {
-                    scheduler.sweeper_park(gen, None);
-                }
-            })
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        scheduler.submit(request(0, 0, Instant::now()));
-        parked.join().expect("parked sweeper woke on re-arm");
-    }
-
-    /// Regression: `submitted_at` is stamped *before* the scheduler lock,
-    /// so a stalled submitter can create a bucket whose deadline precedes
-    /// the one the sweeper is parked on. That submit must wake the
-    /// sweeper — otherwise the older bucket flushes late.
-    #[test]
-    fn sweeper_wakes_when_an_older_bucket_arrives() {
-        let (tx, _rx) = mpsc::channel();
-        let scheduler = Arc::new(BatchScheduler::new(
-            SchedulerConfig {
-                max_batch: 64,
-                max_delay: Duration::from_secs(60),
-            },
-            WorkRouter::single(tx),
-        ));
-        let now = Instant::now();
-        // The sweeper is parked on this bucket's (far) deadline...
-        scheduler.submit(request(0, 0, now));
-        let deadline = scheduler.next_deadline().expect("armed");
-        let parked = {
-            let scheduler = scheduler.clone();
-            std::thread::spawn(move || {
-                let gen = scheduler.sweep_generation();
-                scheduler.sweeper_park(gen, Some(deadline));
-            })
-        };
-        std::thread::sleep(Duration::from_millis(10));
-        // ...when a stalled submitter lands a bucket stamped 5s EARLIER.
-        // Its deadline is sooner than the parked one, so the park must
-        // end now, not at the stale deadline (join would hang ~60s and
-        // trip the test harness timeout if the wake were missed).
-        scheduler.submit(request(1, 1, now - Duration::from_secs(5)));
-        assert_eq!(
-            scheduler.next_deadline().unwrap(),
-            now - Duration::from_secs(5) + Duration::from_secs(60),
-            "the older bucket owns the earliest deadline"
-        );
-        parked.join().expect("sweeper woke for the sooner deadline");
+        assert!(matches!(scheduler.take(now), Take::Exit));
     }
 
     #[test]
     fn updates_barrier_their_model_and_queue_fifo() {
-        let (tx, rx) = mpsc::channel();
-        let scheduler = BatchScheduler::new(SchedulerConfig::default(), WorkRouter::single(tx));
+        let scheduler = scheduler(32, Duration::from_millis(5));
         let now = Instant::now();
-        let cora = ModelKey::new("Cora", GnnKind::Gcn);
         let other = ModelKey::new("PubMed", GnnKind::Gcn);
         scheduler.submit(request(0, 0, now));
         scheduler.submit(InferenceRequest {
@@ -749,7 +553,7 @@ mod tests {
             delta.insert_edge(id as u32, 0);
             UpdateRequest {
                 id,
-                model: cora.clone(),
+                model: cora(),
                 delta,
                 node_features: vec![],
                 submitted_at: now,
@@ -757,21 +561,103 @@ mod tests {
         };
         scheduler.submit_update(update(10));
         scheduler.submit_update(update(11));
-        // The barrier flushed only Cora's bucket; PubMed's is still queued.
-        let batch = recv_batch(&rx);
-        assert_eq!(batch.model, cora);
-        assert_eq!(batch.reason, FlushReason::Barrier);
-        assert_eq!(scheduler.pending(), 1);
-        // Two update tokens follow, and the FIFO pops in submit order.
+        // Cora's batch is barriered out at once...
+        let barriered = batch(scheduler.take(now));
+        assert_eq!(barriered.model, cora());
+        assert_eq!(barriered.reason, FlushReason::Barrier);
+        // ...PubMed's is not, and the tokens queue behind it.
+        assert!(matches!(scheduler.take(now), Take::Wait(Some(_))));
+        let deadline = now + Duration::from_millis(5);
+        assert_eq!(batch(scheduler.take(deadline)).model, other);
         for expected in [10u64, 11] {
-            match rx.try_recv().expect("update token") {
-                WorkItem::Update(key) => assert_eq!(key, cora),
-                WorkItem::Batch(_) => panic!("expected update token"),
-                WorkItem::Poison(lane) => panic!("expected update token, got poison for {lane}"),
-            }
-            assert_eq!(scheduler.take_update(&cora).unwrap().id, expected);
+            assert!(matches!(
+                scheduler.take(deadline),
+                Take::Work(WorkItem::Update(key)) if key == cora()
+            ));
+            assert_eq!(scheduler.take_update(&cora()).unwrap().id, expected);
         }
         assert_eq!(scheduler.pending_updates(), 0);
-        assert!(scheduler.take_update(&cora).is_none());
+        assert!(scheduler.take_update(&cora()).is_none());
+    }
+
+    /// Requests admitted after an update do not join the batch barriered
+    /// ahead of it.
+    #[test]
+    fn a_barrier_batch_stops_at_the_token() {
+        let scheduler = scheduler(32, Duration::from_secs(60));
+        let now = Instant::now();
+        scheduler.submit(request(0, 0, now));
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(1, 0);
+        scheduler.submit_update(UpdateRequest {
+            id: 9,
+            model: cora(),
+            delta,
+            node_features: vec![],
+            submitted_at: now,
+        });
+        scheduler.submit(request(1, 0, now));
+        assert_eq!(ids(&batch(scheduler.take(now))), vec![0]);
+        assert!(matches!(
+            scheduler.take(now),
+            Take::Work(WorkItem::Update(_))
+        ));
+        assert_eq!(scheduler.pending(), 1);
+    }
+
+    #[test]
+    fn poison_is_taken_before_queued_work() {
+        let scheduler = scheduler(1, Duration::from_secs(60));
+        let now = Instant::now();
+        scheduler.submit(request(0, 0, now));
+        scheduler.poison_worker();
+        assert!(matches!(scheduler.take(now), Take::Work(WorkItem::Poison)));
+        assert_eq!(ids(&batch(scheduler.take(now))), vec![0]);
+    }
+
+    /// A worker parked on an empty queue wakes for the first submit, parks
+    /// again until the head's (far) deadline, and wakes again when a second
+    /// submit fills the batch.
+    #[test]
+    fn next_wakes_on_submit() {
+        let scheduler = Arc::new(scheduler(2, Duration::from_secs(60)));
+        let parked = {
+            let scheduler = scheduler.clone();
+            std::thread::spawn(move || scheduler.next(&AtomicU64::new(0)))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        scheduler.submit(request(0, 0, Instant::now()));
+        std::thread::sleep(Duration::from_millis(10));
+        scheduler.submit(request(1, 0, Instant::now()));
+        let Some(WorkItem::Batch(batch)) = parked.join().expect("worker woke") else {
+            panic!("expected a batch");
+        };
+        assert_eq!(batch.reason, FlushReason::Size);
+    }
+
+    /// `submitted_at` is stamped before the queue lock, so a stalled
+    /// submitter can join the head batch with an older stamp than the one
+    /// a parked worker is timing. That submit must wake the worker, or the
+    /// batch leaves late.
+    #[test]
+    fn an_older_stamp_wakes_a_parked_worker() {
+        let max_delay = Duration::from_secs(60);
+        let scheduler = Arc::new(scheduler(64, max_delay));
+        let now = Instant::now();
+        scheduler.submit(request(0, 0, now));
+        let parked = {
+            let scheduler = scheduler.clone();
+            std::thread::spawn(move || scheduler.next(&AtomicU64::new(0)))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        // Overdue on arrival: without the wake, join would hang ~60 s.
+        scheduler.submit(request(1, 0, now - max_delay));
+        let Some(WorkItem::Batch(batch)) = parked.join().expect("worker woke") else {
+            panic!("expected a batch");
+        };
+        assert_eq!(
+            (ids(&batch), batch.reason),
+            (vec![0, 1], FlushReason::Deadline)
+        );
     }
 }

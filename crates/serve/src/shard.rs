@@ -1,9 +1,9 @@
 //! Shards as ownership views over a model's global state, and the
 //! per-batch hardware cost estimate.
 //!
-//! A shard is three things: the key [`crate::WorkRouter`] pins a lane by,
-//! the partition of the model's logits caches its nodes' entries live in,
-//! and a label on the serving metrics. It is not a copy of the graph. A
+//! A shard is three things: half of the `(model, shard)` key the work
+//! queue batches requests by, the partition of the model's logits caches
+//! its nodes' entries live in, and a label on the serving metrics. It is not a copy of the graph. A
 //! [`Shard`] borrows the model's [`ModelArtifacts`] and answers one
 //! question, which nodes its part owns; forward passes, receptive fields
 //! and hardware estimates all run in global node ids over the model's one

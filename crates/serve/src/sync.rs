@@ -12,7 +12,7 @@
 //! Locks are grouped into **classes** by their creation site (the
 //! `#[track_caller]` location of `Mutex::new` / `RwLock::new`): all
 //! ticket slots minted by one constructor share a class, the scheduler's
-//! bucket map is its own class, and so on. Every time a thread *blocks*
+//! work queue is its own class, and so on. Every time a thread *blocks*
 //! on an acquisition while already holding other locks, a directed edge
 //! `held-class → acquiring-class` is added to a process-global graph
 //! (with the acquiring thread and both call sites kept as the witness).

@@ -3,8 +3,8 @@
 //!
 //! Every request carries a [`RequestTrace`]: a fixed array of monotonic
 //! stage timestamps (microsecond offsets from the trace origin) stamped as
-//! the request moves ingress → admission → submit → scheduler bucket →
-//! worker lane → forward pass → cache fill → delivery. Stamping is one
+//! the request moves ingress → admission → submit → work queue →
+//! worker → forward pass → cache fill → delivery. Stamping is one
 //! `Instant::now()` plus an array store (batch-level stages share a single
 //! clock read across the whole batch), so tracing is always on — the
 //! measured overhead budget is ≤ 2% of closed-loop throughput
@@ -51,11 +51,11 @@ pub enum TraceStage {
     /// A logits-cache hit short-circuited the pipeline (submit-time or
     /// the worker's partial-batch split).
     CacheHit = 3,
-    /// The request entered its scheduler bucket.
+    /// The request entered the work queue.
     Enqueued = 4,
-    /// Its bucket flushed into a batch (size, deadline, barrier, drain).
+    /// Its batch left the queue (size, deadline, barrier, drain).
     Flushed = 5,
-    /// A worker lane dequeued the batch.
+    /// The worker that took the batch began it.
     Dequeued = 6,
     /// The forward pass started.
     ExecStart = 7,
@@ -361,9 +361,9 @@ impl Default for FlightRecorder {
 /// flight recorder. Lives inside [`crate::Metrics`] so every component
 /// that records counters can also record traces.
 pub struct Tracer {
-    /// Enqueued → flushed: time spent coalescing in a scheduler bucket.
+    /// Enqueued → flushed: time spent coalescing in the work queue.
     pub queue_wait: LogHistogram,
-    /// Flushed → forward-pass start: worker-lane dispatch wait.
+    /// Flushed → forward-pass start: a worker's set-up before the pass.
     pub batch_wait: LogHistogram,
     /// Forward-pass start → end.
     pub execute: LogHistogram,
@@ -594,7 +594,7 @@ mod tests {
         // gaps but still lands in the recorder.
         let hit = RequestTrace::begin();
         tracer.complete(&hit, &response(2, Duration::from_micros(4)));
-        assert_eq!(tracer.queue_wait.count(), 1, "no bucket stages on a hit");
+        assert_eq!(tracer.queue_wait.count(), 1, "no queue stages on a hit");
         assert_eq!(tracer.recorder.recent().len(), 2);
     }
 

@@ -1,21 +1,19 @@
-//! The worker pool: shard-affine std threads executing inference batches
-//! and graph updates against a model's global artifacts.
+//! The worker pool: std threads pulling inference batches and graph
+//! updates from the shared [`BatchScheduler`] queue and executing them
+//! against a model's global artifacts.
 //!
 //! Inference has one execution path: cache misses are grouped by the shard
 //! that owns each node *at execution time* and every group runs through
 //! [`shard_logits_with_field`] (blocked kernels over the global adjacency
 //! and packed store), so the shard count cannot change a logit.
 //!
-//! Every worker owns a private channel lane; [`WorkRouter`] pins each
-//! `(model, shard)` pair to one lane by hash, so the worker that executes a
-//! shard's batches is always the same thread — the rows its targets touch
-//! most stay hot in that core's cache, the serving-side analogue of the
-//! paper processing one dense subgraph at a time. Updates for a model all
-//! hash to one lane too (shard-independent), preserving the per-model FIFO.
+//! No worker owns a shard or a model: whichever worker is free takes the
+//! next due batch or update token ([`BatchScheduler::next`]), so a dead or
+//! busy worker leaves nothing stranded behind it. Updates for one model
+//! still apply in submission order, because a worker pops the payload from
+//! the per-model FIFO inside the model's write lock.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -32,87 +30,14 @@ use crate::registry::ModelRegistry;
 use crate::request::{
     InferenceRequest, InferenceResponse, ModelKey, ServeResponse, UpdateResponse,
 };
-use crate::scheduler::{Batch, FlushReason, UpdateQueue, WorkItem};
+use crate::scheduler::{Batch, BatchScheduler, FlushReason, WorkItem};
 use crate::shard::estimate_batch_hw;
 use crate::ticket::CompletionRouter;
 use crate::trace::TraceStage;
 
-/// Routes [`WorkItem`]s to worker lanes with shard affinity: batches go to
-/// `hash(model, shard) % lanes`, update tokens to `hash(model, 0) % lanes`
-/// (so updates for one model stay on one lane; their application order is
-/// still governed by the per-model FIFO). Dropping the router drops every
-/// lane sender, which is what disconnects — and thereby terminates — the
-/// worker pool.
-pub struct WorkRouter {
-    lanes: Vec<Sender<WorkItem>>,
-    /// When present, routing increments the target lane's queue-depth
-    /// gauge (the worker decrements on dequeue), so `/metrics` can sample
-    /// live per-lane backlog. `None` for bare test routers.
-    metrics: Option<Arc<Metrics>>,
-}
-
-impl WorkRouter {
-    /// A router over the given lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty.
-    pub fn new(lanes: Vec<Sender<WorkItem>>) -> Self {
-        assert!(!lanes.is_empty(), "router needs at least one lane");
-        Self {
-            lanes,
-            metrics: None,
-        }
-    }
-
-    /// A router whose sends also maintain per-lane queue-depth gauges in
-    /// `metrics` (the engine path; [`WorkerPool::spawn`] uses this).
-    pub fn with_metrics(lanes: Vec<Sender<WorkItem>>, metrics: Arc<Metrics>) -> Self {
-        let mut router = Self::new(lanes);
-        router.metrics = Some(metrics);
-        router
-    }
-
-    /// A single-lane router (tests and sequential consumers).
-    pub fn single(lane: Sender<WorkItem>) -> Self {
-        Self::new(vec![lane])
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The lane `(model, shard)` is pinned to.
-    pub fn lane_of(&self, model: &ModelKey, shard: u32) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        model.hash(&mut hasher);
-        shard.hash(&mut hasher);
-        (hasher.finish() % self.lanes.len() as u64) as usize
-    }
-
-    /// Sends an item down its affine lane. A disconnected lane means the
-    /// engine is shutting down; the item is dropped (shutdown drains
-    /// first).
-    pub fn send(&self, item: WorkItem) {
-        let lane = match &item {
-            WorkItem::Batch(batch) => self.lane_of(&batch.model, batch.shard),
-            WorkItem::Update(model) => self.lane_of(model, 0),
-            WorkItem::Poison(lane) => lane % self.lanes.len(),
-        };
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .lane_stat(lane)
-                .depth
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let _ = self.lanes[lane].send(item);
-    }
-}
-
 /// Clears the lane's liveness flag when its thread exits — by normal
-/// channel disconnect *or* by panic (`Drop` runs during unwind), which is
-/// exactly what lets `/healthz` notice a dead lane.
+/// drain *or* by panic (`Drop` runs during unwind), which is exactly what
+/// lets `/healthz` notice a dead worker.
 struct LaneLiveness(Arc<crate::metrics::LaneStat>);
 
 impl Drop for LaneLiveness {
@@ -185,37 +110,31 @@ pub fn shard_logits_with_field(
     batch_logits_with_mode(artifacts, targets, KernelMode::Blocked)
 }
 
-/// A pool of shard-affine serving threads.
+/// A pool of serving threads sharing one work queue.
 pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads, each consuming its own lane until that
-    /// lane disconnects (engine shutdown), and returns the pool together
-    /// with the [`WorkRouter`] feeding it. `updates` is the scheduler's
-    /// shared FIFO; workers pop update payloads from it when an update
-    /// token arrives (they never hold the scheduler itself — its router
-    /// must die with the engine for shutdown to disconnect this pool).
-    /// Every response leaves through `completions`, which delivers it into
-    /// the request's [`crate::Ticket`] slot, waking its waiter the moment
-    /// the result exists.
+    /// Spawns `workers` threads, each pulling from `scheduler` until it is
+    /// closed and drained (engine shutdown). Worker `i` keeps its counters
+    /// in lane `i` of `metrics`. Every response leaves through
+    /// `completions`, which delivers it into the request's
+    /// [`crate::Ticket`] slot, waking its waiter the moment the result
+    /// exists.
     pub fn spawn(
         workers: usize,
+        scheduler: Arc<BatchScheduler>,
         registry: Arc<ModelRegistry>,
         cache: Arc<ArtifactCache>,
-        updates: Arc<UpdateQueue>,
         metrics: Arc<Metrics>,
         completions: Arc<CompletionRouter>,
-    ) -> (Self, WorkRouter) {
-        let mut lanes = Vec::new();
+    ) -> Self {
         let handles = (0..workers.max(1))
             .map(|worker_id| {
-                let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = mpsc::channel();
-                lanes.push(tx);
+                let scheduler = scheduler.clone();
                 let registry = registry.clone();
                 let cache = cache.clone();
-                let updates = updates.clone();
                 let metrics = metrics.clone();
                 let completions = completions.clone();
                 std::thread::Builder::new()
@@ -224,12 +143,7 @@ impl WorkerPool {
                         let stat = metrics.lane_stat(worker_id);
                         stat.alive.store(true, std::sync::atomic::Ordering::Relaxed);
                         let _liveness = LaneLiveness(stat.clone());
-                        while let Ok(item) = rx.recv() {
-                            let _ = stat.depth.fetch_update(
-                                std::sync::atomic::Ordering::Relaxed,
-                                std::sync::atomic::Ordering::Relaxed,
-                                |d| Some(d.saturating_sub(1)),
-                            );
+                        while let Some(item) = scheduler.next(&metrics.queue_wakeups) {
                             let started = Instant::now();
                             match item {
                                 WorkItem::Batch(batch) => {
@@ -251,12 +165,12 @@ impl WorkerPool {
                                     model,
                                     &registry,
                                     &cache,
-                                    &updates,
+                                    &scheduler,
                                     &metrics,
                                     &completions,
                                 ),
-                                WorkItem::Poison(lane) => {
-                                    panic!("worker lane {lane} poisoned by fault injection")
+                                WorkItem::Poison => {
+                                    panic!("worker {worker_id} poisoned by fault injection")
                                 }
                             }
                             stat.busy_us.fetch_add(
@@ -270,8 +184,7 @@ impl WorkerPool {
                     .expect("spawn worker thread")
             })
             .collect();
-        let router = WorkRouter::with_metrics(lanes, metrics);
-        (Self { handles }, router)
+        Self { handles }
     }
 
     /// Number of threads in the pool.
@@ -284,22 +197,22 @@ impl WorkerPool {
         self.handles.is_empty()
     }
 
-    /// Per-lane liveness, indexed by worker id: `false` once the lane's
-    /// thread has exited (a panicked lane, or — during shutdown — a lane
-    /// that already drained). `/healthz` reads this while the engine is
-    /// running, where the only way a lane finishes is a panic.
+    /// Per-worker liveness, indexed by worker id: `false` once the
+    /// worker's thread has exited (a panic, or — during shutdown — a
+    /// worker that already drained). `/healthz` reads this while the engine
+    /// is running, where the only way a worker finishes is a panic.
     pub fn alive(&self) -> Vec<bool> {
         self.handles.iter().map(|h| !h.is_finished()).collect()
     }
 
-    /// Waits for every worker to finish (the router must already be
-    /// dropped, or this blocks forever). A lane that panicked mid-run
-    /// (e.g. fault injection via [`crate::ServeEngine::poison_lane`]) is
-    /// reported, not propagated — shutdown still drains the other lanes.
+    /// Waits for every worker to finish (the scheduler must already be
+    /// closed, or this blocks forever). A worker that panicked mid-run
+    /// (e.g. fault injection via [`crate::ServeEngine::poison_worker`]) is
+    /// reported, not propagated — the other workers still drain the queue.
     pub fn join(self) {
-        for (lane, handle) in self.handles.into_iter().enumerate() {
+        for (worker, handle) in self.handles.into_iter().enumerate() {
             if handle.join().is_err() {
-                eprintln!("mega-serve: worker lane {lane} panicked before shutdown");
+                eprintln!("mega-serve: worker {worker} panicked before shutdown");
             }
         }
     }
@@ -484,12 +397,10 @@ fn respond_batch(
         let request = &mut requests[i];
         let logits_row = logits.row(row).to_vec();
         let predicted_class = logits.argmax_row(row);
-        // Everything placement- and precision-shaped is restamped from the
-        // artifacts the batch *executed against* — never from the values
-        // stamped at submit time. A re-tier or re-shard landing between
-        // submit and execution at worst costs batching homogeneity; the
-        // response always reports the tier/bits/shard the forward pass
-        // actually served.
+        // Everything placement- and precision-shaped is read from the
+        // artifacts the batch *executed against*, so a re-tier or re-shard
+        // landing between submit and execution never makes the response
+        // mis-report the tier/bits/shard the forward pass served.
         let shard = artifacts.shard_of(request.node);
         let response = InferenceResponse {
             id: request.id,
@@ -568,14 +479,14 @@ fn run_update(
     model: ModelKey,
     registry: &ModelRegistry,
     cache: &ArtifactCache,
-    updates: &UpdateQueue,
+    scheduler: &BatchScheduler,
     metrics: &Metrics,
     completions: &CompletionRouter,
 ) {
     let Some(spec) = registry.get(&model) else {
         // The model vanished from the registry mid-flight: consume the
         // token's payload and fail its ticket so no waiter hangs.
-        if let Some(update) = updates.pop(&model) {
+        if let Some(update) = scheduler.take_update(&model) {
             completions.drop_request(update.id);
         }
         return;
@@ -588,7 +499,7 @@ fn run_update(
     // tokens for the same model. A missing payload means the queue was
     // drained out from under us (only possible at teardown).
     let outcome = entry.update(|artifacts| {
-        updates.pop(&model).map(|update| {
+        scheduler.take_update(&model).map(|update| {
             let result = artifacts.apply_delta(&update.delta, &update.node_features);
             // A rejected delta changed nothing; report the standing
             // balance (the success path carries it in the effect).
@@ -776,8 +687,6 @@ mod tests {
                         model: model.clone(),
                         node,
                         shard,
-                        tier: 0,
-                        bits: 0,
                         submitted_at: Instant::now(),
                         trace: crate::trace::RequestTrace::begin(),
                     }
@@ -787,7 +696,6 @@ mod tests {
             let batch = Batch {
                 model: model.clone(),
                 shard,
-                tier: 0,
                 requests,
                 reason: FlushReason::Size,
             };
@@ -811,26 +719,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn router_pins_model_shard_pairs_to_lanes() {
-        let (tx0, rx0) = mpsc::channel();
-        let (tx1, rx1) = mpsc::channel();
-        let router = WorkRouter::new(vec![tx0, tx1]);
-        let cora = ModelKey::new("Cora", GnnKind::Gcn);
-        assert_eq!(router.lanes(), 2);
-        let lane = router.lane_of(&cora, 3);
-        assert_eq!(lane, router.lane_of(&cora, 3), "affinity is stable");
-        router.send(WorkItem::Update(cora.clone()));
-        let update_lane = router.lane_of(&cora, 0);
-        let received = if update_lane == 0 {
-            rx0.try_recv()
-        } else {
-            rx1.try_recv()
-        };
-        assert!(matches!(received, Ok(WorkItem::Update(_))));
-        drop(router);
-        assert!(rx0.try_recv().is_err() && rx1.try_recv().is_err());
     }
 }

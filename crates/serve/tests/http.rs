@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mega_gnn::GnnKind;
-use mega_graph::DatasetSpec;
+use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::http::json::{self, Json};
 use mega_serve::{
     HttpServer, HttpServerConfig, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig,
@@ -142,7 +142,8 @@ fn predict_update_metrics_over_tcp() {
     for needle in [
         "mega_serve_requests_completed_total",
         "mega_serve_in_flight 0",
-        "mega_serve_sweeper_wakeups_total",
+        "mega_serve_queue_wakeups_total",
+        "mega_serve_queue_depth 0",
         "mega_serve_updates_applied_total 1",
         "mega_serve_http_requests_total",
     ] {
@@ -362,7 +363,7 @@ fn update_rejects_non_finite_feature_values() {
 }
 
 /// `/healthz` reports real liveness: 200 with per-lane state while every
-/// thread runs, 503 with a reason once a worker lane dies (here killed by
+/// worker runs, 503 with a reason once a worker dies (here killed by
 /// fault injection, exactly as a panic in batch execution would).
 #[test]
 fn healthz_flips_to_503_when_a_lane_dies() {
@@ -373,14 +374,13 @@ fn healthz_flips_to_503_when_a_lane_dies() {
     assert_eq!(status, 200, "{body}");
     let health = json::parse(body.as_bytes()).expect("valid JSON");
     assert_eq!(health.get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(health.get("sweeper_alive"), Some(&Json::Bool(true)));
     let lanes = health.get("lanes_alive").unwrap().as_array().unwrap();
     assert_eq!(lanes.len(), 2, "one liveness flag per worker lane");
     assert!(lanes.iter().all(|l| *l == Json::Bool(true)));
     assert_eq!(health.get("reason"), Some(&Json::Null));
 
-    // Kill lane 0 and wait for the endpoint to notice.
-    engine.poison_lane(0);
+    // Kill a worker and wait for the endpoint to notice.
+    engine.poison_worker();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let (status, body) = loop {
         let (status, _, body) = http(addr, "GET", "/healthz", "");
@@ -393,13 +393,73 @@ fn healthz_flips_to_503_when_a_lane_dies() {
     let health = json::parse(body.as_bytes()).expect("valid JSON");
     assert_eq!(health.get("ok"), Some(&Json::Bool(false)));
     let lanes = health.get("lanes_alive").unwrap().as_array().unwrap();
-    assert_eq!(lanes[0], Json::Bool(false), "lane 0 reported dead");
-    assert_eq!(lanes[1], Json::Bool(true), "lane 1 still alive");
+    let dead = lanes.iter().filter(|l| **l == Json::Bool(false)).count();
+    assert_eq!(dead, 1, "exactly the poisoned worker is reported dead");
     let reason = health.get("reason").unwrap().as_str().unwrap();
     assert!(
         reason.contains("lane"),
         "reason names the dead lane: {reason}"
     );
+
+    server.stop();
+    engine_shutdown(engine);
+}
+
+/// A dead worker strands nothing: every worker pulls from one queue, so
+/// with 2 workers and K = 4, killing one still answers a predict for a
+/// node of every shard and an update, while `/healthz` reports 503.
+#[test]
+fn a_dead_worker_strands_nothing() {
+    let registry = Arc::new(ModelRegistry::new());
+    let key = registry.register(
+        ModelSpec::standard(
+            DatasetSpec::cora().scaled(0.08).with_feature_dim(48),
+            GnnKind::Gcn,
+        )
+        .with_shards(4),
+    );
+    let engine = Arc::new(ServeEngine::start_detached(
+        ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        },
+        registry.clone(),
+    ));
+    engine.warm(&key).unwrap();
+    let server =
+        HttpServer::start(HttpServerConfig::default(), engine.clone(), registry).expect("bind");
+    let addr = server.local_addr();
+
+    engine.poison_worker();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while http(addr, "GET", "/healthz", "").0 == 200 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the poisoned worker never died"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut by_shard = std::collections::BTreeMap::new();
+    for node in 0..200 as NodeId {
+        let (shard, _, _) = engine.locate(&key, node).unwrap();
+        by_shard.entry(shard).or_insert(node);
+    }
+    assert_eq!(by_shard.len(), 4, "a node of every shard");
+    let mut tickets: Vec<_> = by_shard
+        .values()
+        .map(|&node| engine.submit(&key, node).unwrap())
+        .collect();
+    let mut delta = GraphDelta::new();
+    delta.insert_edge(by_shard[&0], by_shard[&1]);
+    tickets.push(engine.submit_update(&key, delta, vec![]).unwrap());
+    for ticket in tickets {
+        ticket
+            .wait(Duration::from_secs(10))
+            .expect("answered despite the dead worker");
+    }
+    let (status, _, body) = http(addr, "GET", "/healthz", "");
+    assert_eq!(status, 503, "the dead worker stays reported: {body}");
 
     server.stop();
     engine_shutdown(engine);
@@ -582,7 +642,8 @@ fn metrics_exposition_is_prometheus_parseable_and_complete() {
         "mega_serve_model_nodes",
         "mega_serve_model_feature_dim",
         "mega_serve_lane_busy_us_total",
-        "mega_serve_lane_queue_depth",
+        "mega_serve_queue_depth",
+        "mega_serve_queue_wakeups_total",
         "mega_serve_lane_arena_bytes",
         "mega_serve_lane_alive",
     ] {

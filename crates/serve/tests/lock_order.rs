@@ -5,18 +5,18 @@
 //!
 //! This file pins down both directions of that claim:
 //!
-//! * **No false positives** on the hairiest real ordering — the
-//!   sweeper's park/re-arm protocol (`sweep_gen` mutex + condvar
-//!   re-acquisition under `wake_sweeper` traffic) hammered from multiple
-//!   threads, plus a busy engine driving every lock class at once
-//!   (scheduler buckets, ticket slots, completion router, artifact and
-//!   logits caches, metrics, flight recorder).
+//! * **No false positives** on the hairiest real ordering — the shared
+//!   work queue (queue mutex + condvar re-acquisition, the update FIFO
+//!   beside it) hammered by three submitters and two `next()` consumers,
+//!   then closed; plus a busy engine driving every lock class at once
+//!   (work queue, ticket slots, completion router, artifact and logits
+//!   caches, metrics, flight recorder).
 //! * **The detector is live, not compiled out**: after that traffic,
 //!   `mega_serve::sync::order_stats()` must show recorded acquisition-order
 //!   edges (in release it reports zeros by design — the wrappers are
 //!   std re-exports there).
 
-use std::sync::mpsc;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,78 +24,96 @@ use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta};
 use mega_serve::{
     BatchScheduler, InferenceRequest, ModelKey, ModelRegistry, ModelSpec, SchedulerConfig,
-    ServeConfig, ServeEngine, WorkRouter,
+    ServeConfig, ServeEngine, UpdateRequest, WorkItem,
 };
 
-fn request(id: u64, shard: u32, tier: usize) -> InferenceRequest {
+fn request(id: u64, shard: u32) -> InferenceRequest {
     InferenceRequest {
         id,
         model: ModelKey::new("Cora", GnnKind::Gcn),
         node: id as u32,
         shard,
-        tier,
-        bits: 2,
         submitted_at: Instant::now(),
         trace: mega_serve::RequestTrace::begin(),
     }
 }
 
-/// The sweeper protocol — park on the generation condvar until the next
-/// deadline, wake, poll, re-arm — interleaved with concurrent submits
-/// and explicit wakes from other threads. The detector must stay silent:
-/// `sweep_gen` is only ever held inside the park, never across the
-/// bucket-map lock.
+/// Three submitters (requests plus the odd update) against two workers
+/// blocking in `next()`, then `close()`. The detector must stay silent,
+/// every request must come out exactly once, and both consumers must exit
+/// once the closed queue is drained.
 #[test]
-fn sweeper_park_rearm_protocol_is_order_clean() {
-    let (tx, rx) = mpsc::channel();
-    let scheduler = Arc::new(BatchScheduler::new(
-        SchedulerConfig {
-            max_batch: 4,
-            max_delay: Duration::from_micros(500),
-        },
-        WorkRouter::single(tx),
-    ));
-
-    let sweeper = {
-        let scheduler = scheduler.clone();
-        std::thread::spawn(move || {
-            let shutdown = Instant::now() + Duration::from_millis(100);
-            while Instant::now() < shutdown {
-                let gen = scheduler.sweep_generation();
-                scheduler.poll_deadlines(Instant::now());
-                // Cap the park so the loop re-checks `shutdown` even when
-                // the buckets are drained (next_deadline() == None would
-                // otherwise park forever once the feeders stop).
-                let cap = Instant::now() + Duration::from_millis(2);
-                let deadline = scheduler.next_deadline().unwrap_or(cap).min(cap);
-                scheduler.sweeper_park(gen, Some(deadline));
-            }
-        })
-    };
-
-    let mut feeders = Vec::new();
-    for t in 0..3u64 {
-        let scheduler = scheduler.clone();
-        feeders.push(std::thread::spawn(move || {
-            for i in 0..200u64 {
-                scheduler.submit(request(t * 1_000 + i, (i % 3) as u32, (i % 2) as usize));
-                if i % 7 == 0 {
-                    scheduler.wake_sweeper();
+fn work_queue_hammer_is_order_clean() {
+    let scheduler = Arc::new(BatchScheduler::new(SchedulerConfig {
+        max_batch: 4,
+        max_delay: Duration::from_micros(500),
+    }));
+    let wakeups = Arc::new(AtomicU64::new(0));
+    let consumers: Vec<_> = (0..2)
+        .map(|_| {
+            let (scheduler, wakeups) = (scheduler.clone(), wakeups.clone());
+            std::thread::spawn(move || {
+                let (mut ids, mut updates) = (Vec::new(), 0);
+                while let Some(item) = scheduler.next(&wakeups) {
+                    match item {
+                        WorkItem::Batch(batch) => {
+                            assert!(batch.requests.len() <= 4);
+                            ids.extend(batch.requests.iter().map(|r| r.id));
+                        }
+                        WorkItem::Update(model) => {
+                            scheduler.take_update(&model).expect("payload parked");
+                            updates += 1;
+                        }
+                        WorkItem::Poison => unreachable!("nothing poisons this queue"),
+                    }
                 }
-            }
-        }));
-    }
+                (ids, updates)
+            })
+        })
+        .collect();
+
+    let feeders: Vec<_> = (0..3u64)
+        .map(|t| {
+            let scheduler = scheduler.clone();
+            std::thread::spawn(move || {
+                for i in 0..200u64 {
+                    scheduler.submit(request(t * 1_000 + i, (i % 3) as u32));
+                    if i % 50 == 0 {
+                        scheduler.submit_update(UpdateRequest {
+                            id: 1_000_000 + t * 1_000 + i,
+                            model: ModelKey::new("Cora", GnnKind::Gcn),
+                            delta: GraphDelta::new(),
+                            node_features: vec![],
+                            submitted_at: Instant::now(),
+                        });
+                    }
+                }
+            })
+        })
+        .collect();
     for feeder in feeders {
         feeder
             .join()
-            .expect("submit/wake traffic must not trip the detector");
+            .expect("submit traffic must not trip the detector");
     }
-    scheduler.wake_sweeper();
-    sweeper
-        .join()
-        .expect("park/re-arm must not trip the detector");
-    scheduler.flush_all();
-    drop(rx);
+    scheduler.close();
+    let mut ids = Vec::new();
+    let mut updates = 0;
+    for consumer in consumers {
+        let (seen, applied) = consumer
+            .join()
+            .expect("next()/close() must not trip the detector");
+        ids.extend(seen);
+        updates += applied;
+    }
+    ids.sort_unstable();
+    let expected: Vec<u64> = (0..3u64)
+        .flat_map(|t| (0..200).map(move |i| t * 1_000 + i))
+        .collect();
+    assert_eq!(ids, expected, "every request taken exactly once");
+    assert_eq!(updates, 12);
+    assert_eq!(scheduler.pending(), 0);
+    assert_eq!(scheduler.pending_updates(), 0);
 }
 
 /// A busy engine — predict traffic, churn deltas, metrics and memory

@@ -1,7 +1,7 @@
 //! The poisoned-lock policy end to end: a poisoned shared lock must
 //! *not* take the handler pool down — requests keep being answered —
 //! but `/healthz` must flip to 503 with a reason naming the component,
-//! the same dead-lane pattern used for sweeper/worker deaths, so the
+//! the same pattern a dead worker triggers, so the
 //! load balancer drains the replica.
 //!
 //! Runs in its own test binary on purpose: the poison registry is
@@ -70,7 +70,7 @@ fn poisoned_lock_degrades_healthz_but_not_the_handlers() {
     assert_eq!(status, 200, "{body}");
 
     // Inject a poisoned-lock recovery, exactly what `poison::recover`
-    // records when a holder panicked (`poison_lane`'s sibling hook).
+    // records when a holder panicked (`poison_worker`'s sibling hook).
     mega_serve::poison::note("injected-test-lock");
 
     // The replica reports unhealthy, with the component in the reason...

@@ -73,10 +73,10 @@ fn batched_execution_is_bit_exact_with_sequential() {
     assert!(batched > 0, "expected at least one multi-request batch");
 }
 
-/// Responses carry the policy's degree-aware bitwidths, and batches never
-/// mix precision tiers.
+/// Responses carry the degree-aware policy's tier and bitwidth for their
+/// node, whatever else shared the batch.
 #[test]
-fn batches_are_tier_homogeneous() {
+fn responses_carry_the_policy_tier_and_bits() {
     let spec = tiny_spec(GnnKind::Gcn);
     let reference = ModelArtifacts::build(&spec);
     let registry = Arc::new(ModelRegistry::new());
@@ -116,7 +116,7 @@ fn batches_are_tier_homogeneous() {
     assert!(!tiers_seen.is_empty());
 }
 
-/// A partial bucket must be answered via the deadline path while the
+/// A partial batch must be answered via the deadline path while the
 /// engine keeps running — no shutdown-triggered drain involved.
 #[test]
 fn deadline_flush_answers_partial_batches_live() {
@@ -140,7 +140,7 @@ fn deadline_flush_answers_partial_batches_live() {
     for ticket in &tickets {
         let response = ticket
             .wait_inference(Duration::from_secs(10))
-            .expect("deadline sweeper must flush the partial batch");
+            .expect("the deadline must flush the partial batch");
         assert!(response.batch_size <= 5);
     }
     let report = engine.shutdown();

@@ -1,7 +1,7 @@
 //! Event-driven completion: tickets must deliver bit-exact answers in any
 //! redemption order, reclaim the slots of tickets dropped unredeemed,
 //! survive timeouts, fail fast on dropped requests, and the execution path
-//! must restamp tier/bits from live artifacts so churn between submit and
+//! must read tier/bits from live artifacts so churn between submit and
 //! execution never mis-reports what the forward pass served.
 
 use std::sync::atomic::Ordering;
@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 use mega_gnn::GnnKind;
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
-    batch_logits, scheduler::UpdateQueue, ArtifactCache, BatchScheduler, CompletionRouter,
-    InferenceRequest, Metrics, ModelArtifacts, ModelRegistry, ModelSpec, SchedulerConfig,
-    ServeConfig, ServeEngine, ServeError, WaitError, WorkerPool,
+    batch_logits, ArtifactCache, BatchScheduler, CompletionRouter, InferenceRequest, Metrics,
+    ModelArtifacts, ModelRegistry, ModelSpec, SchedulerConfig, ServeConfig, ServeEngine,
+    ServeError, WaitError, WorkerPool,
 };
 
 fn tiny_spec(kind: GnnKind) -> ModelSpec {
@@ -169,12 +169,11 @@ fn update_tickets_acknowledge_and_fence() {
     assert_eq!(report.updates_applied, 12);
 }
 
-/// Regression for the stale-stamp bug: `submit` stamps `(tier, bits)`
-/// under the read lock and a re-tier can land before execution, so the
-/// request sits in a stale-tier bucket. The worker must restamp from the
-/// live artifacts — the response reports what the forward pass actually
-/// served, never the submit-time snapshot. Built directly on the
-/// scheduler/worker pair so the race is constructed, not hoped for.
+/// Regression for the stale-stamp bug: a re-tier can land between submit
+/// and execution. The worker must read tier/bits from the live artifacts —
+/// the response reports what the forward pass actually served, never a
+/// submit-time snapshot. Built directly on the scheduler/worker pair so
+/// the race is constructed, not hoped for.
 #[test]
 fn execution_restamps_tier_and_bits_from_live_artifacts() {
     let spec = tiny_spec(GnnKind::Gcn);
@@ -183,26 +182,21 @@ fn execution_restamps_tier_and_bits_from_live_artifacts() {
     registry.register(spec.clone());
     let cache = Arc::new(ArtifactCache::new(4));
     let metrics = Arc::new(Metrics::default());
-    let updates = Arc::new(UpdateQueue::default());
     let router = Arc::new(CompletionRouter::new());
-    let (pool, work_router) = WorkerPool::spawn(
+    let scheduler = Arc::new(BatchScheduler::new(SchedulerConfig {
+        max_batch: 64,
+        max_delay: Duration::from_secs(60),
+    }));
+    let pool = WorkerPool::spawn(
         1,
+        scheduler.clone(),
         registry.clone(),
         cache.clone(),
-        updates.clone(),
         metrics.clone(),
         router.clone(),
     );
-    let scheduler = BatchScheduler::with_updates(
-        SchedulerConfig {
-            max_batch: 64,
-            max_delay: Duration::from_secs(60),
-        },
-        work_router,
-        updates,
-    );
 
-    // Stamp the request with the *pre-churn* tier/bits...
+    // Read the node's *pre-churn* placement and precision...
     let entry = cache.get_or_build(&key, || ModelArtifacts::build(&spec));
     let node: NodeId = {
         let artifacts = entry.read();
@@ -246,12 +240,10 @@ fn execution_restamps_tier_and_bits_from_live_artifacts() {
         model: key.clone(),
         node,
         shard: stale_shard,
-        tier: stale_tier, // the stale-tier bucket
-        bits: stale_bits,
         submitted_at: Instant::now(),
         trace: mega_serve::RequestTrace::begin(),
     });
-    scheduler.flush_all();
+    scheduler.close();
     let response = ticket
         .wait_inference(Duration::from_secs(30))
         .expect("executed");
@@ -261,15 +253,13 @@ fn execution_restamps_tier_and_bits_from_live_artifacts() {
         "response must report the tier/bits the forward pass served, not the stale stamp"
     );
     assert!(!response.cached);
-    drop(scheduler);
     pool.join();
 }
 
-/// An idle engine's sweeper parks instead of spin-polling: wakeups while
-/// idle stay near zero (the old fixed 500 µs poll recorded ~600 over the
-/// same window).
+/// An idle engine's workers park on the work-queue condvar instead of
+/// spin-polling: wakeups while idle stay near zero.
 #[test]
-fn idle_engine_sweeper_parks() {
+fn idle_engine_workers_park() {
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register(tiny_spec(GnnKind::Gcn));
     let engine = ServeEngine::start_detached(
@@ -284,18 +274,18 @@ fn idle_engine_sweeper_parks() {
         registry,
     );
     engine.warm(&key).unwrap();
-    // Serve something first (the sweeper re-arms and must park again).
+    // Serve something first (the worker wakes and must park again).
     for t in 0..4 {
         engine
             .submit_wait(&key, t, Duration::from_secs(30))
             .expect("answered");
     }
-    let before = engine.metrics().sweeper_wakeups.load(Ordering::Relaxed);
+    let before = engine.metrics().queue_wakeups.load(Ordering::Relaxed);
     std::thread::sleep(Duration::from_millis(300));
-    let idle_wakeups = engine.metrics().sweeper_wakeups.load(Ordering::Relaxed) - before;
+    let idle_wakeups = engine.metrics().queue_wakeups.load(Ordering::Relaxed) - before;
     assert!(
         idle_wakeups <= 2,
-        "idle sweeper must park, not poll: {idle_wakeups} wakeups in 300ms"
+        "idle workers must park, not poll: {idle_wakeups} wakeups in 300ms"
     );
     engine.shutdown();
 }
