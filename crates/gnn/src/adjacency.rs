@@ -1,11 +1,20 @@
 //! Normalized adjacency construction for each aggregator — one-shot
 //! ([`build_adjacency`]) and incrementally maintained ([`DynAdjacency`]).
+//!
+//! Every weight of a normalized adjacency is a function of degrees: GCN's
+//! `1/sqrt(d̂_dst) · 1/sqrt(d̂_src)`, GIN's `1`, GraphSAGE's
+//! `1/(sampled + 1)`. So [`DynAdjacency`] stores only columns (one flat
+//! [`RowStore`], the self-loop merged in sorted position) plus, for GCN,
+//! one `1/sqrt(d̂)` per node, and [`AdjacencyView::row_weights`] hands the
+//! forward pass a [`RowWeights`] that evaluates the same `f32` expression
+//! [`build_adjacency`] stores, bit for bit. Per node that is a 12-byte span,
+//! four bytes per column, and (GCN) four bytes of `1/sqrt(d̂)`.
 
 use std::rc::Rc;
 
 use mega_graph::dynamic::{DeltaEffect, DynamicGraph};
 use mega_graph::generate::shuffle;
-use mega_graph::{Graph, NodeId};
+use mega_graph::{Graph, NodeId, RowStore};
 use mega_tensor::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,6 +37,36 @@ pub enum AggregatorKind {
     },
 }
 
+/// The weights of one adjacency row, aligned with its
+/// [`AdjacencyView::row_indices`]: stored, or computed from degrees.
+#[derive(Debug, Clone, Copy)]
+pub enum RowWeights<'a> {
+    /// Stored values, one per column (the static [`CsrMatrix`]).
+    Explicit(&'a [f32]),
+    /// One weight for every column (GIN: `1`; GraphSAGE: `1 / len`).
+    Uniform(f32),
+    /// GCN symmetric normalization: column `c` weighs `dst · src[c]`,
+    /// where `src` holds every node's `1/sqrt(d̂)` and `dst` is the row's.
+    Symmetric {
+        /// The row's own `1/sqrt(d̂)`.
+        dst: f32,
+        /// `1/sqrt(d̂)` of every node, indexed by column id.
+        src: &'a [f32],
+    },
+}
+
+impl RowWeights<'_> {
+    /// The weight of the row's `k`-th column, whose id is `col`.
+    #[inline]
+    pub fn at(&self, k: usize, col: u32) -> f32 {
+        match *self {
+            RowWeights::Explicit(values) => values[k],
+            RowWeights::Uniform(w) => w,
+            RowWeights::Symmetric { dst, src } => dst * src[col as usize],
+        }
+    }
+}
+
 /// Read-only row access to a normalized adjacency, the interface the sliced
 /// forward pass ([`crate::infer`]) consumes. Implemented by the static
 /// [`CsrMatrix`] and the incrementally maintained [`DynAdjacency`], so
@@ -37,8 +76,8 @@ pub trait AdjacencyView {
     fn rows(&self) -> usize;
     /// Column indices of row `r`, sorted ascending.
     fn row_indices(&self, r: usize) -> &[u32];
-    /// Values of row `r`, aligned with [`AdjacencyView::row_indices`].
-    fn row_values(&self, r: usize) -> &[f32];
+    /// Weights of row `r`, aligned with [`AdjacencyView::row_indices`].
+    fn row_weights(&self, r: usize) -> RowWeights<'_>;
 }
 
 impl<T: AdjacencyView + ?Sized> AdjacencyView for Rc<T> {
@@ -48,8 +87,8 @@ impl<T: AdjacencyView + ?Sized> AdjacencyView for Rc<T> {
     fn row_indices(&self, r: usize) -> &[u32] {
         (**self).row_indices(r)
     }
-    fn row_values(&self, r: usize) -> &[f32] {
-        (**self).row_values(r)
+    fn row_weights(&self, r: usize) -> RowWeights<'_> {
+        (**self).row_weights(r)
     }
 }
 
@@ -60,8 +99,8 @@ impl<T: AdjacencyView + ?Sized> AdjacencyView for std::sync::Arc<T> {
     fn row_indices(&self, r: usize) -> &[u32] {
         (**self).row_indices(r)
     }
-    fn row_values(&self, r: usize) -> &[f32] {
-        (**self).row_values(r)
+    fn row_weights(&self, r: usize) -> RowWeights<'_> {
+        (**self).row_weights(r)
     }
 }
 
@@ -72,8 +111,8 @@ impl AdjacencyView for CsrMatrix {
     fn row_indices(&self, r: usize) -> &[u32] {
         CsrMatrix::row_indices(self, r)
     }
-    fn row_values(&self, r: usize) -> &[f32] {
-        CsrMatrix::row_values(self, r)
+    fn row_weights(&self, r: usize) -> RowWeights<'_> {
+        RowWeights::Explicit(CsrMatrix::row_values(self, r))
     }
 }
 
@@ -147,18 +186,12 @@ pub fn build_adjacency(graph: &Graph, kind: AggregatorKind) -> Rc<CsrMatrix> {
     Rc::new(CsrMatrix::from_triplets(n, n, &triplets))
 }
 
-/// One row of a [`DynAdjacency`]: sorted column indices plus values.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct AdjRow {
-    cols: Vec<u32>,
-    vals: Vec<f32>,
-}
-
-/// A normalized adjacency under mutation: rows are stored individually so a
-/// graph delta refreshes only the rows it dirtied instead of rebuilding the
-/// whole matrix.
+/// A normalized adjacency under mutation: the columns of every row in one
+/// [`RowStore`] (sorted, self-loop merged in), weights computed from
+/// degrees ([`RowWeights`]), so a graph delta rewrites only the rows whose
+/// in-neighbor set changed instead of rebuilding the whole matrix.
 ///
-/// Rebuilding a row is `O(deg)` and lands bit-exactly on what
+/// Rewriting a row is `O(deg)`, and every row reads bit-exactly what
 /// [`build_adjacency`] would produce for the same graph (the incremental ==
 /// from-scratch equivalence the dynamic-graph property tests assert), so a
 /// [`DynAdjacency`] can serve the forward pass directly through
@@ -166,20 +199,35 @@ struct AdjRow {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynAdjacency {
     kind: AggregatorKind,
-    rows: Vec<AdjRow>,
+    cols: RowStore<u32>,
+    /// GCN only (empty otherwise): `1/sqrt(d̂)` of every node.
+    inv_sqrt: Vec<f32>,
     refreshed: u64,
 }
 
 impl DynAdjacency {
-    /// Builds every row from scratch for the current state of `graph`.
+    /// Builds every row from scratch for the current state of `graph`,
+    /// reserving exactly: a fresh adjacency carries no slack.
     pub fn build(graph: &DynamicGraph, kind: AggregatorKind) -> Self {
+        let n = graph.num_nodes();
+        let row_len = |v: usize| match kind {
+            AggregatorKind::SageMean { sample, .. } => graph.in_degree(v).min(sample) + 1,
+            _ => graph.in_degree(v) + 1,
+        };
+        let entries = (0..n).map(row_len).sum();
         let mut adj = Self {
             kind,
-            rows: vec![AdjRow::default(); graph.num_nodes()],
+            cols: RowStore::with_capacity(n, entries),
+            inv_sqrt: Vec::new(),
             refreshed: 0,
         };
-        for v in 0..graph.num_nodes() {
-            adj.rows[v] = adj.rebuild_row(graph, v as NodeId);
+        if matches!(kind, AggregatorKind::GcnSymmetric) {
+            adj.inv_sqrt = (0..n).map(|v| gcn_inv_sqrt(graph.in_degree(v))).collect();
+        }
+        let mut row = Vec::new();
+        for v in 0..n {
+            adj.columns_into(graph, v as NodeId, &mut row);
+            adj.cols.push_row(&row);
         }
         adj
     }
@@ -189,10 +237,11 @@ impl DynAdjacency {
         self.kind
     }
 
-    /// Cumulative number of rows refreshed by [`DynAdjacency::apply`] /
-    /// [`DynAdjacency::refresh_rows`] since construction. The incremental-
-    /// cost tests assert this stays proportional to the touched
-    /// neighborhoods, not the graph.
+    /// Cumulative number of rows whose weights or columns
+    /// [`DynAdjacency::apply`] changed since construction (the sum of the
+    /// [`DynAdjacency::dirty_rows`] it handled). The incremental-cost tests
+    /// assert this stays proportional to the touched neighborhoods, not the
+    /// graph.
     pub fn rows_refreshed(&self) -> u64 {
         self.refreshed
     }
@@ -220,8 +269,7 @@ impl DynAdjacency {
     }
 
     /// Catches the adjacency up with a mutation that already happened on
-    /// `graph`, refreshing only the dirtied rows. Returns how many rows
-    /// were refreshed.
+    /// `graph`. Returns how many rows it dirtied.
     ///
     /// `graph` must be the post-mutation state and `effect` the value
     /// [`DynamicGraph::apply`] returned for it.
@@ -229,109 +277,98 @@ impl DynAdjacency {
         self.apply_dirty(graph, effect).len()
     }
 
-    /// Like [`DynAdjacency::apply`], but returns the sorted list of rows it
-    /// refreshed. Consumers that maintain *derived* per-row state (e.g. a
-    /// serving engine's per-shard adjacency slices) key their own refresh
-    /// off this list instead of recomputing it.
+    /// Like [`DynAdjacency::apply`], but returns the sorted
+    /// [`DynAdjacency::dirty_rows`]: every row whose columns or weights
+    /// changed. Consumers that keep *derived* per-row state (e.g. a serving
+    /// engine's logits cache) key their invalidation off this list.
+    ///
+    /// Only the columns of rows whose in-neighbor set changed and of added
+    /// nodes are rewritten (and, under GCN, those nodes' `1/sqrt(d̂)`); the
+    /// other dirty rows read their new weights through the degrees.
     pub fn apply_dirty(&mut self, graph: &DynamicGraph, effect: &DeltaEffect) -> Vec<NodeId> {
-        // New nodes first, so the dirty-row refresh below can address them
-        // (dirty_rows always includes added nodes — they need their
-        // self-loop row even when no edge touched them).
-        self.rows.resize(graph.num_nodes(), AdjRow::default());
+        // Added nodes first, as empty rows the rewrite below fills (an
+        // added node needs its self-loop row even when no edge touched it).
+        for _ in self.cols.len()..graph.num_nodes() {
+            self.cols.push_row(&[]);
+            if matches!(self.kind, AggregatorKind::GcnSymmetric) {
+                self.inv_sqrt.push(0.0);
+            }
+        }
+        let mut row = Vec::new();
+        for &v in effect.rows_changed.iter().chain(&effect.added_nodes) {
+            self.columns_into(graph, v, &mut row);
+            self.cols.set_row(v as usize, &row);
+            if let Some(inv) = self.inv_sqrt.get_mut(v as usize) {
+                *inv = gcn_inv_sqrt(graph.in_degree(v as usize));
+            }
+        }
         let dirty = self.dirty_rows(graph, effect);
-        self.refresh_rows(graph, &dirty);
+        self.refreshed += dirty.len() as u64;
         dirty
     }
 
-    /// Rebuilds exactly the named rows from the current `graph` state.
-    pub fn refresh_rows(&mut self, graph: &DynamicGraph, rows: &[NodeId]) {
-        for &v in rows {
-            self.rows[v as usize] = self.rebuild_row(graph, v);
-        }
-        self.refreshed += rows.len() as u64;
-    }
-
-    /// One row, from scratch: the sorted merge of the self-loop column and
-    /// the (possibly sampled) in-neighbors, with aggregator-specific
-    /// weights. Matches [`build_adjacency`] bit-for-bit.
-    fn rebuild_row(&self, graph: &DynamicGraph, v: NodeId) -> AdjRow {
-        let merge = |neighbors: &[NodeId], self_w: f32, w_of: &dyn Fn(NodeId) -> f32| {
-            let mut cols = Vec::with_capacity(neighbors.len() + 1);
-            let mut vals = Vec::with_capacity(neighbors.len() + 1);
-            let mut placed = false;
-            for &src in neighbors {
-                if !placed && src > v {
-                    cols.push(v);
-                    vals.push(self_w);
-                    placed = true;
-                }
-                cols.push(src);
-                vals.push(w_of(src));
-            }
-            if !placed {
-                cols.push(v);
-                vals.push(self_w);
-            }
-            AdjRow { cols, vals }
-        };
-        match self.kind {
-            AggregatorKind::GcnSymmetric => {
-                let inv_v = gcn_inv_sqrt(graph.in_degree(v as usize));
-                merge(graph.in_neighbors(v as usize), inv_v * inv_v, &|src| {
-                    inv_v * gcn_inv_sqrt(graph.in_degree(src as usize))
-                })
-            }
-            AggregatorKind::GinSum => merge(graph.in_neighbors(v as usize), 1.0, &|_| 1.0),
+    /// Row `v`'s columns, from scratch, into `out`: the sorted merge of the
+    /// self-loop and the (possibly sampled) in-neighbors — the column order
+    /// of [`build_adjacency`].
+    fn columns_into(&self, graph: &DynamicGraph, v: NodeId, out: &mut Vec<u32>) {
+        let sampled;
+        let neighbors = match self.kind {
             AggregatorKind::SageMean { sample, seed } => {
-                let chosen = sage_sample(graph.in_neighbors(v as usize), sample, seed, v);
-                let w = 1.0 / (chosen.len() + 1) as f32;
-                merge(&chosen, w, &|_| w)
+                sampled = sage_sample(graph.in_neighbors(v as usize), sample, seed, v);
+                &sampled
             }
-        }
+            _ => graph.in_neighbors(v as usize),
+        };
+        let split = neighbors.partition_point(|&src| src < v);
+        out.clear();
+        out.extend_from_slice(&neighbors[..split]);
+        out.push(v);
+        out.extend_from_slice(&neighbors[split..]);
     }
 
-    /// Approximate heap bytes held by the row storage: column ids,
-    /// weights, and the per-row `Vec` headers. An accounting estimate
-    /// (allocator slack and over-allocated capacity are not modeled) for
-    /// serving-side memory telemetry.
+    /// Heap bytes held: the capacities of the column store and of the
+    /// `1/sqrt(d̂)` vector, for serving-side memory telemetry.
     pub fn approx_heap_bytes(&self) -> usize {
-        std::mem::size_of_val(self.rows.as_slice())
-            + self
-                .rows
-                .iter()
-                .map(|r| {
-                    std::mem::size_of_val(r.cols.as_slice())
-                        + std::mem::size_of_val(r.vals.as_slice())
-                })
-                .sum::<usize>()
+        self.cols.heap_bytes() + self.inv_sqrt.capacity() * std::mem::size_of::<f32>()
     }
 
-    /// Freezes the rows into a [`CsrMatrix`] (full copy; equivalence tests
-    /// and offline consumers only).
+    /// Freezes the rows, weights evaluated, into a [`CsrMatrix`] (full
+    /// copy; equivalence tests and offline consumers only).
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut offsets = Vec::with_capacity(self.rows.len() + 1);
+        let n = self.cols.len();
+        let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let nnz: usize = self.rows.iter().map(|r| r.cols.len()).sum();
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for row in &self.rows {
-            indices.extend_from_slice(&row.cols);
-            values.extend_from_slice(&row.vals);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for r in 0..n {
+            let cols = self.cols.row(r);
+            let weights = self.row_weights(r);
+            indices.extend_from_slice(cols);
+            values.extend(cols.iter().enumerate().map(|(k, &c)| weights.at(k, c)));
             offsets.push(indices.len());
         }
-        CsrMatrix::from_raw(self.rows.len(), self.rows.len(), offsets, indices, values)
+        CsrMatrix::from_raw(n, n, offsets, indices, values)
     }
 }
 
 impl AdjacencyView for DynAdjacency {
     fn rows(&self) -> usize {
-        self.rows.len()
+        self.cols.len()
     }
     fn row_indices(&self, r: usize) -> &[u32] {
-        &self.rows[r].cols
+        self.cols.row(r)
     }
-    fn row_values(&self, r: usize) -> &[f32] {
-        &self.rows[r].vals
+    fn row_weights(&self, r: usize) -> RowWeights<'_> {
+        match self.kind {
+            AggregatorKind::GcnSymmetric => RowWeights::Symmetric {
+                dst: self.inv_sqrt[r],
+                src: &self.inv_sqrt,
+            },
+            AggregatorKind::GinSum => RowWeights::Uniform(1.0),
+            AggregatorKind::SageMean { .. } => {
+                RowWeights::Uniform(1.0 / self.cols.row_len(r) as f32)
+            }
+        }
     }
 }
 

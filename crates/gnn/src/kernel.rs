@@ -460,7 +460,7 @@ impl KernelArena {
                 continue;
             }
             let cols = adjacency.row_indices(v as usize);
-            let vals = adjacency.row_values(v as usize);
+            let weights = adjacency.row_weights(v as usize);
             let row = &mut self.next[vi * w_out..][..w_out];
             let (mut k, mut ui) = (done as usize, next);
             while ui < end {
@@ -470,7 +470,7 @@ impl KernelArena {
                     "aggregation source is in the receptive field"
                 );
                 let src = &self.combined[(ui as usize - base) * w_out..][..w_out];
-                let a = vals[k];
+                let a = weights.at(k, cols[k]);
                 for (dst, &s) in row.iter_mut().zip(src) {
                     *dst += a * s;
                 }
@@ -842,8 +842,9 @@ mod tests {
             let mut next = vec![0.0f32; out_level.len() * w_out];
             for (vi, &v) in out_level.iter().enumerate() {
                 let row = &mut next[vi * w_out..][..w_out];
-                let cols = adj.row_indices(v as usize);
-                for (&u, &a) in cols.iter().zip(adj.row_values(v as usize)) {
+                let weights = adj.row_weights(v as usize);
+                for (k, &u) in adj.row_indices(v as usize).iter().enumerate() {
+                    let a = weights.at(k, u);
                     let ui = level.binary_search(&u).expect("source in the field");
                     for (dst, &s) in row.iter_mut().zip(&combined[ui * w_out..][..w_out]) {
                         *dst += a * s;

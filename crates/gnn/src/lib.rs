@@ -30,7 +30,7 @@ pub mod kernel;
 pub mod model;
 pub mod train;
 
-pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency};
+pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency, RowWeights};
 pub use infer::ReceptiveField;
 pub use kernel::{
     forward_targets_packed_with_field, KernelArena, KernelMode, PackedGnn, QuantizedLayer,

@@ -3,7 +3,7 @@
 //! [`DynAdjacency`] is bit-exact with [`build_adjacency`] rebuilt from
 //! scratch on the final graph — for every aggregator kind.
 
-use mega_gnn::{build_adjacency, AggregatorKind, DynAdjacency};
+use mega_gnn::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency};
 use mega_graph::{DynamicGraph, Graph, GraphDelta, NodeId};
 use proptest::prelude::*;
 
@@ -179,4 +179,50 @@ fn single_insert_touches_only_affected_rows() {
         let effect = dg2.apply(&delta).unwrap();
         assert_eq!(adj2.apply(&dg2, &effect), 1, "{kind:?}");
     }
+}
+
+/// GCN weights are computed from degrees, not stored: an insert into `d`
+/// moves `1/sqrt(d̂_d)`, so a row `r` reading `d` as a column weighs it
+/// anew although `r`'s columns were not rewritten — bit-exactly what a
+/// rebuild on the new graph stores.
+#[test]
+fn gcn_weights_follow_a_column_degree_change() {
+    let graph = mega_graph::DatasetSpec::cora()
+        .scaled(0.3)
+        .materialize()
+        .graph;
+    let n = graph.num_nodes() as NodeId;
+    let mut dg = DynamicGraph::from_graph(&graph);
+    let kind = AggregatorKind::GcnSymmetric;
+    let mut adj = DynAdjacency::build(&dg, kind);
+    let d = (0..n)
+        .find(|&d| dg.out_degree(d as usize) > 0)
+        .expect("a node others read");
+    let r = dg.out_neighbors(d as usize)[0];
+    let src = (0..n)
+        .find(|&s| s != d && s != r && !dg.has_edge(s, d))
+        .expect("an absent in-edge of d");
+    let columns = adj.row_indices(r as usize).to_vec();
+    let k = columns.binary_search(&d).expect("r reads d");
+    let old = adj.row_weights(r as usize).at(k, d);
+
+    let mut delta = GraphDelta::new();
+    delta.insert_edge(src, d);
+    let effect = dg.apply(&delta).unwrap();
+    assert_eq!(
+        effect.rows_changed,
+        vec![d],
+        "r's columns are not rewritten"
+    );
+    let dirty = adj.apply_dirty(&dg, &effect);
+    assert!(dirty.contains(&r), "r is still reported dirty");
+    assert_eq!(adj.row_indices(r as usize), columns.as_slice());
+
+    let inv_sqrt = |v: NodeId| 1.0 / ((dg.in_degree(v as usize) + 1) as f32).sqrt();
+    let new = adj.row_weights(r as usize).at(k, d);
+    assert_eq!(new.to_bits(), (inv_sqrt(r) * inv_sqrt(d)).to_bits());
+    assert_ne!(new.to_bits(), old.to_bits(), "d's degree moved the weight");
+    let rebuilt = build_adjacency(&dg.to_graph(), kind);
+    assert_eq!(rebuilt.row_indices(r as usize), columns.as_slice());
+    assert_eq!(new.to_bits(), rebuilt.row_values(r as usize)[k].to_bits());
 }

@@ -4,8 +4,9 @@
 //! The static [`crate::Graph`] freezes adjacency into flat CSR/CSC arrays —
 //! ideal for read-mostly kernels, but inserting one edge would shift `O(E)`
 //! indices. [`DynamicGraph`] keeps one sorted neighbor list per node in each
-//! direction instead, so an edge upsert or removal costs `O(deg)` for the
-//! two endpoints and nothing else. Downstream consumers (the incremental
+//! direction instead, as rows of a [`RowStore`] (one flat entry vector with
+//! per-row slack), so an edge upsert or removal costs `O(deg)` for the two
+//! endpoints and nothing else. Downstream consumers (the incremental
 //! normalized adjacency in `mega-gnn`, degree re-tiering in `mega-serve`)
 //! key off the [`DeltaEffect`] an application returns: exactly which nodes
 //! gained or lost in-neighbors, so they can refresh only the affected rows.
@@ -28,7 +29,7 @@
 //! assert_eq!(effect.rows_changed, vec![1]);
 //! ```
 
-use crate::{Coo, Graph, NodeId};
+use crate::{Coo, Graph, NodeId, RowStore};
 
 /// One graph mutation inside a [`GraphDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,34 +172,45 @@ impl DeltaEffect {
 }
 
 /// A directed graph under mutation: one sorted neighbor list per node per
-/// direction.
+/// direction, each direction one [`RowStore`].
 ///
 /// Neighbor lists are kept sorted ascending, matching the row order of
 /// [`crate::Csr`], so snapshots ([`DynamicGraph::to_graph`]) and row-level
-/// consumers see identical layouts to a from-scratch build.
+/// consumers see identical layouts to a from-scratch build. Equality
+/// compares neighbor lists, not how the stores laid them out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynamicGraph {
-    out: Vec<Vec<NodeId>>,
-    inn: Vec<Vec<NodeId>>,
+    out: RowStore<NodeId>,
+    inn: RowStore<NodeId>,
     num_edges: usize,
 }
 
 impl DynamicGraph {
     /// An edgeless graph over `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
-        Self {
-            out: vec![Vec::new(); num_nodes],
-            inn: vec![Vec::new(); num_nodes],
-            num_edges: 0,
+        let mut g = Self::default();
+        for _ in 0..num_nodes {
+            g.add_node();
         }
+        g
     }
 
-    /// Thaws a static [`Graph`] into mutable form.
+    /// Thaws a static [`Graph`] into mutable form, each direction one exact
+    /// allocation.
     pub fn from_graph(graph: &Graph) -> Self {
-        let n = graph.num_nodes();
+        fn thaw<'g>(
+            graph: &'g Graph,
+            neighbors: impl Fn(usize) -> &'g [NodeId],
+        ) -> RowStore<NodeId> {
+            let mut rows = RowStore::with_capacity(graph.num_nodes(), graph.num_edges());
+            for v in 0..graph.num_nodes() {
+                rows.push_row(neighbors(v));
+            }
+            rows
+        }
         Self {
-            out: (0..n).map(|v| graph.out_neighbors(v).to_vec()).collect(),
-            inn: (0..n).map(|v| graph.in_neighbors(v).to_vec()).collect(),
+            out: thaw(graph, |v| graph.out_neighbors(v)),
+            inn: thaw(graph, |v| graph.in_neighbors(v)),
             num_edges: graph.num_edges(),
         }
     }
@@ -208,8 +220,8 @@ impl DynamicGraph {
     /// mutation hot path).
     pub fn to_graph(&self) -> Graph {
         let mut coo = Coo::new(self.num_nodes());
-        for (src, neighbors) in self.out.iter().enumerate() {
-            for &dst in neighbors {
+        for src in 0..self.num_nodes() {
+            for &dst in self.out.row(src) {
                 coo.push(src as NodeId, dst);
             }
         }
@@ -228,27 +240,27 @@ impl DynamicGraph {
 
     /// Sorted out-neighbors of `v`.
     pub fn out_neighbors(&self, v: usize) -> &[NodeId] {
-        &self.out[v]
+        self.out.row(v)
     }
 
     /// Sorted in-neighbors of `v`.
     pub fn in_neighbors(&self, v: usize) -> &[NodeId] {
-        &self.inn[v]
+        self.inn.row(v)
     }
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: usize) -> usize {
-        self.out[v].len()
+        self.out.row_len(v)
     }
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: usize) -> usize {
-        self.inn[v].len()
+        self.inn.row_len(v)
     }
 
     /// Whether the directed edge `(src, dst)` is present.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out[src as usize].binary_search(&dst).is_ok()
+        self.out_neighbors(src as usize).binary_search(&dst).is_ok()
     }
 
     /// Inserts the directed edge `(src, dst)`. Returns `true` if the edge
@@ -260,14 +272,15 @@ impl DynamicGraph {
     /// [`DynamicGraph::apply`] for validated batches.
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         assert_ne!(src, dst, "self-loop ({src}, {dst}) not allowed");
-        let Err(slot) = self.out[src as usize].binary_search(&dst) else {
+        let Err(slot) = self.out_neighbors(src as usize).binary_search(&dst) else {
             return false;
         };
-        self.out[src as usize].insert(slot, dst);
-        let in_slot = self.inn[dst as usize]
+        self.out.insert_at(src as usize, slot, dst);
+        let in_slot = self
+            .in_neighbors(dst as usize)
             .binary_search(&src)
             .expect_err("out/in lists diverged");
-        self.inn[dst as usize].insert(in_slot, src);
+        self.inn.insert_at(dst as usize, in_slot, src);
         self.num_edges += 1;
         true
     }
@@ -275,41 +288,46 @@ impl DynamicGraph {
     /// Removes the directed edge `(src, dst)`. Returns `true` if it was
     /// present. `O(deg)` for the two endpoints.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let Ok(slot) = self.out[src as usize].binary_search(&dst) else {
+        let Ok(slot) = self.out_neighbors(src as usize).binary_search(&dst) else {
             return false;
         };
-        self.out[src as usize].remove(slot);
-        let in_slot = self.inn[dst as usize]
+        self.out.remove_at(src as usize, slot);
+        let in_slot = self
+            .in_neighbors(dst as usize)
             .binary_search(&src)
             .expect("out/in lists diverged");
-        self.inn[dst as usize].remove(in_slot);
+        self.inn.remove_at(dst as usize, in_slot);
         self.num_edges -= 1;
         true
     }
 
     /// Appends a fresh isolated node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
+        self.out.push_row(&[]);
+        self.inn.push_row(&[]);
         (self.num_nodes() - 1) as NodeId
     }
 
     /// Drops every edge incident to `v`, keeping the id slot. Returns the
     /// number of edges removed.
     pub fn isolate_node(&mut self, v: NodeId) -> usize {
-        let outgoing = std::mem::take(&mut self.out[v as usize]);
+        let outgoing = self.out_neighbors(v as usize).to_vec();
+        self.out.clear_row(v as usize);
         for &dst in &outgoing {
-            let slot = self.inn[dst as usize]
+            let slot = self
+                .in_neighbors(dst as usize)
                 .binary_search(&v)
                 .expect("out/in lists diverged");
-            self.inn[dst as usize].remove(slot);
+            self.inn.remove_at(dst as usize, slot);
         }
-        let incoming = std::mem::take(&mut self.inn[v as usize]);
+        let incoming = self.in_neighbors(v as usize).to_vec();
+        self.inn.clear_row(v as usize);
         for &src in &incoming {
-            let slot = self.out[src as usize]
+            let slot = self
+                .out_neighbors(src as usize)
                 .binary_search(&v)
                 .expect("out/in lists diverged");
-            self.out[src as usize].remove(slot);
+            self.out.remove_at(src as usize, slot);
         }
         let dropped = outgoing.len() + incoming.len();
         self.num_edges -= dropped;
@@ -374,8 +392,12 @@ impl DynamicGraph {
                     // Record before the lists are emptied: out-neighbors
                     // lose an in-edge (their row changes); in-neighbors
                     // lose an out-edge.
-                    effect.rows_changed.extend_from_slice(&self.out[v as usize]);
-                    effect.out_changed.extend_from_slice(&self.inn[v as usize]);
+                    effect
+                        .rows_changed
+                        .extend_from_slice(self.out_neighbors(v as usize));
+                    effect
+                        .out_changed
+                        .extend_from_slice(self.in_neighbors(v as usize));
                     let had_in = self.in_degree(v as usize) > 0;
                     let had_out = self.out_degree(v as usize) > 0;
                     effect.removed += self.isolate_node(v);

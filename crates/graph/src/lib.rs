@@ -14,6 +14,8 @@
 //!   (paper Fig. 3) and a learnable label structure.
 //! * [`datasets`] — presets matching Table II of the paper (Cora, CiteSeer,
 //!   PubMed, NELL, Reddit) with feature/label/mask synthesis.
+//! * [`DynamicGraph`] — the mutable graph serving updates, its neighbor
+//!   lists held in a [`RowStore`] (flat rows with per-row slack).
 //! * [`stats`] — degree histograms and the in-degree buckets used by Fig. 3.
 //!
 //! # Example
@@ -36,6 +38,7 @@ pub mod datasets;
 pub mod dynamic;
 pub mod generate;
 pub mod graph;
+pub mod rows;
 pub mod stats;
 
 pub use coo::Coo;
@@ -43,6 +46,7 @@ pub use csr::Csr;
 pub use datasets::{Dataset, DatasetSpec, Features};
 pub use dynamic::{DeltaEffect, DeltaError, DynamicGraph, GraphDelta, GraphOp};
 pub use graph::Graph;
+pub use rows::RowStore;
 
 /// Node identifier. Graphs in this workspace are bounded by Reddit's
 /// 232,965 nodes, so `u32` is ample and halves index memory versus `usize`.

@@ -1,0 +1,406 @@
+//! [`RowStore`]: many short, growable rows in one flat entry vector.
+//!
+//! A `Vec<Vec<T>>` pays a 24-byte header and a separate heap block per row,
+//! which for graph topology (about ten 4-byte ids per row) costs more than
+//! the ids themselves. A [`RowStore`] keeps every row's entries in one
+//! `Vec<T>` and one 12-byte span per row (`start`, `len`, `cap`, each a
+//! `u32`). A row may own more slots than it holds (`cap > len`), so most
+//! inserts shift entries inside the row's own slots.
+//!
+//! * **Growth.** A row that outgrows its `cap` moves to the end of the
+//!   entry vector with doubled capacity (a row already at the end grows in
+//!   place). The slots it leaves behind are dead.
+//! * **Compaction.** When a relocation leaves more dead slots than live
+//!   entries, the store rewrites the entry vector row by row, keeping each
+//!   row's `cap`.
+//! * **Build.** [`RowStore::with_capacity`] plus [`RowStore::push_row`]
+//!   reserves exactly, so a freshly built store carries no slack.
+//!
+//! Equality compares rows, not buffers: two stores with different
+//! relocation histories that hold the same rows are equal.
+//!
+//! ```
+//! use mega_graph::RowStore;
+//!
+//! let mut rows: RowStore<u32> = RowStore::with_capacity(2, 3);
+//! rows.push_row(&[1, 4]);
+//! rows.push_row(&[7]);
+//! rows.insert_at(0, 1, 2); // row 0 outgrows its exact capacity and moves
+//! assert_eq!(rows.row(0), &[1, 2, 4]);
+//! assert_eq!(rows.row(1), &[7]);
+//! ```
+
+use std::fmt;
+
+/// Where one row lives in the entry vector.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Rows of `T` in one flat entry vector with per-row slack; see the
+/// module docs.
+#[derive(Clone, Default)]
+pub struct RowStore<T> {
+    entries: Vec<T>,
+    spans: Vec<Span>,
+    /// Slots of `entries` no row owns (left behind by relocations).
+    dead: usize,
+    /// Entries held by rows: the sum of the row lengths.
+    live: usize,
+}
+
+/// Converts an entry offset to a span field.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("row store exceeds u32::MAX entries")
+}
+
+/// Grows `v`'s capacity to fit `additional` more items, by at least a
+/// sixteenth of its length: amortized appends without `Vec`'s doubling,
+/// which would leave up to half of a large store's capacity unused.
+fn reserve_step<U>(v: &mut Vec<U>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(additional.max(v.len() / 16));
+    }
+}
+
+impl<T: Copy + Default> RowStore<T> {
+    /// An empty store with exact room for `rows` rows holding `entries`
+    /// entries in total.
+    pub fn with_capacity(rows: usize, entries: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(entries),
+            spans: Vec::with_capacity(rows),
+            dead: 0,
+            live: 0,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the store has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// The entries of row `r`.
+    pub fn row(&self, r: usize) -> &[T] {
+        let s = self.spans[r];
+        &self.entries[s.start as usize..][..s.len as usize]
+    }
+
+    /// Number of entries in row `r`.
+    pub fn row_len(&self, r: usize) -> usize {
+        self.spans[r].len as usize
+    }
+
+    /// Appends a row holding `values`, with exactly that capacity.
+    pub fn push_row(&mut self, values: &[T]) {
+        reserve_step(&mut self.spans, 1);
+        reserve_step(&mut self.entries, values.len());
+        let start = offset(self.entries.len());
+        self.entries.extend_from_slice(values);
+        self.live += values.len();
+        self.spans.push(Span {
+            start,
+            len: offset(values.len()),
+            cap: offset(values.len()),
+        });
+    }
+
+    /// Replaces row `r`'s entries with `values`.
+    pub fn set_row(&mut self, r: usize, values: &[T]) {
+        self.reserve_row(r, values.len());
+        let s = &mut self.spans[r];
+        self.live = self.live - s.len as usize + values.len();
+        s.len = offset(values.len());
+        let start = s.start as usize;
+        self.entries[start..][..values.len()].copy_from_slice(values);
+    }
+
+    /// Inserts `value` at position `at` of row `r`, shifting later entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > row_len(r)`.
+    pub fn insert_at(&mut self, r: usize, at: usize, value: T) {
+        let len = self.row_len(r);
+        assert!(at <= len, "insert position {at} past row length {len}");
+        self.reserve_row(r, len + 1);
+        let s = &mut self.spans[r];
+        s.len += 1;
+        self.live += 1;
+        let start = s.start as usize;
+        self.entries
+            .copy_within(start + at..start + len, start + at + 1);
+        self.entries[start + at] = value;
+    }
+
+    /// Removes and returns the entry at position `at` of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at >= row_len(r)`.
+    pub fn remove_at(&mut self, r: usize, at: usize) -> T {
+        let s = &mut self.spans[r];
+        let len = s.len as usize;
+        assert!(at < len, "remove position {at} past row length {len}");
+        s.len -= 1;
+        self.live -= 1;
+        let start = s.start as usize;
+        let value = self.entries[start + at];
+        self.entries
+            .copy_within(start + at + 1..start + len, start + at);
+        value
+    }
+
+    /// Empties row `r`, keeping its capacity.
+    pub fn clear_row(&mut self, r: usize) {
+        self.live -= self.spans[r].len as usize;
+        self.spans[r].len = 0;
+    }
+
+    /// Heap bytes held: the capacities of the entry and span vectors.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<T>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
+    }
+
+    /// Makes row `r` own at least `need` slots: a row at the end of the
+    /// entry vector grows in place, any other moves to the end with
+    /// `max(2·cap, need)` slots, leaving its old slots dead. Compacts
+    /// when the dead slots then outnumber the live entries.
+    fn reserve_row(&mut self, r: usize, need: usize) {
+        let s = self.spans[r];
+        let cap = s.cap as usize;
+        if need <= cap {
+            return;
+        }
+        let new_cap = (2 * cap).max(need);
+        let start = s.start as usize;
+        if start + cap == self.entries.len() {
+            reserve_step(&mut self.entries, new_cap - cap);
+            self.entries.resize(start + new_cap, T::default());
+        } else {
+            reserve_step(&mut self.entries, new_cap);
+            let new_start = self.entries.len();
+            self.entries
+                .extend_from_within(start..start + s.len as usize);
+            self.entries.resize(new_start + new_cap, T::default());
+            self.spans[r].start = offset(new_start);
+            self.dead += cap;
+        }
+        self.spans[r].cap = offset(new_cap);
+        if self.dead > self.live {
+            self.compact();
+        }
+    }
+
+    /// Rewrites the entry vector without dead slots, row by row, keeping
+    /// every row's capacity.
+    fn compact(&mut self) {
+        let mut entries = Vec::with_capacity(self.entries.len() - self.dead);
+        for s in &mut self.spans {
+            let start = s.start as usize;
+            s.start = offset(entries.len());
+            entries.extend_from_slice(&self.entries[start..][..s.cap as usize]);
+        }
+        self.entries = entries;
+        self.dead = 0;
+    }
+}
+
+impl<T: Copy + Default + PartialEq> PartialEq for RowStore<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|r| self.row(r) == other.row(r))
+    }
+}
+
+impl<T: Copy + Default + Eq> Eq for RowStore<T> {}
+
+impl<T: Copy + Default + fmt::Debug> fmt::Debug for RowStore<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|r| self.row(r)))
+            .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    impl<T: Copy + Default> RowStore<T> {
+        /// Spans lie inside the entry vector, do not overlap, and leave
+        /// exactly `dead` slots unowned; `live` sums the row lengths.
+        fn assert_consistent(&self) {
+            // Empty spans own nothing and may sit anywhere.
+            let mut owned: Vec<(usize, usize)> = self
+                .spans
+                .iter()
+                .filter(|s| s.cap > 0)
+                .map(|s| {
+                    assert!(s.len <= s.cap, "row longer than its capacity");
+                    (s.start as usize, (s.start + s.cap) as usize)
+                })
+                .collect();
+            owned.sort_unstable();
+            for pair in owned.windows(2) {
+                assert!(pair[0].1 <= pair[1].0, "rows overlap");
+            }
+            assert!(owned
+                .last()
+                .is_none_or(|&(_, end)| end <= self.entries.len()));
+            let total: usize = owned.iter().map(|(a, b)| b - a).sum();
+            assert_eq!(total + self.dead, self.entries.len(), "dead slot count");
+            let live: usize = self.spans.iter().map(|s| s.len as usize).sum();
+            assert_eq!(live, self.live, "live entry count");
+        }
+    }
+
+    /// One random mutation, mirrored on a store and on a `Vec<Vec<u32>>`.
+    fn step(store: &mut RowStore<u32>, model: &mut Vec<Vec<u32>>, (op, a, b): (u8, u32, u32)) {
+        if model.is_empty() || op == 0 {
+            let row: Vec<u32> = (0..a % 5).map(|i| b + i).collect();
+            store.push_row(&row);
+            model.push(row);
+            return;
+        }
+        let r = a as usize % model.len();
+        let len = model[r].len();
+        match op {
+            1 => {
+                let row: Vec<u32> = (0..b % 12).collect();
+                store.set_row(r, &row);
+                model[r] = row;
+            }
+            2..=5 => {
+                let at = b as usize % (len + 1);
+                store.insert_at(r, at, a ^ b);
+                model[r].insert(at, a ^ b);
+            }
+            6 | 7 if len > 0 => {
+                let at = b as usize % len;
+                assert_eq!(store.remove_at(r, at), model[r].remove(at));
+            }
+            _ => {
+                store.clear_row(r);
+                model[r].clear();
+            }
+        }
+    }
+
+    fn from_model(model: &[Vec<u32>]) -> RowStore<u32> {
+        let total = model.iter().map(Vec::len).sum();
+        let mut store = RowStore::with_capacity(model.len(), total);
+        for row in model {
+            store.push_row(row);
+        }
+        store
+    }
+
+    /// Applies `ops` to a store and a `Vec<Vec<u32>>` model, checking
+    /// after every step that the rows agree, that a fresh build of the
+    /// model's rows (no relocation history) equals the store, and that
+    /// `heap_bytes` is the summed capacities. Returns how many steps
+    /// relocated a row and how many compacted the store.
+    fn run(ops: &[(u8, u32, u32)]) -> (usize, usize) {
+        let mut store = RowStore::default();
+        let mut model: Vec<Vec<u32>> = Vec::new();
+        let (mut relocations, mut compactions) = (0, 0);
+        for &op in ops {
+            let dead = store.dead;
+            step(&mut store, &mut model, op);
+            relocations += usize::from(store.dead > dead);
+            compactions += usize::from(store.dead < dead);
+            store.assert_consistent();
+            assert_eq!(store.len(), model.len());
+            for (r, row) in model.iter().enumerate() {
+                assert_eq!(store.row(r), row.as_slice(), "row {r}");
+            }
+            let fresh = from_model(&model);
+            assert_eq!(fresh, store);
+            assert_eq!(fresh.dead, 0);
+            assert_eq!(
+                store.heap_bytes(),
+                store.entries.capacity() * 4 + store.spans.capacity() * 12
+            );
+        }
+        (relocations, compactions)
+    }
+
+    proptest! {
+        #[test]
+        fn rows_match_a_vec_of_vecs(
+            ops in proptest::collection::vec((0..10u8, 0..64u32, 0..64u32), 1..300),
+        ) {
+            run(&ops);
+        }
+    }
+
+    #[test]
+    fn long_random_runs_relocate_and_compact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        let ops: Vec<(u8, u32, u32)> = (0..3_000)
+            .map(|_| {
+                (
+                    rng.gen_range(0..10u8),
+                    rng.gen_range(0..64u32),
+                    rng.gen_range(0..64u32),
+                )
+            })
+            .collect();
+        let (relocations, compactions) = run(&ops);
+        assert!(
+            relocations > 0 && compactions > 0,
+            "{relocations} relocations, {compactions} compactions"
+        );
+    }
+
+    #[test]
+    fn build_reserves_exactly() {
+        let model = vec![vec![1, 2, 3], vec![], vec![9]];
+        let store = from_model(&model);
+        assert_eq!(store.heap_bytes(), 4 * 4 + 3 * 12);
+        assert_eq!(format!("{store:?}"), "[[1, 2, 3], [], [9]]");
+    }
+
+    #[test]
+    fn outgrown_rows_relocate_and_the_store_compacts() {
+        let mut store = from_model(&[vec![1], vec![2], vec![3], vec![4]]);
+        // Row 0 is not at the end: it moves there with capacity 2.
+        store.insert_at(0, 1, 10);
+        assert_eq!((store.spans[0].start, store.spans[0].cap), (4, 2));
+        assert_eq!(store.dead, 1);
+        // Now at the end, it grows in place.
+        store.insert_at(0, 2, 11);
+        store.insert_at(0, 3, 12);
+        assert_eq!((store.spans[0].start, store.spans[0].cap), (4, 4));
+        assert_eq!(store.dead, 1);
+        // Moving rows 1..3 adds three dead slots; emptying them leaves
+        // four live entries, so moving row 0 again (4 more dead slots)
+        // tips the balance and the store compacts, keeping capacities.
+        for r in 1..4 {
+            store.insert_at(r, 0, 20 + r as u32);
+        }
+        assert_eq!(store.dead, 4);
+        for r in 1..4 {
+            store.clear_row(r);
+        }
+        store.set_row(0, &[0, 1, 2, 3, 4]);
+        assert_eq!(store.dead, 0, "compacted");
+        store.assert_consistent();
+        assert_eq!((store.spans[0].start, store.spans[0].cap), (0, 8));
+        assert_eq!(store.entries.len(), 8 + 3 * 2);
+        assert_eq!(store.row(0), &[0, 1, 2, 3, 4]);
+        assert_eq!(store.row(3), &[] as &[u32]);
+    }
+}

@@ -21,6 +21,13 @@
 //!   ([`FlushReason::Deadline`]);
 //! * at once after [`BatchScheduler::close`] ([`FlushReason::Drain`]).
 //!
+//! While the head batch is not due, ready work behind it does not wait:
+//! the first (in queue order) of a key whose requests queued before any
+//! update token of its model already fill `max_batch`
+//! ([`FlushReason::Size`]), or an update token with no request of its
+//! model queued ahead of it, leaves at once. Neither can reorder a model's
+//! requests against its own updates.
+//!
 //! An update token at the head leaves at once. Its payload is parked in a
 //! per-model FIFO ([`UpdateQueue`]) that the worker pops inside the
 //! model's write lock, which serializes updates per model in submission
@@ -31,9 +38,10 @@
 //! [`BatchScheduler::next`] is the blocking loop workers call around it,
 //! parking on one condvar — indefinitely while the queue is empty, or until
 //! the head batch's deadline. A submit wakes one parked worker only when
-//! it changes that decision (the queue was empty, or the request filled
-//! the head batch or made it older), and a worker that leaves work behind
-//! wakes the next, so an idle engine takes no wakeups at all.
+//! it changes that decision (the queue was empty, the request filled a
+//! batch of its key, or it made the head batch older), and a worker that
+//! leaves work behind wakes the next, so an idle engine takes no wakeups
+//! at all.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,6 +187,14 @@ struct HeadBatch {
     barrier: bool,
 }
 
+/// Ready work queued behind a head batch that is not due.
+enum Ready {
+    /// Queue positions of a full batch of one key.
+    Batch(Vec<usize>),
+    /// Queue position of an update token free to leave.
+    Update(usize),
+}
+
 impl State {
     /// Scans the queue for the head request's batch (`None` when the head
     /// is not a request).
@@ -209,6 +225,115 @@ impl State {
         }
         Some(batch)
     }
+
+    /// The first ready work in queue order: a key whose requests queued
+    /// before any update token of its model reach `max_batch`, or an
+    /// update token with no request of its model ahead of it.
+    fn ready(&self, max_batch: usize) -> Option<Ready> {
+        // Per key, the positions of its requests not behind a token.
+        let mut keys: Vec<(&ModelKey, u32, Vec<usize>)> = Vec::new();
+        // Models with a request or a token seen so far.
+        let (mut requested, mut barred): (Vec<&ModelKey>, Vec<&ModelKey>) = (vec![], vec![]);
+        for (i, item) in self.queue.iter().enumerate() {
+            match item {
+                Queued::Request(r) => {
+                    if !requested.contains(&&r.model) {
+                        requested.push(&r.model);
+                    }
+                    if barred.contains(&&r.model) {
+                        continue;
+                    }
+                    let slot = match keys
+                        .iter()
+                        .position(|(m, s, _)| **m == r.model && *s == r.shard)
+                    {
+                        Some(slot) => slot,
+                        None => {
+                            keys.push((&r.model, r.shard, Vec::new()));
+                            keys.len() - 1
+                        }
+                    };
+                    keys[slot].2.push(i);
+                    if keys[slot].2.len() == max_batch {
+                        return Some(Ready::Batch(keys.swap_remove(slot).2));
+                    }
+                }
+                Queued::Update(model) => {
+                    if !requested.contains(&model) {
+                        return Some(Ready::Update(i));
+                    }
+                    barred.push(model);
+                }
+            }
+        }
+        None
+    }
+
+    /// Whether queueing `request` changes what `take` hands out: it fills
+    /// a batch of its key, or it joins the head batch with an older stamp
+    /// than the batch's oldest. A request queued behind an update token of
+    /// its model can do neither.
+    fn wakes_for(&self, request: &InferenceRequest, max_batch: usize) -> bool {
+        let head_key = matches!(
+            self.queue.front(),
+            Some(Queued::Request(h)) if h.model == request.model && h.shard == request.shard
+        );
+        let (mut same_key, mut oldest) = (0usize, None);
+        for item in &self.queue {
+            match item {
+                Queued::Update(model) if *model == request.model => return false,
+                Queued::Request(r) if r.model == request.model && r.shard == request.shard => {
+                    same_key += 1;
+                    oldest =
+                        Some(oldest.map_or(r.submitted_at, |o: Instant| o.min(r.submitted_at)));
+                }
+                _ => {}
+            }
+        }
+        (same_key + 1).is_multiple_of(max_batch)
+            || (head_key
+                && same_key < max_batch
+                && oldest.is_some_and(|o| request.submitted_at < o))
+    }
+
+    /// While the head batch is not due: takes the [`State::ready`] work,
+    /// or waits for the head batch's `deadline`.
+    fn take_behind_head(&mut self, max_batch: usize, deadline: Instant, now: Instant) -> Take {
+        match self.ready(max_batch) {
+            Some(Ready::Batch(positions)) => Take::Work(WorkItem::Batch(self.remove_batch(
+                &positions,
+                FlushReason::Size,
+                now,
+            ))),
+            Some(Ready::Update(i)) => match self.queue.remove(i) {
+                Some(Queued::Update(model)) => Take::Work(WorkItem::Update(model)),
+                _ => unreachable!("the ready position holds a token"),
+            },
+            None => Take::Wait(Some(deadline)),
+        }
+    }
+
+    /// Removes the requests at `positions` (ascending) as one batch.
+    fn remove_batch(&mut self, positions: &[usize], reason: FlushReason, now: Instant) -> Batch {
+        let mut requests: Vec<InferenceRequest> = positions
+            .iter()
+            .rev()
+            .map(|&i| match self.queue.remove(i) {
+                Some(Queued::Request(request)) => request,
+                _ => unreachable!("batch positions hold requests"),
+            })
+            .collect();
+        requests.reverse();
+        for request in &mut requests {
+            request.trace.stamp_at(TraceStage::Flushed, now);
+        }
+        Batch {
+            model: requests[0].model.clone(),
+            shard: requests[0].shard,
+            requests,
+            reason,
+        }
+    }
 }
 
 /// The shared work queue plus the per-model update FIFO.
@@ -237,26 +362,12 @@ impl BatchScheduler {
     }
 
     /// Enqueues one request, waking a parked worker if the request changes
-    /// what is due: the queue was empty, or the request joins the head
-    /// batch and fills it or is older than its oldest request.
+    /// what is due: the queue was empty, the request fills a batch of its
+    /// key, or it joins the head batch older than its oldest request.
     pub fn submit(&self, mut request: InferenceRequest) {
         request.trace.stamp(TraceStage::Enqueued);
         let mut state = self.state.lock().recover("work-queue");
-        let wake = match state.queue.front() {
-            None => true,
-            Some(Queued::Request(head))
-                if head.model == request.model && head.shard == request.shard =>
-            {
-                let batch = state
-                    .head_batch(self.config.max_batch)
-                    .expect("the head is a request");
-                let joins = !batch.barrier && batch.positions.len() < self.config.max_batch;
-                joins
-                    && (batch.positions.len() + 1 == self.config.max_batch
-                        || request.submitted_at < batch.oldest)
-            }
-            Some(_) => false,
-        };
+        let wake = state.queue.is_empty() || state.wakes_for(&request, self.config.max_batch);
         state.queue.push_back(Queued::Request(request));
         drop(state);
         if wake {
@@ -315,27 +426,13 @@ impl BatchScheduler {
         } else if state.closed {
             FlushReason::Drain
         } else {
-            return Take::Wait(Some(deadline));
+            return state.take_behind_head(self.config.max_batch, deadline, now);
         };
-        let mut requests: Vec<InferenceRequest> = batch
-            .positions
-            .iter()
-            .rev()
-            .map(|&i| match state.queue.remove(i) {
-                Some(Queued::Request(request)) => request,
-                _ => unreachable!("batch positions hold requests"),
-            })
-            .collect();
-        requests.reverse();
-        for request in &mut requests {
-            request.trace.stamp_at(TraceStage::Flushed, now);
-        }
-        Take::Work(WorkItem::Batch(Batch {
-            model: requests[0].model.clone(),
-            shard: requests[0].shard,
-            requests,
+        Take::Work(WorkItem::Batch(state.remove_batch(
+            &batch.positions,
             reason,
-        }))
+            now,
+        )))
     }
 
     /// Blocks until work is due and returns it, or returns `None` once the
@@ -454,8 +551,8 @@ mod tests {
         assert_eq!(scheduler.pending(), 0);
     }
 
-    /// The head picks the key: a full batch for another shard waits behind
-    /// a partial head batch, then leaves by size right after it.
+    /// The head picks the key, but a full batch for another shard does not
+    /// wait behind a partial head batch: it leaves by size at once.
     #[test]
     fn shards_batch_independently() {
         let scheduler = scheduler(2, Duration::from_millis(5));
@@ -463,12 +560,12 @@ mod tests {
         scheduler.submit(request(0, 0, now));
         scheduler.submit(request(1, 1, now));
         scheduler.submit(request(2, 1, now));
+        let full = batch(scheduler.take(now));
+        assert_eq!((full.shard, full.reason), (1, FlushReason::Size));
+        assert_eq!(ids(&full), vec![1, 2]);
         assert!(matches!(scheduler.take(now), Take::Wait(Some(_))));
         let head = batch(scheduler.take(now + Duration::from_millis(5)));
         assert_eq!((head.shard, head.reason), (0, FlushReason::Deadline));
-        let full = batch(scheduler.take(now + Duration::from_millis(5)));
-        assert_eq!((full.shard, full.reason), (1, FlushReason::Size));
-        assert_eq!(ids(&full), vec![1, 2]);
     }
 
     #[test]
@@ -565,17 +662,18 @@ mod tests {
         let barriered = batch(scheduler.take(now));
         assert_eq!(barriered.model, cora());
         assert_eq!(barriered.reason, FlushReason::Barrier);
-        // ...PubMed's is not, and the tokens queue behind it.
-        assert!(matches!(scheduler.take(now), Take::Wait(Some(_))));
-        let deadline = now + Duration::from_millis(5);
-        assert_eq!(batch(scheduler.take(deadline)).model, other);
+        // ...then Cora's tokens leave in FIFO order without waiting behind
+        // PubMed's partial batch, which leaves at its deadline.
         for expected in [10u64, 11] {
             assert!(matches!(
-                scheduler.take(deadline),
+                scheduler.take(now),
                 Take::Work(WorkItem::Update(key)) if key == cora()
             ));
             assert_eq!(scheduler.take_update(&cora()).unwrap().id, expected);
         }
+        assert!(matches!(scheduler.take(now), Take::Wait(Some(_))));
+        let deadline = now + Duration::from_millis(5);
+        assert_eq!(batch(scheduler.take(deadline)).model, other);
         assert_eq!(scheduler.pending_updates(), 0);
         assert!(scheduler.take_update(&cora()).is_none());
     }
@@ -633,6 +731,28 @@ mod tests {
             panic!("expected a batch");
         };
         assert_eq!(batch.reason, FlushReason::Size);
+    }
+
+    /// A worker parked until a far head deadline wakes when a submit fills
+    /// a batch of another key, and takes that batch at once.
+    #[test]
+    fn next_wakes_when_a_batch_behind_the_head_fills() {
+        let scheduler = Arc::new(scheduler(2, Duration::from_secs(60)));
+        scheduler.submit(request(0, 0, Instant::now()));
+        let parked = {
+            let scheduler = scheduler.clone();
+            std::thread::spawn(move || scheduler.next(&AtomicU64::new(0)))
+        };
+        std::thread::sleep(Duration::from_millis(10));
+        scheduler.submit(request(1, 1, Instant::now()));
+        scheduler.submit(request(2, 1, Instant::now()));
+        let Some(WorkItem::Batch(batch)) = parked.join().expect("worker woke") else {
+            panic!("expected a batch");
+        };
+        assert_eq!(
+            (ids(&batch), batch.shard, batch.reason),
+            (vec![1, 2], 1, FlushReason::Size)
+        );
     }
 
     /// `submitted_at` is stamped before the queue lock, so a stalled

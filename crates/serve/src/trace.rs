@@ -482,7 +482,9 @@ pub struct ModelMemory {
     /// only for dense datasets; synth class tables + delta overlay for
     /// streaming ones; zero for 1-bit inputs.
     pub raw_features_bytes: usize,
-    /// Global incremental adjacency (`Ã`) heap bytes.
+    /// Global incremental adjacency (`Ã`) heap bytes: the capacities of
+    /// its flat column rows and (GCN) its `1/sqrt(d̂)` vector. Weights are
+    /// computed from degrees, so none are stored.
     pub adjacency_bytes: usize,
     /// Per-shard state. Shards are views over the global structures, so
     /// this is 0; the field stays so existing readers keep compiling.

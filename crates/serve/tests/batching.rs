@@ -5,8 +5,11 @@
 //!    submit timings, keys, updates and `max_batch`, with one worker that
 //!    asks whenever something is queued and at every deadline `take`
 //!    names. No batch leaves later than `oldest + max_delay`, none leaves
-//!    earlier unless it leaves for `Size`, `Barrier` or `Drain`, and every
-//!    request is emitted exactly once, in batches of at most `max_batch`.
+//!    earlier unless it leaves for `Size`, `Barrier` or `Drain`, a partial
+//!    batch leaves only from the head of the queue, no request or update
+//!    overtakes the other in its model's order, `take` never waits while a
+//!    full batch or a free update token is queued, and every request is
+//!    emitted exactly once, in batches of at most `max_batch`.
 //! 2. A **real-time engine test**: the live condvar wait (actual parking,
 //!    actual wakeups) must answer a lone request within `max_delay + ε`,
 //!    and never before `max_delay`.
@@ -27,15 +30,74 @@ fn model(index: usize) -> ModelKey {
     ModelKey::new(["Cora", "PubMed"][index], GnnKind::Gcn)
 }
 
+/// One entry of the simulated worker's copy of the queue.
+enum Item {
+    Request {
+        id: u64,
+        model: ModelKey,
+        shard: u32,
+    },
+    Update {
+        model: ModelKey,
+    },
+}
+
+impl Item {
+    fn model(&self) -> &ModelKey {
+        match self {
+            Item::Request { model, .. } | Item::Update { model } => model,
+        }
+    }
+}
+
 /// What the simulated worker has seen so far.
 #[derive(Default)]
 struct Seen {
     requests: HashSet<u64>,
     /// Update ids per model, queued and not yet taken, in submit order.
     updates: HashMap<ModelKey, VecDeque<u64>>,
+    /// Everything submitted and not yet taken, in submit order.
+    queue: Vec<Item>,
 }
 
 impl Seen {
+    /// Checks that waiting is right: the head batch is not barriered, no
+    /// key's requests queued before any update token of its model fill
+    /// `max_batch`, and every update token has a request of its model
+    /// ahead of it.
+    fn wait(&self, max_batch: usize) -> Result<(), String> {
+        if let Some(Item::Request { model, .. }) = self.queue.first() {
+            if self
+                .queue
+                .iter()
+                .any(|item| matches!(item, Item::Update { model: m } if m == model))
+            {
+                return Err("a barriered head batch waited".into());
+            }
+        }
+        let mut counts: HashMap<(&ModelKey, u32), usize> = HashMap::new();
+        let mut barred: HashSet<&ModelKey> = HashSet::new();
+        for (i, item) in self.queue.iter().enumerate() {
+            match item {
+                Item::Request { model, shard, .. } if !barred.contains(model) => {
+                    let count = counts.entry((model, *shard)).or_default();
+                    *count += 1;
+                    if *count == max_batch {
+                        return Err(format!("a full batch of {model:?}/{shard} waited"));
+                    }
+                }
+                Item::Request { .. } => {}
+                Item::Update { model } => {
+                    if !self.queue[..i].iter().any(|ahead| ahead.model() == model) {
+                        return Err(format!("a free update token of {model:?} waited"));
+                    }
+                    barred.insert(model);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Checks one taken item against the rule at clock reading `now`.
     fn take(
         &mut self,
@@ -48,6 +110,15 @@ impl Seen {
         let batch: Batch = match item {
             WorkItem::Batch(batch) => batch,
             WorkItem::Update(model) => {
+                let at = self
+                    .queue
+                    .iter()
+                    .position(|item| matches!(item, Item::Update { model: m } if *m == model))
+                    .ok_or("an update token left twice")?;
+                if self.queue[..at].iter().any(|item| *item.model() == model) {
+                    return Err("an update overtook a request of its model".into());
+                }
+                self.queue.remove(at);
                 let expected = self.updates.get_mut(&model).and_then(VecDeque::pop_front);
                 let got = scheduler.take_update(&model).map(|u| u.id);
                 return if got.is_some() && got == expected {
@@ -64,6 +135,14 @@ impl Seen {
         if len == 0 || len > config.max_batch {
             return Err(format!("batch of {len} (max_batch {})", config.max_batch));
         }
+        if len < config.max_batch
+            && !matches!(self.queue.first(), Some(Item::Request { id, .. }) if *id == batch.requests[0].id)
+        {
+            return Err(format!(
+                "a partial {:?} batch left from behind the head",
+                batch.reason
+            ));
+        }
         for request in &batch.requests {
             if (&request.model, request.shard) != (&batch.model, batch.shard) {
                 return Err("a batch mixed keys".into());
@@ -71,6 +150,18 @@ impl Seen {
             if !self.requests.insert(request.id) {
                 return Err(format!("request {} emitted twice", request.id));
             }
+            let at = self
+                .queue
+                .iter()
+                .position(|item| matches!(item, Item::Request { id, .. } if *id == request.id))
+                .ok_or("a request that was never queued")?;
+            if self.queue[..at]
+                .iter()
+                .any(|item| matches!(item, Item::Update { model } if *model == batch.model))
+            {
+                return Err("a request overtook an update of its model".into());
+            }
+            self.queue.remove(at);
         }
         let oldest = batch.requests.iter().map(|r| r.submitted_at).min().unwrap();
         let deadline = oldest + config.max_delay;
@@ -130,11 +221,17 @@ proptest! {
                         let checked = seen.take(&scheduler, item, clock, false);
                         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
                     }
-                    Take::Wait(Some(deadline)) if deadline <= arrival => {
-                        prop_assert!(deadline > clock, "a wait names a future deadline");
-                        clock = deadline;
+                    Take::Wait(next) => {
+                        let checked = seen.wait(max_batch);
+                        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+                        match next {
+                            Some(deadline) if deadline <= arrival => {
+                                prop_assert!(deadline > clock, "a wait names a future deadline");
+                                clock = deadline;
+                            }
+                            _ => break,
+                        }
                     }
-                    Take::Wait(_) => break,
                     Take::Exit => prop_assert!(false, "the queue is open"),
                 }
             }
@@ -142,6 +239,7 @@ proptest! {
             let id = id as u64;
             if kind == 0 {
                 seen.updates.entry(model(m)).or_default().push_back(id);
+                seen.queue.push(Item::Update { model: model(m) });
                 scheduler.submit_update(UpdateRequest {
                     id,
                     model: model(m),
@@ -151,6 +249,7 @@ proptest! {
                 });
             } else {
                 requests += 1;
+                seen.queue.push(Item::Request { id, model: model(m), shard });
                 scheduler.submit(InferenceRequest {
                     id,
                     model: model(m),

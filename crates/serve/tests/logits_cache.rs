@@ -12,7 +12,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mega_gnn::{GnnKind, ReceptiveField};
+use mega_gnn::kernel::{forward_targets_packed_with_field, KernelArena, KernelMode};
+use mega_gnn::{build_adjacency, GnnKind, ReceptiveField};
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
     batch_logits, shard_logits_with_field, CachedLogits, ModelArtifacts, ModelRegistry, ModelSpec,
@@ -258,6 +259,77 @@ fn engine_short_circuits_hot_nodes_and_recovers_after_updates() {
     assert!((report.logits_hit_rate - 1.0 / 3.0).abs() < 1e-9);
     assert_eq!(report.logits_invalidations, 1);
     assert_eq!(report.completed, 3);
+}
+
+/// GCN weights are computed from degrees: an insert into `d` moves the
+/// weight a row `r` gives its column `d` without rewriting `r`. A target
+/// `t` two hops from `d` (it reads `r`, not `d`) must still lose its
+/// cached logits, and its fresh pass must equal the scalar kernel over an
+/// adjacency rebuilt from scratch on the new graph.
+#[test]
+fn engine_drops_a_two_hop_target_of_a_degree_change() {
+    let spec = spec(GnnKind::Gcn, 4);
+    let mut reference = ModelArtifacts::build(&spec);
+    let graph = &reference.graph;
+    let n = graph.num_nodes() as NodeId;
+    let (d, r, t) = (0..n)
+        .flat_map(|d| graph.out_neighbors(d as usize).iter().map(move |&r| (d, r)))
+        .find_map(|(d, r)| {
+            let t = graph
+                .out_neighbors(r as usize)
+                .iter()
+                .copied()
+                .find(|&t| t != d && !graph.has_edge(d, t))?;
+            Some((d, r, t))
+        })
+        .expect("a path d -> r -> t with no edge d -> t");
+    let src = (0..n)
+        .find(|&s| s != d && s != r && s != t && !graph.has_edge(s, d))
+        .expect("an absent in-edge of d");
+
+    let registry = Arc::new(ModelRegistry::new());
+    let key = registry.register(spec);
+    let engine = ServeEngine::start_detached(ServeConfig::default(), registry);
+    engine.warm(&key).unwrap();
+    let wait = Duration::from_secs(60);
+    assert!(!engine.submit_wait(&key, t, wait).unwrap().cached);
+    assert!(
+        engine.submit_wait(&key, t, wait).unwrap().cached,
+        "t is cached"
+    );
+
+    let mut delta = GraphDelta::new();
+    delta.insert_edge(src, d);
+    let ack = engine
+        .submit_update_wait(&key, delta.clone(), vec![], wait)
+        .unwrap();
+    assert!(ack.applied(), "{:?}", ack.error);
+    let fresh = engine.submit_wait(&key, t, wait).unwrap();
+    assert!(!fresh.cached, "t's cached logits were dropped");
+
+    reference.apply_delta(&delta, &[]).expect("valid delta");
+    let rebuilt = build_adjacency(
+        &reference.graph.to_graph(),
+        GnnKind::Gcn.aggregator(reference.dataset.spec.seed),
+    );
+    let (scalar, _) = forward_targets_packed_with_field(
+        &reference.model,
+        &reference.packed_model,
+        &reference.packed_features,
+        rebuilt.as_ref(),
+        &[t],
+        &mut |v| reference.node_bits(v),
+        KernelMode::Scalar,
+        &mut KernelArena::default(),
+    );
+    for (c, logit) in fresh.logits.iter().enumerate() {
+        assert_eq!(
+            logit.to_bits(),
+            scalar.get(0, c).to_bits(),
+            "target {t} (reads {r}, which reads {d}) diverged at class {c}"
+        );
+    }
+    engine.shutdown();
 }
 
 // ───────────────────────── property test ─────────────────────────
