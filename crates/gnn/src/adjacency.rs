@@ -473,7 +473,7 @@ mod tests {
     }
 
     fn dyn_diamond() -> DynamicGraph {
-        DynamicGraph::from_graph(&Graph::from_directed_edges(
+        DynamicGraph::from_graph(Graph::from_directed_edges(
             4,
             vec![(0, 1), (0, 2), (1, 3), (2, 3)],
         ))

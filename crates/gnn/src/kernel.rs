@@ -29,8 +29,8 @@
 //! * **Flat arenas.** All scratch (activation slabs, the combination
 //!   chunk, lane tiles) lives in one reusable [`KernelArena`] owned by the
 //!   worker thread; steady-state batches allocate nothing. Only the
-//!   aggregated activations (`needed[l+1]` × width) and the node-position
-//!   map scale with the field or the graph.
+//!   aggregated activations (`needed[l+1]` × width) and the destinations'
+//!   cursors scale with the field; nothing scales with the graph.
 //!
 //! [`forward_targets_packed_with_field`] is the one entry point. It runs in
 //! global node ids over any [`AdjacencyView`]; the serving engine's shards
@@ -191,11 +191,11 @@ pub const CHUNK_ROWS: usize = 256;
 /// thread serves every batch, and steady-state batches allocate nothing.
 ///
 /// Capacities persist across batches, so what a hub target leaves behind
-/// stays reserved. Only three buffers scale with the field or the graph:
-/// `h`/`next` (a level's aggregated activations, `needed[l+1]` × width)
-/// and `pos` (one `u32` per graph row). The combination slab, its
-/// quantization staging and the tier groups are [`CHUNK_ROWS`]-sized;
-/// [`KernelArena::scratch_bytes`] reports the total.
+/// stays reserved. Only three buffers scale with the field: `h`/`next` (a
+/// level's aggregated activations, `needed[l+1]` × width) and `cursor`
+/// (one per destination). None scales with the graph. The combination
+/// slab, its quantization staging and the tier groups are
+/// [`CHUNK_ROWS`]-sized; [`KernelArena::scratch_bytes`] reports the total.
 #[derive(Default)]
 pub struct KernelArena {
     h: Vec<f32>,
@@ -203,12 +203,6 @@ pub struct KernelArena {
     /// One chunk's combined rows (`CHUNK_ROWS` × width at most).
     combined: Vec<f32>,
     levels: Vec<i32>,
-    /// Node id → position in the current level's `needed` list, one `u32`
-    /// per graph row (~4 MB at 10⁶ nodes, reused across batches) —
-    /// replaces the per-edge binary search during aggregation. Reads are
-    /// valid by the [`ReceptiveField`] invariant that every aggregation
-    /// source is present in the previous level.
-    pos: Vec<u32>,
     /// One per destination of the current level: how far the chunks so
     /// far have walked its adjacency row.
     cursor: Vec<Cursor>,
@@ -232,11 +226,11 @@ pub struct KernelArena {
 struct Cursor {
     /// Sources summed so far: the row index of the next one.
     done: u32,
-    /// Level position of the next source, `u32::MAX` once the row is
-    /// done. A chunk skips the destination while this is past its end, so
-    /// a level of `c` chunks costs `c` compares per destination, not `c`
+    /// The next source's node id, `NodeId::MAX` once the row is done. A
+    /// chunk skips the destination while this is past its last node, so a
+    /// level of `c` chunks costs `c` compares per destination, not `c`
     /// adjacency-row lookups.
-    next: u32,
+    next: NodeId,
 }
 
 impl KernelArena {
@@ -250,7 +244,6 @@ impl KernelArena {
             + bytes(&self.next)
             + bytes(&self.combined)
             + bytes(&self.levels)
-            + bytes(&self.pos)
             + bytes(&self.cursor)
             + bytes(&self.row_scale)
             + bytes(&self.row_qalpha)
@@ -437,49 +430,50 @@ impl KernelArena {
         }
     }
 
-    /// Aggregation of one combined chunk (level positions
-    /// `base..base + len`) into `next`: every destination's cursor advances
-    /// over the sources whose level position falls inside the chunk,
-    /// adding `a · s` in `f32`. Both `needed[l]` and every adjacency row
-    /// ascend, so positions along a row ascend too: across the chunks each
-    /// destination still sums its sources in CSR row order, one operation
-    /// at a time, exactly as one pass over a whole-level slab would.
+    /// Aggregation of one combined chunk (level nodes `chunk`) into
+    /// `next`: every destination's cursor advances over its sources up to
+    /// the chunk's last node, adding `a · s` in `f32`. Both `needed[l]` and
+    /// every adjacency row ascend, so a source not yet summed lies in this
+    /// chunk exactly when it is at most the chunk's last node, and a search
+    /// of the chunk from the previous source's slot finds it. Across the
+    /// chunks each destination still sums its sources in CSR row order, one
+    /// operation at a time, exactly as one pass over a whole-level slab
+    /// would.
     fn aggregate_chunk<A: AdjacencyView + ?Sized>(
         &mut self,
         adjacency: &A,
-        level_nodes: &[NodeId],
+        chunk: &[NodeId],
         out_nodes: &[NodeId],
-        base: usize,
-        len: usize,
         w_out: usize,
     ) {
-        let end = (base + len) as u32;
+        let last = chunk[chunk.len() - 1];
         for (vi, &v) in out_nodes.iter().enumerate() {
             let Cursor { done, next } = self.cursor[vi];
-            if next >= end {
+            if next > last {
                 continue;
             }
             let cols = adjacency.row_indices(v as usize);
             let weights = adjacency.row_weights(v as usize);
             let row = &mut self.next[vi * w_out..][..w_out];
-            let (mut k, mut ui) = (done as usize, next);
-            while ui < end {
+            let (mut k, mut u, mut i) = (done as usize, next, 0);
+            while u <= last {
+                i += chunk[i..].partition_point(|&x| x < u);
                 debug_assert_eq!(
-                    level_nodes.get(ui as usize),
-                    Some(&cols[k]),
+                    chunk.get(i),
+                    Some(&u),
                     "aggregation source is in the receptive field"
                 );
-                let src = &self.combined[(ui as usize - base) * w_out..][..w_out];
-                let a = weights.at(k, cols[k]);
+                let src = &self.combined[i * w_out..][..w_out];
+                let a = weights.at(k, u);
                 for (dst, &s) in row.iter_mut().zip(src) {
                     *dst += a * s;
                 }
                 k += 1;
-                ui = cols.get(k).map_or(u32::MAX, |&u| self.pos[u as usize]);
+                u = cols.get(k).copied().unwrap_or(NodeId::MAX);
             }
             self.cursor[vi] = Cursor {
                 done: k as u32,
-                next: ui,
+                next: u,
             };
         }
     }
@@ -549,9 +543,6 @@ where
     // `arena.h` holds level-`l` input activations, flat, indexed by
     // position in `field.needed[l]` (level 0 reads packed rows instead).
     arena.h.clear();
-    if arena.pos.len() < n {
-        arena.pos.resize(n, u32::MAX);
-    }
     let mut out_dim = 0;
     for l in 0..layers {
         let layer = &packed.layers[l];
@@ -561,17 +552,12 @@ where
         let level_nodes = &field.needed[l];
         let out_nodes = &field.needed[l + 1];
 
-        // The position array replaces the per-edge binary search: one
-        // write per level row, one O(1) read per edge. Reads are in range
-        // by the `ReceptiveField` invariant that every aggregation source
-        // appears in the previous level (property-tested in
-        // `tests/receptive_field.rs`).
-        for (i, &u) in level_nodes.iter().enumerate() {
-            arena.pos[u as usize] = i as u32;
-        }
+        // Every cursor starts at its row's first source. Each source is in
+        // `level_nodes` by the `ReceptiveField` invariant that every
+        // aggregation source appears in the previous level
+        // (property-tested in `tests/receptive_field.rs`).
         arena.next.clear();
         arena.next.resize(out_nodes.len() * w_out, 0.0);
-        let pos = &arena.pos;
         arena.cursor.clear();
         arena.cursor.extend(out_nodes.iter().map(|&v| {
             Cursor {
@@ -579,13 +565,14 @@ where
                 next: adjacency
                     .row_indices(v as usize)
                     .first()
-                    .map_or(u32::MAX, |&u| pos[u as usize]),
+                    .copied()
+                    .unwrap_or(NodeId::MAX),
             }
         }));
         for (c, chunk) in level_nodes.chunks(CHUNK_ROWS).enumerate() {
             let base = c * CHUNK_ROWS;
             arena.combine_chunk(l == 0, layer, bias, rows, bits_of, mode, chunk, base);
-            arena.aggregate_chunk(adjacency, level_nodes, out_nodes, base, chunk.len(), w_out);
+            arena.aggregate_chunk(adjacency, chunk, out_nodes, w_out);
         }
         if l + 1 < layers {
             for x in arena.next.iter_mut() {
@@ -794,7 +781,7 @@ mod tests {
     /// The whole-level reference for the aggregation order: combines every
     /// row of a level into one slab with scalar integer dots, then pulls
     /// each destination's sources in CSR row order (found by binary search,
-    /// not through the kernel's position array or cursors).
+    /// not through the kernel's chunk searches or cursors).
     fn whole_level_logits(
         model: &Gnn,
         packed: &PackedGnn,
@@ -1010,17 +997,15 @@ mod tests {
             "the hub field spans many chunks"
         );
 
-        // What may scale: `pos` (one u32 per graph row) and, per level
-        // past the input, `h`/`next` rows plus a cursor each (doubled for
-        // amortized Vec growth). Everything else is chunk- or tile-sized.
-        // Nothing here grows with `needed[0].len() × width`.
+        // What may scale: per level past the input, `h`/`next` rows plus a
+        // cursor each (doubled for amortized Vec growth). Everything else
+        // is chunk- or tile-sized. Nothing here grows with the graph or
+        // with `needed[0].len() × width`.
         let width = model.config().hidden.max(model.config().in_dim);
         let f32s = std::mem::size_of::<f32>();
         let wide_rows = field.needed[1..].iter().map(Vec::len).max().unwrap();
-        let bound = n * 4
-            + 2 * wide_rows * (2 * width * f32s + 4)
-            + CHUNK_ROWS * (width * f32s + 16)
-            + 64 * 1024;
+        let bound =
+            2 * wide_rows * (2 * width * f32s + 4) + CHUNK_ROWS * (width * f32s + 16) + 64 * 1024;
         assert!(
             arena.scratch_bytes() <= bound,
             "arena holds {} B, bound {bound} B (needed[0] = {} rows × {width})",

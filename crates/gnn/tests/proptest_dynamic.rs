@@ -88,7 +88,7 @@ proptest! {
     ) {
         for kind in KINDS {
             let start = Graph::from_directed_edges(n, edges.clone());
-            let mut dg = DynamicGraph::from_graph(&start);
+            let mut dg = DynamicGraph::from_graph(start.clone());
             let mut adj = DynAdjacency::build(&dg, kind);
             apply_raw_ops(&mut dg, &mut adj, &ops, chunk);
             let rebuilt = build_adjacency(&dg.to_graph(), kind);
@@ -105,10 +105,10 @@ proptest! {
     ) {
         let start = Graph::from_directed_edges(n, edges);
         let kind = AggregatorKind::GcnSymmetric;
-        let mut fine_g = DynamicGraph::from_graph(&start);
+        let mut fine_g = DynamicGraph::from_graph(start.clone());
         let mut fine_a = DynAdjacency::build(&fine_g, kind);
         apply_raw_ops(&mut fine_g, &mut fine_a, &ops, 1);
-        let mut coarse_g = DynamicGraph::from_graph(&start);
+        let mut coarse_g = DynamicGraph::from_graph(start);
         let mut coarse_a = DynAdjacency::build(&coarse_g, kind);
         apply_raw_ops(&mut coarse_g, &mut coarse_a, &ops, ops.len());
         prop_assert_eq!(fine_g, coarse_g);
@@ -124,7 +124,7 @@ proptest! {
         chunk in 1..6usize,
     ) {
         let start = Graph::from_directed_edges(n, edges);
-        let mut dg = DynamicGraph::from_graph(&start);
+        let mut dg = DynamicGraph::from_graph(start);
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GinSum);
         apply_raw_ops(&mut dg, &mut adj, &ops, chunk);
         let frozen = dg.to_graph();
@@ -146,7 +146,7 @@ fn single_insert_touches_only_affected_rows() {
     let spec = mega_graph::DatasetSpec::cora().scaled(0.3);
     let graph = spec.materialize().graph;
     let n = graph.num_nodes();
-    let mut dg = DynamicGraph::from_graph(&graph);
+    let mut dg = DynamicGraph::from_graph(graph.clone());
 
     // GCN: dirty set is {dst} ∪ out_neighbors(dst).
     let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
@@ -172,7 +172,7 @@ fn single_insert_touches_only_affected_rows() {
             seed: 1,
         },
     ] {
-        let mut dg2 = DynamicGraph::from_graph(&graph);
+        let mut dg2 = DynamicGraph::from_graph(graph.clone());
         let mut adj2 = DynAdjacency::build(&dg2, kind);
         let mut delta = GraphDelta::new();
         delta.insert_edge(src, dst);
@@ -192,7 +192,7 @@ fn gcn_weights_follow_a_column_degree_change() {
         .materialize()
         .graph;
     let n = graph.num_nodes() as NodeId;
-    let mut dg = DynamicGraph::from_graph(&graph);
+    let mut dg = DynamicGraph::from_graph(graph);
     let kind = AggregatorKind::GcnSymmetric;
     let mut adj = DynAdjacency::build(&dg, kind);
     let d = (0..n)

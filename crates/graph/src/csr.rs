@@ -173,6 +173,11 @@ impl Csr {
         &self.indices
     }
 
+    /// Consumes the matrix, returning its `(offsets, indices)` arrays.
+    pub fn into_parts(self) -> (Vec<usize>, Vec<NodeId>) {
+        (self.offsets, self.indices)
+    }
+
     /// Returns the transposed matrix (CSC view of `self`).
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.num_cols + 1];

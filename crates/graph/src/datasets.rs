@@ -254,12 +254,10 @@ impl DatasetSpec {
         self.directed_edges as f64 / self.nodes as f64
     }
 
-    /// Generates the graph, labels, masks, and — when within
-    /// [`DENSE_FEATURE_BUDGET`] and not a streaming spec — dense features.
-    /// Streaming (`synth:*`) specs get a [`RowSynth`] instead: any row is
-    /// reproducible on demand without a resident f32 matrix.
-    pub fn materialize(&self) -> Dataset {
-        let generated = PowerLawSbm {
+    /// The graph generator [`DatasetSpec::materialize`] runs: symmetric,
+    /// one planted community per class.
+    pub fn generator(&self) -> PowerLawSbm {
+        PowerLawSbm {
             nodes: self.nodes,
             directed_edges: self.directed_edges,
             exponent: self.exponent,
@@ -268,7 +266,14 @@ impl DatasetSpec {
             symmetric: true,
             seed: self.seed,
         }
-        .generate();
+    }
+
+    /// Generates the graph, labels, masks, and — when within
+    /// [`DENSE_FEATURE_BUDGET`] and not a streaming spec — dense features.
+    /// Streaming (`synth:*`) specs get a [`RowSynth`] instead: any row is
+    /// reproducible on demand without a resident f32 matrix.
+    pub fn materialize(&self) -> Dataset {
+        let generated = self.generator().generate();
         let labels = generated.communities;
         let streaming = self.is_streaming();
         let features = if !streaming && self.nodes * self.feature_dim <= DENSE_FEATURE_BUDGET {

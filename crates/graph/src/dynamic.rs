@@ -21,7 +21,7 @@
 //! ```
 //! use mega_graph::{DynamicGraph, Graph, GraphDelta};
 //!
-//! let mut g = DynamicGraph::from_graph(&Graph::from_directed_edges(3, vec![(0, 1)]));
+//! let mut g = DynamicGraph::from_graph(Graph::from_directed_edges(3, vec![(0, 1)]));
 //! let mut delta = GraphDelta::new();
 //! delta.insert_edge(2, 1).insert_edge(0, 1).remove_edge(0, 1);
 //! let effect = g.apply(&delta).unwrap();
@@ -29,7 +29,7 @@
 //! assert_eq!(effect.rows_changed, vec![1]);
 //! ```
 
-use crate::{Coo, Graph, NodeId, RowStore};
+use crate::{Coo, Csr, Graph, NodeId, RowStore};
 
 /// One graph mutation inside a [`GraphDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,23 +195,22 @@ impl DynamicGraph {
         g
     }
 
-    /// Thaws a static [`Graph`] into mutable form, each direction one exact
-    /// allocation.
-    pub fn from_graph(graph: &Graph) -> Self {
-        fn thaw<'g>(
-            graph: &'g Graph,
-            neighbors: impl Fn(usize) -> &'g [NodeId],
-        ) -> RowStore<NodeId> {
-            let mut rows = RowStore::with_capacity(graph.num_nodes(), graph.num_edges());
-            for v in 0..graph.num_nodes() {
-                rows.push_row(neighbors(v));
-            }
-            rows
+    /// Thaws a static [`Graph`] into mutable form. Each direction's CSR
+    /// index vector moves into its [`RowStore`] as the entry vector
+    /// ([`RowStore::from_csr`]), so the neighbor ids are never copied and
+    /// only the offsets give way to row spans. A caller that still needs
+    /// the graph passes a clone.
+    pub fn from_graph(graph: Graph) -> Self {
+        fn thaw(csr: Csr) -> RowStore<NodeId> {
+            let (offsets, indices) = csr.into_parts();
+            RowStore::from_csr(&offsets, indices)
         }
+        let num_edges = graph.num_edges();
+        let (csr, csc) = graph.into_parts();
         Self {
-            out: thaw(graph, |v| graph.out_neighbors(v)),
-            inn: thaw(graph, |v| graph.in_neighbors(v)),
-            num_edges: graph.num_edges(),
+            out: thaw(csr),
+            inn: thaw(csc),
+            num_edges,
         }
     }
 
@@ -424,7 +423,7 @@ mod tests {
 
     fn diamond() -> DynamicGraph {
         // 0 → 1 → 3, 0 → 2 → 3
-        DynamicGraph::from_graph(&Graph::from_directed_edges(
+        DynamicGraph::from_graph(Graph::from_directed_edges(
             4,
             vec![(0, 1), (0, 2), (1, 3), (2, 3)],
         ))

@@ -15,16 +15,16 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 use crate::alias::AliasTable;
-use crate::{Coo, Csr, Graph, NodeId};
+use crate::{Csr, Graph, NodeId};
 
 /// Node count at which [`PowerLawSbm::generate`] switches from the exact
-/// rejection-sampling path to the streaming two-pass path. Every preset
-/// dataset the repo materializes densely (up to NELL's ~66k nodes) stays on
-/// the legacy path, so their graphs remain byte-identical across this
-/// change; only at-scale graphs (full Reddit, `synth:*`) stream.
+/// rejection-sampling path to the streaming two-pass path. Every Table II
+/// preset at bench scale and the `synth:*` graphs below 200k nodes take the
+/// exact path, which resamples duplicates so the edge target is met;
+/// full-scale Reddit and `synth:*` graphs from 200k nodes stream, dropping
+/// duplicate draws instead.
 pub const STREAMING_NODES: usize = 200_000;
 
 /// Draws a standard normal deviate via Box–Muller (the `rand` crate alone
@@ -182,8 +182,12 @@ impl PowerLawSbm {
     /// Runs the generator.
     ///
     /// Below [`STREAMING_NODES`] nodes this is the exact rejection-sampling
-    /// path (resamples duplicates until the edge target is met); at or above
-    /// it, it dispatches to [`PowerLawSbm::generate_streamed`].
+    /// path: duplicate pairs and self-loops are resampled until the edge
+    /// target is met or `max(30 × pairs, 1024)` draws are spent. It holds
+    /// the accepted pairs as one sorted `u64` key vector (8 B per pair)
+    /// plus the current round's draws, then fills the CSR straight from
+    /// the keys. At or above [`STREAMING_NODES`] it dispatches to
+    /// [`PowerLawSbm::generate_streamed`].
     ///
     /// # Panics
     ///
@@ -195,48 +199,38 @@ impl PowerLawSbm {
         }
         self.validate();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = self.nodes;
-        let s = self.samplers(&mut rng);
+        let mut s = self.samplers(&mut rng);
 
         let target_pairs = if self.symmetric {
             self.directed_edges / 2
         } else {
             self.directed_edges
         };
-        let mut seen: HashSet<u64> = HashSet::with_capacity(target_pairs * 2);
-        let mut coo = Coo::new(n);
         let max_attempts = target_pairs.saturating_mul(30).max(1024);
-        let mut attempts = 0usize;
-        while seen.len() < target_pairs && attempts < max_attempts {
-            attempts += 1;
+        let keys = distinct_keys(target_pairs, max_attempts, || {
             let (src, dst) = self.sample_pair(&s, &mut rng);
-            if src == dst {
-                continue;
-            }
-            let key = if self.symmetric {
-                let (a, b) = if src < dst { (src, dst) } else { (dst, src) };
-                (a as u64) << 32 | b as u64
+            // A symmetric pair is keyed by its smaller endpoint first.
+            let (a, b) = if self.symmetric && dst < src {
+                (dst, src)
             } else {
-                (src as u64) << 32 | dst as u64
+                (src, dst)
             };
-            if seen.insert(key) {
-                coo.push(src, dst);
-            }
-        }
-        if self.symmetric {
-            coo.symmetrize();
-        } else {
-            coo.dedup();
-        }
+            (src != dst).then_some((a as u64) << 32 | b as u64)
+        });
+        // Only the communities outlive sampling.
+        let communities = std::mem::take(&mut s.communities);
+        drop(s);
+        let csr = csr_from_keys(self.nodes, &keys, self.symmetric);
+        drop(keys);
         Generated {
-            graph: Graph::from_coo(&coo),
-            communities: s.communities,
+            graph: Graph::from_csr(csr),
+            communities,
         }
     }
 
     /// The scale path: streams sampled edges straight into CSR with peak
-    /// memory `O(nodes + final CSR)` — no `HashSet` of seen pairs, no COO
-    /// copy, no symmetrize buffer.
+    /// memory `O(nodes + final CSR)`: it keeps no record of the pairs drawn,
+    /// so unlike the exact path it holds no key vector beside the CSR.
     ///
     /// Two passes over an *identical* RNG stream (the shim's `StdRng` is a
     /// small copyable xoshiro state, so cloning it replays the sequence):
@@ -344,22 +338,108 @@ pub fn shuffle<T, R: Rng + ?Sized>(items: &mut [T], rng: &mut R) {
 /// a no-structure control in experiments).
 pub fn uniform_random(nodes: usize, directed_edges: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = HashSet::with_capacity(directed_edges * 2);
-    let mut coo = Coo::new(nodes);
     let max_attempts = directed_edges.saturating_mul(20).max(1024);
-    let mut attempts = 0;
-    while seen.len() < directed_edges && attempts < max_attempts {
-        attempts += 1;
+    let keys = distinct_keys(directed_edges, max_attempts, || {
         let s = rng.gen_range(0..nodes) as NodeId;
         let d = rng.gen_range(0..nodes) as NodeId;
-        if s == d {
-            continue;
-        }
-        if seen.insert((s as u64) << 32 | d as u64) {
-            coo.push(s, d);
+        (s != d).then_some((s as u64) << 32 | d as u64)
+    });
+    Graph::from_csr(csr_from_keys(nodes, &keys, false))
+}
+
+/// The distinct keys a sequential rejection loop accepts, sorted: draw
+/// until `target` distinct keys are held or `max_attempts` draws are
+/// spent. Each `draw` call is one attempt; `None` (a self-loop) uses the
+/// attempt without yielding a key.
+///
+/// Draws run in rounds of `target − accepted` attempts. An attempt adds
+/// at most one key, so a round can reach the target only on its last
+/// attempt: the draws consumed, and so the keys accepted, are exactly the
+/// sequential loop's. Each round is sorted and deduplicated, and its new
+/// keys are merged into the accepted ones without re-sorting them (the
+/// first round fills them directly).
+fn distinct_keys(
+    target: usize,
+    max_attempts: usize,
+    mut draw: impl FnMut() -> Option<u64>,
+) -> Vec<u64> {
+    let mut accepted: Vec<u64> = Vec::with_capacity(target);
+    let mut round: Vec<u64> = Vec::new();
+    let mut attempts = 0usize;
+    while accepted.len() < target && attempts < max_attempts {
+        let n = (target - accepted.len()).min(max_attempts - attempts);
+        attempts += n;
+        let first = accepted.is_empty();
+        let buf = if first { &mut accepted } else { &mut round };
+        buf.clear();
+        buf.reserve_exact(n);
+        buf.extend((0..n).filter_map(|_| draw()));
+        buf.sort_unstable();
+        buf.dedup();
+        if !first {
+            merge_new(&mut accepted, &mut round);
         }
     }
-    Graph::from_coo(&coo)
+    accepted
+}
+
+/// Merges the sorted, distinct `fresh` keys that `accepted` (sorted,
+/// distinct) lacks into it, in place: a forward pass drops the keys
+/// already there, and a backward pass moves each accepted key at most
+/// once, `O(accepted + fresh · log accepted)` in all.
+fn merge_new(accepted: &mut Vec<u64>, fresh: &mut Vec<u64>) {
+    let mut at = 0;
+    fresh.retain(|&k| {
+        at += accepted[at..].partition_point(|&x| x < k);
+        accepted.get(at) != Some(&k)
+    });
+    let mut end = accepted.len();
+    accepted.resize(end + fresh.len(), 0);
+    let mut write = accepted.len();
+    for &k in fresh.iter().rev() {
+        let at = accepted[..end].partition_point(|&x| x < k);
+        let run = end - at;
+        accepted.copy_within(at..end, write - run);
+        write -= run + 1;
+        accepted[write] = k;
+        end = at;
+    }
+}
+
+/// Fills a CSR straight from sorted keys: `(src, dst)` pairs, or with
+/// `symmetric` canonical `(a, b)` pairs (`a < b`) that stand for both
+/// directions. Directed keys already come in row order. For symmetric
+/// ones, row `r` receives its smaller neighbours from keys `(x, r)`, which
+/// sort before its own keys `(r, c)`, so a scan in key order writes every
+/// row ascending.
+fn csr_from_keys(n: usize, keys: &[u64], symmetric: bool) -> Csr {
+    let split = |key: u64| ((key >> 32) as usize, key as NodeId);
+    let mut offsets = vec![0usize; n + 1];
+    for &key in keys {
+        let (a, b) = split(key);
+        offsets[a + 1] += 1;
+        if symmetric {
+            offsets[b as usize + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    // `offsets[r]` serves as row `r`'s write cursor, ending at row `r + 1`'s
+    // start; one shift afterwards restores the row starts.
+    let mut indices = vec![0 as NodeId; offsets[n]];
+    for &key in keys {
+        let (a, b) = split(key);
+        indices[offsets[a]] = b;
+        offsets[a] += 1;
+        if symmetric {
+            indices[offsets[b as usize]] = a as NodeId;
+            offsets[b as usize] += 1;
+        }
+    }
+    offsets.copy_within(..n, 1);
+    offsets[0] = 0;
+    Csr::from_parts(n, n, offsets, indices)
 }
 
 #[cfg(test)]
@@ -465,10 +545,10 @@ mod tests {
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.communities, b.communities);
         assert!(a.graph.is_symmetric());
-        // Sampler construction is shared with the legacy path, so the
+        // Sampler construction is shared with the exact path, so the
         // planted communities must agree exactly.
-        let legacy = cfg.generate();
-        assert_eq!(a.communities, legacy.communities);
+        let exact = cfg.generate();
+        assert_eq!(a.communities, exact.communities);
     }
 
     #[test]

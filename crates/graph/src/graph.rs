@@ -78,6 +78,11 @@ impl Graph {
         &self.csc
     }
 
+    /// Consumes the graph, returning its `(csr, csc)` adjacency.
+    pub fn into_parts(self) -> (Csr, Csr) {
+        (self.csr, self.csc)
+    }
+
     /// Sorted out-neighbors of `v`.
     pub fn out_neighbors(&self, v: usize) -> &[NodeId] {
         self.csr.row(v)

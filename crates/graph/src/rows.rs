@@ -15,6 +15,8 @@
 //!   row's `cap`.
 //! * **Build.** [`RowStore::with_capacity`] plus [`RowStore::push_row`]
 //!   reserves exactly, so a freshly built store carries no slack.
+//!   [`RowStore::from_csr`] builds the same store by taking over a CSR
+//!   index vector as its entries.
 //!
 //! Equality compares rows, not buffers: two stores with different
 //! relocation histories that hold the same rows are equal.
@@ -75,6 +77,44 @@ impl<T: Copy + Default> RowStore<T> {
             spans: Vec::with_capacity(rows),
             dead: 0,
             live: 0,
+        }
+    }
+
+    /// A store holding CSR rows, row `r` being
+    /// `entries[offsets[r]..offsets[r + 1]]`. `entries` becomes the entry
+    /// vector as is (trimmed to exact capacity), so building costs one span
+    /// per row and no entry copy. Every row gets exactly its length as
+    /// capacity, as [`RowStore::with_capacity`] plus
+    /// [`RowStore::push_row`] would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` starts at 0, never decreases and ends at
+    /// `entries.len()`.
+    pub fn from_csr(offsets: &[usize], mut entries: Vec<T>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        assert_eq!(
+            offsets.last(),
+            Some(&entries.len()),
+            "last offset must equal the entry count"
+        );
+        entries.shrink_to_fit();
+        let spans = offsets
+            .windows(2)
+            .map(|w| {
+                let len = offset(w[1].checked_sub(w[0]).expect("offsets must not decrease"));
+                Span {
+                    start: offset(w[0]),
+                    len,
+                    cap: len,
+                }
+            })
+            .collect();
+        Self {
+            live: entries.len(),
+            entries,
+            spans,
+            dead: 0,
         }
     }
 
@@ -363,6 +403,35 @@ mod tests {
             relocations > 0 && compactions > 0,
             "{relocations} relocations, {compactions} compactions"
         );
+    }
+
+    #[test]
+    fn from_csr_equals_a_pushed_build() {
+        let model = vec![vec![1, 2, 3], vec![], vec![9], vec![4, 5]];
+        let mut offsets = vec![0];
+        let mut entries = Vec::with_capacity(64);
+        for row in &model {
+            entries.extend_from_slice(row);
+            offsets.push(entries.len());
+        }
+        let mut store = RowStore::from_csr(&offsets, entries);
+        let pushed = from_model(&model);
+        store.assert_consistent();
+        assert_eq!(store, pushed);
+        assert_eq!(store.heap_bytes(), pushed.heap_bytes(), "exact capacity");
+        // Rows start at exact capacity, so growing one relocates it.
+        store.insert_at(1, 0, 7);
+        assert_eq!(store.dead, 0);
+        store.insert_at(0, 3, 8);
+        assert_eq!(store.dead, 3);
+        store.assert_consistent();
+        assert_eq!(format!("{store:?}"), "[[1, 2, 3, 8], [7], [9], [4, 5]]");
+    }
+
+    #[test]
+    #[should_panic(expected = "offsets must not decrease")]
+    fn from_csr_rejects_decreasing_offsets() {
+        let _ = RowStore::from_csr(&[0, 2, 1, 3], vec![1u32, 2, 3]);
     }
 
     #[test]

@@ -300,10 +300,13 @@ impl ModelArtifacts {
         let biases = trained.biases().to_vec();
         let model = Gnn::from_parts(config, weights, biases);
 
-        let graph = DynamicGraph::from_graph(&dataset.graph);
-        // The live topology is `graph`; drop the frozen snapshot so it can
+        // The live topology is `graph`: the frozen CSR's index vectors move
+        // into it, and an empty graph takes the snapshot's place, so it can
         // neither waste memory nor serve stale degrees after mutations.
-        dataset.graph = mega_graph::Graph::from_directed_edges(0, vec![]);
+        let graph = DynamicGraph::from_graph(std::mem::replace(
+            &mut dataset.graph,
+            mega_graph::Graph::from_directed_edges(0, vec![]),
+        ));
         let adjacency = DynAdjacency::build(&graph, spec.kind.aggregator(spec.dataset.seed));
 
         // Build is growth replayed from empty: every node streams into its

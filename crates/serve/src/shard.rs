@@ -156,7 +156,7 @@ mod tests {
     /// 2->3 and 5->0.
     fn fixture() -> ModelArtifacts {
         let g = Graph::from_directed_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (5, 0)]);
-        let graph = DynamicGraph::from_graph(&g);
+        let graph = DynamicGraph::from_graph(g);
         let adjacency = DynAdjacency::build(&graph, AggregatorKind::GcnSymmetric);
         let mut packed_features = TierPackedFeatures::new(2);
         for v in 0..6i32 {
