@@ -7,8 +7,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use mega_format::planes::{
-    dot_levels, levels_dot_multi, levels_dot_rows, pack_levels, planes_for, qmax_level,
-    ternary_dot_multi, ternary_dot_rows, unpack_levels, words_for, MAX_MULTI_ROWS,
+    dot_levels, levels_dot_multi, pack_levels, planes_for, qmax_level, ternary_dot_multi,
+    unpack_levels, words_for, MAX_MULTI_ROWS,
 };
 use mega_gnn::kernel::KernelMode;
 use mega_gnn::GnnKind;
@@ -46,8 +46,10 @@ impl Rng {
 
 /// Raw combination kernel per (tier bitwidth × mode): one packed-at-rest
 /// input row against a 4-bit weight matrix. The packed side runs the
-/// serve kernel's tier dispatch — plane walk at ≤ 2 bits, unpack + sparse
-/// level kernel at 3+ bits (unpack cost inside the measured region).
+/// serve kernel's tier dispatch with one lane — plane walk at ≤ 2 bits,
+/// unpack + sparse level kernel at 3+ bits (unpack cost inside the
+/// measured region). The scalar baseline keeps its own column-major copy
+/// of the weights.
 fn bench_combination(c: &mut Criterion) {
     let mut group = c.benchmark_group("combination");
     group.sample_size(20);
@@ -75,15 +77,15 @@ fn bench_combination(c: &mut Criterion) {
                 black_box(&dots);
             })
         });
-        let mut acc = vec![0i32; OUT_DIM];
+        let mut acc = vec![0i32; 2 * OUT_DIM];
         let mut levels = vec![0i32; IN_DIM];
         group.bench_function(&format!("packed/b{bits}"), |b| {
             b.iter(|| {
                 if bits <= 2 {
-                    ternary_dot_rows(&words, IN_DIM, &wrow, OUT_DIM, &mut acc, &mut dots);
+                    ternary_dot_multi(&words, 1, IN_DIM, &wrow, OUT_DIM, &mut acc, &mut dots);
                 } else {
                     unpack_levels(&words, bits, IN_DIM, &mut levels);
-                    levels_dot_rows(&levels, &wrow, OUT_DIM, &mut acc, &mut dots);
+                    levels_dot_multi(&levels, 1, &wrow, OUT_DIM, &mut acc[..OUT_DIM], &mut dots);
                 }
                 black_box(&dots);
             })

@@ -1,8 +1,8 @@
 //! Kernel gate: measures the tier-dispatched packed combination kernels
-//! against the scalar integer reference per tier bitwidth (ternary plane
-//! walk at ≤ 2 bits, unpack + sparse level kernel at 3+ bits, exactly as
-//! the serve path dispatches), plus the register-blocked multi-row
-//! kernels (`*_dot_multi`, `MAX_MULTI_ROWS`-lane blocks with the gather
+//! one row at a time (`*_dot_multi` with one lane: ternary plane walk at
+//! ≤ 2 bits, unpack + sparse level kernel at 3+ bits, exactly as the serve
+//! path dispatches) against the scalar integer reference per tier
+//! bitwidth, plus full `MAX_MULTI_ROWS`-lane blocks (with the gather
 //! inside the timed region, exactly as the blocked dispatcher stages
 //! them), compares the trend against the Combination Engine's predicted
 //! cycles ([`mega_accel::combination::cycles`]), prints a per-tier table,
@@ -10,7 +10,7 @@
 //!
 //! Exits non-zero if, on the 2–5 bit tiers, the packed kernel regresses
 //! below the scalar reference (threshold `KERNEL_GATE_MIN_SPEEDUP`) or
-//! the blocked kernel regresses below the single-row packed kernel
+//! the blocked kernel regresses below the one-row packed kernel
 //! (threshold `KERNEL_GATE_MIN_BLOCKED`) — a perf ratchet robust to
 //! absolute machine speed.
 
@@ -23,8 +23,8 @@ use std::time::Instant;
 use mega_accel::combination::cycles;
 use mega_accel::config::MegaConfig;
 use mega_format::planes::{
-    dot_levels, levels_dot_multi, levels_dot_rows, pack_levels, planes_for, qmax_level,
-    ternary_dot_multi, ternary_dot_rows, words_for, MAX_MULTI_ROWS,
+    dot_levels, levels_dot_multi, pack_levels, planes_for, qmax_level, ternary_dot_multi,
+    words_for, MAX_MULTI_ROWS,
 };
 use mega_graph::generate::uniform_random;
 use mega_sim::Workload;
@@ -101,9 +101,9 @@ struct TierResult {
 }
 
 fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
-    // Weights: one quantized layer in the two forms `QuantizedLayer`
-    // carries — column-major for the scalar reference, row-major for the
-    // packed kernels.
+    // Weights: one quantized layer, row-major as the packed kernels stream
+    // it, plus a column-major copy so the scalar baseline is one
+    // `dot_levels` call per output element.
     let weight_levels: Vec<i32> = (0..IN_DIM * OUT_DIM)
         .map(|_| rng.level(WEIGHT_BITS))
         .collect();
@@ -140,15 +140,16 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
         }
     });
 
-    // The packed side mirrors the serve kernel's tier dispatch: ≤ 2 bit
-    // rows walk the packed planes directly; wider tiers pay the unpack
-    // inside the timed region, then run the sparse level kernel.
-    let mut acc = vec![0i32; OUT_DIM];
+    // The packed side mirrors the serve kernel's tier dispatch one row at
+    // a time: ≤ 2 bit rows walk the packed planes directly; wider tiers
+    // pay the unpack inside the timed region, then run the sparse level
+    // kernel.
+    let mut acc = vec![0i32; 2 * OUT_DIM];
     let mut levels = vec![0i32; IN_DIM];
     let packed_ns = if bits <= 2 {
         time_ns_per_row(|| {
             for words in &packed_rows {
-                ternary_dot_rows(words, IN_DIM, &wrow, OUT_DIM, &mut acc, &mut dots);
+                ternary_dot_multi(words, 1, IN_DIM, &wrow, OUT_DIM, &mut acc, &mut dots);
                 black_box(&dots);
             }
         })
@@ -156,7 +157,7 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
         time_ns_per_row(|| {
             for words in &packed_rows {
                 mega_format::planes::unpack_levels(words, bits, IN_DIM, &mut levels);
-                levels_dot_rows(&levels, &wrow, OUT_DIM, &mut acc, &mut dots);
+                levels_dot_multi(&levels, 1, &wrow, OUT_DIM, &mut acc[..OUT_DIM], &mut dots);
                 black_box(&dots);
             }
         })
@@ -336,7 +337,7 @@ fn main() {
             eprintln!("FAIL: packed kernel below {min_speedup}x scalar on a 2-5 bit tier");
         }
         if !blocked_pass {
-            eprintln!("FAIL: blocked kernel below {min_blocked}x single-row on a 2-5 bit tier");
+            eprintln!("FAIL: blocked kernel below {min_blocked}x one-row on a 2-5 bit tier");
         }
         std::process::exit(1);
     }

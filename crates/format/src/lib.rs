@@ -43,5 +43,5 @@ pub mod sizes;
 
 pub use map::{QuantizedFeatureMap, QuantizedRow};
 pub use package::{EncodedFeatures, PackageConfig};
-pub use planes::{PlaneRow, PlaneRows, TierPackedFeatures};
+pub use planes::{PlaneRow, TierPackedFeatures};
 pub use sizes::{format_sizes, FormatSizes};

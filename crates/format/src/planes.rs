@@ -10,23 +10,22 @@
 //! Two hot kernels execute combinations against this layout, picked per
 //! row by tier:
 //!
-//! * **≤ 2 bit tiers** — [`ternary_dot_rows`]: levels are `{−1, 0, +1}`,
+//! * **≤ 2 bit tiers** — [`ternary_dot_multi`]: levels are `{−1, 0, +1}`,
 //!   so the kernel walks the set bits of the magnitude plane directly and
 //!   adds/subtracts contiguous weight rows by the sign plane. No unpack,
 //!   no multiplies; work ∝ non-zero levels — the CPU analogue of the
 //!   paper's per-bit beats.
-//! * **3+ bit tiers** — [`levels_dot_rows`]: rows are unpacked to integer
+//! * **3+ bit tiers** — [`levels_dot_multi`]: rows are unpacked to integer
 //!   levels per block and reduced as a sparse row-major multiply-
 //!   accumulate. Low-bit quantization zeroes every value below `α/2`, so
 //!   sparsity (and therefore speed) grows as tiers shrink.
 //!
-//! Each has a register-blocked multi-row form ([`ternary_dot_multi`] /
-//! [`levels_dot_multi`]) that streams every weight row once per block of
-//! up to [`MAX_MULTI_ROWS`] same-tier rows; the serving forward pass runs
-//! those, and a one-row block delegates to the single-row kernel. All of
-//! them accumulate exact integer sums, so they are *bit-exact* with the
-//! scalar reference ([`dot_levels`]) by construction — the property the
-//! serving engine's blocked-vs-scalar equivalence tests pin down.
+//! Both are register-blocked: each streams every weight row once per block
+//! of up to [`MAX_MULTI_ROWS`] same-tier rows, and one row is simply a
+//! block of one. Both accumulate exact integer sums, so they are
+//! *bit-exact* with the scalar reference ([`dot_levels`]) by construction —
+//! the property the serving engine's blocked-vs-scalar equivalence tests
+//! pin down.
 //!
 //! [`TierPackedFeatures`] keeps rows packed at rest in **tier-contiguous
 //! arenas**: one flat `Vec<u64>` per bitwidth with fixed-size slots and a
@@ -110,19 +109,17 @@ pub fn words_for(dim: usize) -> usize {
 
 /// Packs integer levels into plane layout: `out` must hold
 /// `planes_for(bits) * words_for(levels.len())` words (sign plane first,
-/// then magnitude planes LSB→MSB). Returns the **magnitude mask**: bit `p`
-/// set iff magnitude plane `p` has any bit set — the masks let the dot
-/// kernel skip empty plane pairs entirely.
+/// then magnitude planes LSB→MSB). Tail bits past `levels.len()` stay
+/// zero, so every set bit indexes a real input position.
 ///
 /// # Panics
 ///
 /// Panics if `out` is mis-sized or a level exceeds `qmax_level(bits)`.
-pub fn pack_levels(levels: &[i32], bits: u8, out: &mut [u64]) -> u16 {
+pub fn pack_levels(levels: &[i32], bits: u8, out: &mut [u64]) {
     let wpp = words_for(levels.len());
     assert_eq!(out.len(), planes_for(bits) * wpp, "plane buffer mis-sized");
     out.fill(0);
     let qmax = qmax_level(bits);
-    let mut mask = 0u16;
     for (j, &level) in levels.iter().enumerate() {
         if level == 0 {
             continue;
@@ -139,11 +136,9 @@ pub fn pack_levels(levels: &[i32], bits: u8, out: &mut [u64]) -> u16 {
         for p in 0..mag_planes(bits) {
             if (magnitude >> p) & 1 == 1 {
                 out[(1 + p) * wpp + word] |= 1u64 << bit;
-                mask |= 1u16 << p;
             }
         }
     }
-    mask
 }
 
 /// Inverse of [`pack_levels`]: reconstructs `dim` integer levels from a
@@ -191,41 +186,10 @@ pub fn dot_levels(x: &[i32], w: &[i16]) -> i64 {
 /// exact and equals the `i64` reference bit-for-bit.
 const ACC_BLOCK: usize = 8192;
 
-/// Level-domain combination kernel for the 3+ bit tiers:
-/// `out[c] = Σ_j x_j · weight_rows[j·out_dim + c]`, skipping zero levels.
-/// Weight rows are contiguous, so each non-zero level is one broadcast
-/// multiply-accumulate across the output row — the shape LLVM vectorizes
-/// at the x86-64 baseline (and wider under the `avx2` feature, dispatched
-/// at runtime). Operands must be quantized at ≤ [`MAX_PLANE_BITS`] so the
-/// blocked `i32` accumulation cannot overflow (positions fold through an
-/// `i32` accumulator every `ACC_BLOCK = 8192` inputs before widening).
-///
-/// # Panics
-///
-/// Panics if `weight_rows`, `acc`, or `out` is mis-sized.
-pub fn levels_dot_rows(
-    x: &[i32],
-    weight_rows: &[i16],
-    out_dim: usize,
-    acc: &mut [i32],
-    out: &mut [i64],
-) {
-    assert_eq!(
-        weight_rows.len(),
-        x.len() * out_dim,
-        "weight rows mis-sized"
-    );
-    assert_eq!(acc.len(), out_dim, "accumulator mis-sized");
-    assert_eq!(out.len(), out_dim, "dot buffer mis-sized");
-    #[cfg(all(feature = "avx2", target_arch = "x86_64"))]
-    if accel::try_levels_dot_rows(x, weight_rows, out_dim, acc, out) {
-        return;
-    }
-    levels_dot_rows_body(x, weight_rows, out_dim, acc, out);
-}
-
+/// One lane of [`levels_dot_multi`]: `out[c] = Σ_j x_j · weight_rows[j·out_dim + c]`,
+/// skipping zero levels, folded `i32 → i64` every `ACC_BLOCK` inputs.
 #[inline(always)]
-fn levels_dot_rows_body(
+fn levels_one_lane(
     x: &[i32],
     weight_rows: &[i16],
     out_dim: usize,
@@ -253,24 +217,29 @@ fn levels_dot_rows_body(
 
 /// Largest lane count the multi-row kernels accept per call. The blocked
 /// dispatcher in `mega_gnn::kernel` chunks same-tier rows at this width;
-/// remainders fall back to the single-row kernels.
+/// a remainder is a narrower call to the same kernel.
 pub const MAX_MULTI_ROWS: usize = 8;
 
-/// Register-blocked multi-row variant of [`levels_dot_rows`]: `m` level
-/// rows (concatenated row-major in `xs`, `in_dim = xs.len() / m` each)
-/// against one streamed weight tile. Each contiguous `i16` weight row is
-/// read **once** per input position and accumulated into `m` independent
-/// lanes — the GEMM-shaped amortization MEGA's Condense-Edge engine gets
-/// from reusing one weight fetch across many activations.
+/// Level-domain combination kernel for the 3+ bit tiers: `m` level rows
+/// (concatenated row-major in `xs`, `in_dim = xs.len() / m` each) against
+/// one streamed row-major weight tile,
+/// `out[r·out_dim + c] = Σ_j xs[r·in_dim + j] · weight_rows[j·out_dim + c]`,
+/// skipping zero levels. Each contiguous `i16` weight row is read **once**
+/// per input position and accumulated into `m` independent lanes — the
+/// GEMM-shaped amortization MEGA's Condense-Edge engine gets from reusing
+/// one weight fetch across many activations. Every non-zero level is one
+/// broadcast multiply-accumulate across the output row, the shape LLVM
+/// vectorizes at the x86-64 baseline (and wider under the `avx2` feature,
+/// dispatched at runtime).
 ///
 /// `acc` and `out` hold `m · out_dim` values, lane-major: lane `r`'s dots
 /// land in `out[r·out_dim..][..out_dim]`.
 ///
-/// **Bit-exactness:** every lane folds its `i32` block accumulator into
-/// `i64` at the same `ACC_BLOCK` input boundaries as the single-row
-/// kernel, and block sums are exact integers inside `i32`, so lane `r`
-/// equals `levels_dot_rows` of row `r` bit-for-bit — which equals the
-/// scalar [`dot_levels`] reference. Blocked == row-at-a-time == scalar.
+/// **Bit-exactness:** operands must be quantized at ≤ [`MAX_PLANE_BITS`].
+/// Every lane folds its `i32` block accumulator into `i64` every
+/// `ACC_BLOCK = 8192` inputs, and block sums are exact integers inside
+/// `i32`, so lane `r` equals the scalar [`dot_levels`] of row `r`
+/// bit-for-bit, whatever `m` is.
 ///
 /// # Panics
 ///
@@ -311,7 +280,7 @@ fn levels_dot_multi_body(
     out: &mut [i64],
 ) {
     match m {
-        1 => levels_dot_rows_body(xs, weight_rows, out_dim, acc, out),
+        1 => levels_one_lane(xs, weight_rows, out_dim, acc, out),
         2 => levels_multi_lanes::<2>(xs, weight_rows, out_dim, acc, out),
         3 => levels_multi_lanes::<3>(xs, weight_rows, out_dim, acc, out),
         4 => levels_multi_lanes::<4>(xs, weight_rows, out_dim, acc, out),
@@ -356,45 +325,11 @@ fn levels_multi_lanes<const M: usize>(
     }
 }
 
-/// Plane-walk combination kernel for the ≤ 2 bit tiers, where levels are
-/// `{−1, 0, +1}`: iterates the set bits of the packed magnitude plane
-/// directly — no unpack, no multiplies — and adds or subtracts the
-/// corresponding weight row per the sign plane. Work is proportional to
-/// the number of non-zero levels, the CPU analogue of the accelerator's
-/// bit-serial beats; on bag-of-words tiers this measures >10× over the
-/// scalar reference.
-///
-/// `words` is a row from [`pack_levels`] at 1 or 2 bits: one sign plane
-/// followed by one magnitude plane, `words_for(dim)` words each.
-///
-/// # Panics
-///
-/// Panics if `words`, `weight_rows`, `acc`, or `out` is mis-sized.
-pub fn ternary_dot_rows(
-    words: &[u64],
-    dim: usize,
-    weight_rows: &[i16],
-    out_dim: usize,
-    acc: &mut [i32],
-    out: &mut [i64],
-) {
-    assert_eq!(
-        words.len(),
-        2 * words_for(dim),
-        "a ternary row is a sign plane plus one magnitude plane"
-    );
-    assert_eq!(weight_rows.len(), dim * out_dim, "weight rows mis-sized");
-    assert_eq!(acc.len(), out_dim, "accumulator mis-sized");
-    assert_eq!(out.len(), out_dim, "dot buffer mis-sized");
-    #[cfg(all(feature = "avx2", target_arch = "x86_64"))]
-    if accel::try_ternary_dot_rows(words, weight_rows, out_dim, acc, out) {
-        return;
-    }
-    ternary_dot_rows_body(words, weight_rows, out_dim, acc, out);
-}
-
+/// One lane of [`ternary_dot_multi`]: adds the weight row of every `+1`
+/// level and subtracts that of every `−1`, folded `i32 → i64` every
+/// `ACC_BLOCK` inputs.
 #[inline(always)]
-fn ternary_dot_rows_body(
+fn ternary_one_lane(
     words: &[u64],
     weight_rows: &[i16],
     out_dim: usize,
@@ -436,26 +371,33 @@ fn ternary_dot_rows_body(
     }
 }
 
-/// Register-blocked multi-row variant of [`ternary_dot_rows`]: `m` packed
-/// ternary rows (each a sign plane plus one magnitude plane,
-/// `2 · words_for(dim)` words, concatenated in `words`) against one
-/// streamed weight tile. Lanes are processed **pairwise**: per word each
-/// pair's union of set bits is partitioned into shared-sign, opposed-sign,
-/// and exclusive masks, so every weight row a pair touches is loaded and
-/// accumulated exactly **once** (into a shared or exclusive accumulator)
-/// instead of once per lane — at density `d` that removes a
-/// `d² / (2d − d²)` fraction of the add-loops the single-row walk pays.
+/// Plane-walk combination kernel for the ≤ 2 bit tiers, where levels are
+/// `{−1, 0, +1}`: iterates the set bits of the packed magnitude planes
+/// directly — no unpack, no multiplies — and adds or subtracts the
+/// corresponding weight row per the sign plane. Work is proportional to
+/// the number of non-zero levels, the CPU analogue of the accelerator's
+/// bit-serial beats.
+///
+/// `words` holds `m` rows from [`pack_levels`] at 1 or 2 bits, each a sign
+/// plane plus one magnitude plane (`2 · words_for(dim)` words),
+/// concatenated; they run against one streamed weight tile. Lanes are
+/// processed **pairwise**: per word each pair's union of set bits is
+/// partitioned into shared-sign, opposed-sign, and exclusive masks, so
+/// every weight row a pair touches is loaded and accumulated exactly
+/// **once** (into a shared or exclusive accumulator) instead of once per
+/// lane — at density `d` that removes a `d² / (2d − d²)` fraction of the
+/// add-loops a row-at-a-time walk pays.
 ///
 /// `out` is a lane-major `m · out_dim` tile as in [`levels_dot_multi`];
 /// `acc` must hold `2 · m · out_dim` scratch values (one exclusive lane
 /// per row plus the pairs' shared/opposed accumulators).
 ///
 /// **Bit-exactness:** per lane and per `ACC_BLOCK` block the pairwise
-/// accumulators partition exactly the multiset of `±weight_row` terms the
-/// single-row walk adds; their elementwise recombination is exact in
-/// `i32` (block magnitudes stay below `2^22`), and the `i32 → i64` fold
-/// happens at the same `WORD_BLOCK` boundaries — so lane `r` equals
-/// `ternary_dot_rows` of row `r` bit-for-bit.
+/// accumulators partition exactly the multiset of `±weight_row` terms of
+/// that lane; their elementwise recombination is exact in `i32` (block
+/// magnitudes stay below `2^22`), and the `i32 → i64` fold happens every
+/// `WORD_BLOCK` words — so lane `r` equals the scalar [`dot_levels`] of
+/// row `r` bit-for-bit, whatever `m` is.
 ///
 /// # Panics
 ///
@@ -508,7 +450,7 @@ fn ternary_dot_multi_body(
     match m {
         1 => {
             let (lane, _) = acc.split_at_mut(out_dim);
-            ternary_dot_rows_body(words, weight_rows, out_dim, lane, out);
+            ternary_one_lane(words, weight_rows, out_dim, lane, out);
         }
         2 => ternary_multi_lanes::<2>(words, weight_rows, out_dim, acc, out),
         3 => ternary_multi_lanes::<3>(words, weight_rows, out_dim, acc, out),
@@ -608,8 +550,7 @@ fn ternary_multi_lanes<const M: usize>(
         }
         // Recombine and fold: exact in `i32` (each term is a ±sum over at
         // most ACC_BLOCK levels, so the three-term total stays below
-        // 2^22), then widen at the same block boundary the single-row
-        // kernel uses.
+        // 2^22), then widen at the block boundary.
         for p in 0..M / 2 {
             let (a, b) = (2 * p, 2 * p + 1);
             for c in 0..out_dim {
@@ -642,40 +583,6 @@ mod accel {
     #[inline]
     fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
-    }
-
-    /// Accelerated [`super::levels_dot_rows`]; `false` means fall back.
-    #[inline]
-    pub fn try_levels_dot_rows(
-        x: &[i32],
-        weight_rows: &[i16],
-        out_dim: usize,
-        acc: &mut [i32],
-        out: &mut [i64],
-    ) -> bool {
-        if !available() {
-            return false;
-        }
-        // SAFETY: gated on runtime detection of the enabled features.
-        unsafe { levels_dot_rows(x, weight_rows, out_dim, acc, out) };
-        true
-    }
-
-    /// Accelerated [`super::ternary_dot_rows`]; `false` means fall back.
-    #[inline]
-    pub fn try_ternary_dot_rows(
-        words: &[u64],
-        weight_rows: &[i16],
-        out_dim: usize,
-        acc: &mut [i32],
-        out: &mut [i64],
-    ) -> bool {
-        if !available() {
-            return false;
-        }
-        // SAFETY: gated on runtime detection of the enabled features.
-        unsafe { ternary_dot_rows(words, weight_rows, out_dim, acc, out) };
-        true
     }
 
     /// Accelerated [`super::levels_dot_multi`]; `false` means fall back.
@@ -720,34 +627,6 @@ mod accel {
     ///
     /// The caller must have verified [`available`] on the running CPU.
     #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn levels_dot_rows(
-        x: &[i32],
-        weight_rows: &[i16],
-        out_dim: usize,
-        acc: &mut [i32],
-        out: &mut [i64],
-    ) {
-        super::levels_dot_rows_body(x, weight_rows, out_dim, acc, out);
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified [`available`] on the running CPU.
-    #[target_feature(enable = "avx2,popcnt")]
-    unsafe fn ternary_dot_rows(
-        words: &[u64],
-        weight_rows: &[i16],
-        out_dim: usize,
-        acc: &mut [i32],
-        out: &mut [i64],
-    ) {
-        super::ternary_dot_rows_body(words, weight_rows, out_dim, acc, out);
-    }
-
-    /// # Safety
-    ///
-    /// The caller must have verified [`available`] on the running CPU.
-    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn levels_dot_multi(
         xs: &[i32],
         m: usize,
@@ -778,28 +657,15 @@ mod accel {
 }
 
 /// A borrowed view of one plane-packed row: the planes, the bitwidth they
-/// were packed at, the magnitude mask, and the row's dequantization scale.
+/// were packed at, and the row's dequantization scale.
 #[derive(Debug, Clone, Copy)]
 pub struct PlaneRow<'a> {
     /// `planes_for(bits) * words_for(dim)` packed words, sign plane first.
     pub words: &'a [u64],
     /// Bitwidth the levels were quantized at.
     pub bits: u8,
-    /// Magnitude mask from [`pack_levels`].
-    pub mag_mask: u16,
     /// Per-row scale `α` (0 for all-zero rows).
     pub alpha: f32,
-}
-
-/// A source of plane-packed activation rows — implemented by
-/// [`TierPackedFeatures`] (global row ids) and by the serving engine's
-/// shard adapters (local row ids resolved through the shard's id map), so
-/// the kernels run unchanged over either.
-pub trait PlaneRows {
-    /// Feature dimension of every row.
-    fn dim(&self) -> usize;
-    /// The packed row at `row` (in the implementor's id space).
-    fn plane_row(&self, row: usize) -> PlaneRow<'_>;
 }
 
 /// Fixed-slot arena for one bitwidth: same-tier rows are contiguous, and
@@ -826,13 +692,12 @@ impl Arena {
 #[derive(Debug, Clone, Copy)]
 struct RowSlot {
     bits: u8,
-    mag_mask: u16,
     slot: u32,
     alpha: f32,
 }
 
 /// The packed-at-rest feature store: per-bitwidth tier-contiguous arenas
-/// plus per-row `(bits, slot, α, mask)` metadata. This is what the serving
+/// plus per-row `(bits, slot, α)` metadata. This is what the serving
 /// engine keeps resident instead of dequantized `f32` rows — ~`bits/32` of
 /// the dense footprint — and what the bit-plane kernels read directly.
 pub struct TierPackedFeatures {
@@ -881,17 +746,12 @@ impl TierPackedFeatures {
         let arena = &mut self.arenas[(bits - 1) as usize];
         let slot = arena.alloc();
         let span = arena.slot;
-        let mag_mask = pack_levels(
+        pack_levels(
             levels,
             bits,
             &mut arena.words[slot as usize * span..][..span],
         );
-        self.rows.push(RowSlot {
-            bits,
-            mag_mask,
-            slot,
-            alpha,
-        });
+        self.rows.push(RowSlot { bits, slot, alpha });
         self.rows.len() - 1
     }
 
@@ -904,7 +764,6 @@ impl TierPackedFeatures {
         arena.words[slot as usize * span..][..span].fill(0);
         self.rows.push(RowSlot {
             bits,
-            mag_mask: 0,
             slot,
             alpha: 0.0,
         });
@@ -925,21 +784,16 @@ impl TierPackedFeatures {
         };
         let arena = &mut self.arenas[(bits - 1) as usize];
         let span = arena.slot;
-        let mag_mask = pack_levels(
+        pack_levels(
             levels,
             bits,
             &mut arena.words[slot as usize * span..][..span],
         );
-        self.rows[row] = RowSlot {
-            bits,
-            mag_mask,
-            slot,
-            alpha,
-        };
+        self.rows[row] = RowSlot { bits, slot, alpha };
     }
 
     /// Appends a verbatim copy of a packed row from another store: the
-    /// plane words, bitwidth, magnitude mask, and scale are copied as-is,
+    /// plane words, bitwidth, and scale are copied as-is,
     /// so the new row is **bit-exact** with its source by construction — no
     /// dequantize/re-quantize round trip. This is how shard slices
     /// materialize halo rows out of the global store. Returns the row id.
@@ -955,7 +809,6 @@ impl TierPackedFeatures {
         arena.words[slot as usize * span..][..span].copy_from_slice(src.words);
         self.rows.push(RowSlot {
             bits: src.bits,
-            mag_mask: src.mag_mask,
             slot,
             alpha: src.alpha,
         });
@@ -983,10 +836,22 @@ impl TierPackedFeatures {
         arena.words[slot as usize * span..][..span].copy_from_slice(src.words);
         self.rows[row] = RowSlot {
             bits: src.bits,
-            mag_mask: src.mag_mask,
             slot,
             alpha: src.alpha,
         };
+    }
+
+    /// The packed row `row`: the slice of its tier's arena plus its bitwidth
+    /// and scale.
+    pub fn plane_row(&self, row: usize) -> PlaneRow<'_> {
+        let r = self.rows[row];
+        let arena = &self.arenas[(r.bits - 1) as usize];
+        let span = arena.slot;
+        PlaneRow {
+            words: &arena.words[r.slot as usize * span..][..span],
+            bits: r.bits,
+            alpha: r.alpha,
+        }
     }
 
     /// Reconstructs row `row`'s integer levels into `out`.
@@ -1009,24 +874,6 @@ impl TierPackedFeatures {
     /// introspection for tests and telemetry).
     pub fn arena_words(&self, bits: u8) -> usize {
         self.arenas[(bits - 1) as usize].words.len()
-    }
-}
-
-impl PlaneRows for TierPackedFeatures {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn plane_row(&self, row: usize) -> PlaneRow<'_> {
-        let r = self.rows[row];
-        let arena = &self.arenas[(r.bits - 1) as usize];
-        let span = arena.slot;
-        PlaneRow {
-            words: &arena.words[r.slot as usize * span..][..span],
-            bits: r.bits,
-            mag_mask: r.mag_mask,
-            alpha: r.alpha,
-        }
     }
 }
 
@@ -1061,79 +908,15 @@ mod tests {
             for dim in [1usize, 63, 64, 65, 130, 200] {
                 let levels = random_levels(&mut rng, dim, bits, 0.4);
                 let mut words = vec![0u64; planes_for(bits) * words_for(dim)];
-                let mask = pack_levels(&levels, bits, &mut words);
+                pack_levels(&levels, bits, &mut words);
                 let mut back = vec![0i32; dim];
                 unpack_levels(&words, bits, dim, &mut back);
                 assert_eq!(levels, back, "bits={bits} dim={dim}");
-                let expected_mask = levels.iter().fold(0u16, |m, &l| {
-                    let mut m = m;
-                    for p in 0..mag_planes(bits) {
-                        if (l.unsigned_abs() >> p) & 1 == 1 {
-                            m |= 1 << p;
-                        }
-                    }
-                    m
-                });
-                assert_eq!(mask, expected_mask);
             }
         }
     }
 
-    #[test]
-    fn levels_dot_rows_matches_scalar_reference_exactly() {
-        let mut rng = StdRng::seed_from_u64(29);
-        // 9000 > ACC_BLOCK exercises the blocked i32 → i64 fold.
-        for (bits, dim, out_dim) in [
-            (3u8, 64usize, 8usize),
-            (4, 190, 16),
-            (8, 300, 5),
-            (5, 9000, 3),
-        ] {
-            let x = random_levels(&mut rng, dim, bits, 0.6);
-            let w = random_levels(&mut rng, dim * out_dim, 4, 0.8);
-            let w16: Vec<i16> = w.iter().map(|&l| l as i16).collect();
-            let mut acc = vec![0i32; out_dim];
-            let mut out = vec![0i64; out_dim];
-            levels_dot_rows(&x, &w16, out_dim, &mut acc, &mut out);
-            for c in 0..out_dim {
-                let col: Vec<i16> = (0..dim).map(|j| w16[j * out_dim + c]).collect();
-                assert_eq!(
-                    out[c],
-                    dot_levels(&x, &col),
-                    "bits={bits} dim={dim} col {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ternary_dot_rows_matches_scalar_reference_exactly() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for (bits, dim, out_dim) in [
-            (1u8, 48usize, 7usize),
-            (2, 64, 8),
-            (2, 190, 16),
-            (1, 9000, 3),
-        ] {
-            let x = random_levels(&mut rng, dim, bits, 0.5);
-            let w = random_levels(&mut rng, dim * out_dim, 4, 0.8);
-            let w16: Vec<i16> = w.iter().map(|&l| l as i16).collect();
-            let mut words = vec![0u64; planes_for(bits) * words_for(dim)];
-            pack_levels(&x, bits, &mut words);
-            let mut acc = vec![0i32; out_dim];
-            let mut out = vec![0i64; out_dim];
-            ternary_dot_rows(&words, dim, &w16, out_dim, &mut acc, &mut out);
-            for c in 0..out_dim {
-                let col: Vec<i16> = (0..dim).map(|j| w16[j * out_dim + c]).collect();
-                assert_eq!(
-                    out[c],
-                    dot_levels(&x, &col),
-                    "bits={bits} dim={dim} col {c}"
-                );
-            }
-        }
-    }
-
+    /// `m = 1` is the single-row case: one row against the weight tile.
     #[test]
     fn levels_dot_multi_matches_single_row_and_scalar_exactly() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -1156,15 +939,7 @@ mod tests {
                 let mut acc = vec![0i32; m * out_dim];
                 let mut out = vec![0i64; m * out_dim];
                 levels_dot_multi(&xs, m, &w16, out_dim, &mut acc, &mut out);
-                let mut single_acc = vec![0i32; out_dim];
-                let mut single_out = vec![0i64; out_dim];
                 for (r, row) in rows.iter().enumerate() {
-                    levels_dot_rows(row, &w16, out_dim, &mut single_acc, &mut single_out);
-                    assert_eq!(
-                        &out[r * out_dim..][..out_dim],
-                        &single_out[..],
-                        "bits={bits} in_dim={in_dim} m={m} lane {r} vs single-row"
-                    );
                     for c in 0..out_dim {
                         let col: Vec<i16> = (0..in_dim).map(|j| w16[j * out_dim + c]).collect();
                         assert_eq!(
@@ -1178,6 +953,7 @@ mod tests {
         }
     }
 
+    /// `m = 1` is the single-row case: one row against the weight tile.
     #[test]
     fn ternary_dot_multi_matches_single_row_and_scalar_exactly() {
         let mut rng = StdRng::seed_from_u64(41);
@@ -1202,22 +978,7 @@ mod tests {
                 let mut acc = vec![0i32; 2 * m * out_dim];
                 let mut out = vec![0i64; m * out_dim];
                 ternary_dot_multi(&words, m, dim, &w16, out_dim, &mut acc, &mut out);
-                let mut single_acc = vec![0i32; out_dim];
-                let mut single_out = vec![0i64; out_dim];
                 for (r, row) in rows.iter().enumerate() {
-                    ternary_dot_rows(
-                        &words[r * span..][..span],
-                        dim,
-                        &w16,
-                        out_dim,
-                        &mut single_acc,
-                        &mut single_out,
-                    );
-                    assert_eq!(
-                        &out[r * out_dim..][..out_dim],
-                        &single_out[..],
-                        "bits={bits} dim={dim} m={m} lane {r} vs single-row"
-                    );
                     for c in 0..out_dim {
                         let col: Vec<i16> = (0..dim).map(|j| w16[j * out_dim + c]).collect();
                         assert_eq!(
@@ -1298,7 +1059,6 @@ mod tests {
             let (a, b) = (global.plane_row(row), halo.plane_row(row));
             assert_eq!(a.words, b.words, "row {row} words");
             assert_eq!(a.bits, b.bits);
-            assert_eq!(a.mag_mask, b.mag_mask);
             assert_eq!(a.alpha, b.alpha);
         }
         // set_copy across a bitwidth change migrates arenas and stays
@@ -1316,6 +1076,12 @@ mod tests {
         src.push_row(&levels, 1, 1.0);
         halo.push_copy(src.plane_row(0));
         assert_eq!(halo.arena_words(1), one_bit_words, "freed slot reused");
+    }
+
+    #[test]
+    fn row_metadata_stays_twelve_bytes() {
+        // `resident_bytes` charges this per row: bits, slot, and alpha.
+        assert_eq!(std::mem::size_of::<RowSlot>(), 12);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   ([`mega_format::planes::ternary_dot_multi`]) straight off the packed
 //!   words, 3+ bit rows through the sparse level kernel
 //!   ([`mega_format::planes::levels_dot_multi`]). [`KernelMode::Scalar`]
-//!   computes the *same* exact `i64` sums with a scalar integer loop; it is
-//!   the oracle the blocked kernels are tested against.
+//!   computes the *same* exact `i64` sums with a plain `i64`
+//!   multiply-accumulate over the same row-major weights; it is the oracle
+//!   the blocked kernels are tested against.
 //! * **Aggregation stays `f32` in CSR row order**, a fixed per-node order,
 //!   so a node's logits are identical whichever other nodes share its batch.
 //! * **Chunk pipeline.** A level is combined [`CHUNK_ROWS`] rows at a time,
@@ -33,47 +34,45 @@
 //!   cursors scale with the field; nothing scales with the graph.
 //!
 //! [`forward_targets_packed_with_field`] is the one entry point. It runs in
-//! global node ids over any [`AdjacencyView`]; the serving engine's shards
-//! call it on the model's global adjacency and packed store. Input rows
-//! arrive packed at rest through the [`PlaneRows`] trait (implemented by
-//! `mega_format::TierPackedFeatures`), so layer 0 never materializes
-//! dequantized features at all.
+//! global node ids over any [`AdjacencyView`], with the weights, biases and
+//! shape of one [`PackedGnn`]. Input rows arrive packed at rest in a
+//! [`TierPackedFeatures`] store, so layer 0 never materializes dequantized
+//! features at all.
 
 use mega_format::planes::{
     self, levels_dot_multi, pack_levels, quantize_level, row_alpha, ternary_dot_multi,
-    unpack_levels, PlaneRows, MAX_MULTI_ROWS, MAX_PLANE_BITS,
+    unpack_levels, MAX_MULTI_ROWS, MAX_PLANE_BITS,
 };
+use mega_format::TierPackedFeatures;
 use mega_graph::NodeId;
 use mega_tensor::Matrix;
 
 use crate::adjacency::AdjacencyView;
 use crate::infer::ReceptiveField;
-use crate::model::Gnn;
+use crate::model::{Gnn, ModelConfig};
 
 /// Which dot-product engine executes combinations. Both modes share
 /// quantization, aggregation, and dequantization code, and compute
 /// identical integer sums.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Scalar integer reference (`i64` multiply-accumulate over levels):
-    /// the test oracle for [`KernelMode::Blocked`].
+    /// Scalar integer reference (a plain `i64` multiply-accumulate of each
+    /// level row against the row-major weights, one row at a time): the
+    /// test oracle for [`KernelMode::Blocked`].
     Scalar,
     /// Register-blocked multi-row kernels: each level's same-tier rows are
     /// gathered into M-lane tiles (`M ≤ MAX_MULTI_ROWS`) and every weight
     /// row streams **once per block** instead of once per row
     /// ([`mega_format::planes::ternary_dot_multi`] /
     /// [`mega_format::planes::levels_dot_multi`]). Remainder chunks take
-    /// the same entry points — an `m == 1` call delegates to the
-    /// single-row kernel. Bit-exact with `Scalar`: every lane folds
-    /// `i32 → i64` at the same `ACC_BLOCK` boundaries as the single-row
-    /// kernels.
+    /// the same entry points with fewer lanes. Bit-exact with `Scalar`:
+    /// every lane's `i32` block sums are exact and widen to `i64`.
     Blocked,
 }
 
-/// One layer's weights, quantized once at build time and held in both
-/// layouts the modes need: column-major integer levels for the scalar
-/// reference and row-major levels for the blocked kernels (which stream
-/// whole weight rows per non-zero activation).
+/// One layer in kernel form: its weights quantized once at build time to
+/// row-major integer levels (the blocked kernels stream whole weight rows
+/// per non-zero activation), plus its bias row.
 pub struct QuantizedLayer {
     /// Per-layer symmetric weight scale (`max|w| / qmax`; 0 for an
     /// all-zero layer).
@@ -82,10 +81,9 @@ pub struct QuantizedLayer {
     pub bits: u8,
     in_dim: usize,
     out_dim: usize,
-    /// Column-major levels: `levels[c * in_dim + j]`.
+    /// Row-major levels: `levels[j * out_dim + c]`.
     levels: Vec<i16>,
-    /// Row-major levels: `levels_row[j * out_dim + c]`.
-    levels_row: Vec<i16>,
+    bias: Vec<f32>,
 }
 
 impl QuantizedLayer {
@@ -99,83 +97,78 @@ impl QuantizedLayer {
         self.out_dim
     }
 
-    /// Column `c` of the integer level matrix.
-    pub fn level_col(&self, c: usize) -> &[i16] {
-        &self.levels[c * self.in_dim..][..self.in_dim]
+    /// The row-major level matrix (`[j * out_dim + c]`) the kernels
+    /// stream.
+    pub fn weight_rows(&self) -> &[i16] {
+        &self.levels
     }
 
-    /// The row-major level matrix (`[j * out_dim + c]`) the blocked
-    /// kernels stream.
-    pub fn weight_rows(&self) -> &[i16] {
-        &self.levels_row
+    /// The bias row (`out_dim` values) added to every combined row.
+    pub fn bias(&self) -> &[f32] {
+        &self.bias
     }
 }
 
-/// A model's weights in kernel form, parallel to `Gnn::weights()`.
+/// The served model: its configuration plus every layer in kernel form.
+/// The integer levels are the only copy of the weights the engine keeps.
 pub struct PackedGnn {
+    config: ModelConfig,
     layers: Vec<QuantizedLayer>,
 }
 
 impl PackedGnn {
-    /// Quantizes `trained`'s weights at `weight_bits` and returns the
-    /// kernel form **plus** the fake-quantized `f32` matrices
-    /// (`level · α`) — callers build the serving `Gnn` from those so the
-    /// f32 model and the kernel weights are the same numbers by
-    /// construction. The scale is per layer matrix, exactly mirroring the
-    /// serving engine's historical `quantize_row` over the full weight
-    /// slice.
+    /// Quantizes `trained`'s weights at `weight_bits`, one symmetric scale
+    /// per layer matrix (`α = max|w| / qmax`), and copies its configuration
+    /// and biases. `level · α` is the fake-quantized weight.
     ///
     /// # Panics
     ///
     /// Panics if `weight_bits` is outside the plane range `1..=8`.
-    pub fn from_model(trained: &Gnn, weight_bits: u8) -> (Self, Vec<Matrix>) {
+    pub fn from_model(trained: &Gnn, weight_bits: u8) -> Self {
         // Also the overflow contract of the packed kernels: blocked i32
         // accumulation is exact only with both operands ≤ MAX_PLANE_BITS.
         assert!(
             (1..=MAX_PLANE_BITS).contains(&weight_bits),
             "weight bitwidth {weight_bits} outside the plane range"
         );
-        let mut layers = Vec::new();
-        let mut dequantized = Vec::new();
-        for w in trained.weights() {
-            let (in_dim, out_dim) = w.shape();
-            let data = w.as_slice();
-            let max_abs = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-            let alpha = row_alpha(max_abs, weight_bits);
-            let levels: Vec<i32> = if alpha == 0.0 {
-                vec![0; data.len()]
-            } else {
-                data.iter()
-                    .map(|&x| quantize_level(x, alpha, weight_bits))
-                    .collect()
-            };
-            let dequant: Vec<f32> = if alpha == 0.0 {
-                // Mirrors `quantize_row`'s all-zero early return: the
-                // matrix is left untouched (it is all zeros anyway).
-                data.to_vec()
-            } else {
-                levels.iter().map(|&l| l as f32 * alpha).collect()
-            };
-            let mut col_major = vec![0i16; in_dim * out_dim];
-            for j in 0..in_dim {
-                for c in 0..out_dim {
-                    col_major[c * in_dim + j] = levels[j * out_dim + c] as i16;
+        let layers = trained
+            .weights()
+            .iter()
+            .zip(trained.biases())
+            .map(|(w, b)| {
+                let (in_dim, out_dim) = w.shape();
+                let data = w.as_slice();
+                let max_abs = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                let alpha = row_alpha(max_abs, weight_bits);
+                let levels = if alpha == 0.0 {
+                    vec![0; data.len()]
+                } else {
+                    data.iter()
+                        .map(|&x| quantize_level(x, alpha, weight_bits) as i16)
+                        .collect()
+                };
+                QuantizedLayer {
+                    alpha,
+                    bits: weight_bits,
+                    in_dim,
+                    out_dim,
+                    levels,
+                    bias: b.row(0).to_vec(),
                 }
-            }
-            layers.push(QuantizedLayer {
-                alpha,
-                bits: weight_bits,
-                in_dim,
-                out_dim,
-                levels: col_major,
-                levels_row: levels.iter().map(|&l| l as i16).collect(),
-            });
-            dequantized.push(Matrix::from_vec(in_dim, out_dim, dequant));
+            })
+            .collect();
+        Self {
+            config: trained.config().clone(),
+            layers,
         }
-        (Self { layers }, dequantized)
     }
 
-    /// Per-layer kernel weights.
+    /// The model's configuration.
+    pub fn config(&self) -> &ModelConfig {
+        &self.config
+    }
+
+    /// Per-layer kernel weights and biases.
     pub fn layers(&self) -> &[QuantizedLayer] {
         &self.layers
     }
@@ -208,7 +201,8 @@ pub struct KernelArena {
     cursor: Vec<Cursor>,
     // Blocked-dispatch staging for one chunk: per-row quantization
     // metadata, the tier group lists, and the gathered lane tiles the
-    // multi-row kernels consume.
+    // multi-row kernels consume. `Scalar` reuses `tile_dots` for one
+    // row's dots.
     row_scale: Vec<f32>,
     row_qalpha: Vec<f32>,
     row_qbits: Vec<u8>,
@@ -262,18 +256,18 @@ impl KernelArena {
     /// dequantize per output element. Layer 0 (`first`) reads packed input
     /// rows; deeper layers quantize their `h` rows at `bits_of(node)`.
     #[allow(clippy::too_many_arguments)]
-    fn combine_chunk<R: PlaneRows>(
+    fn combine_chunk(
         &mut self,
         first: bool,
         layer: &QuantizedLayer,
-        bias: &[f32],
-        rows: &R,
+        rows: &TierPackedFeatures,
         bits_of: &mut dyn FnMut(NodeId) -> u8,
         mode: KernelMode,
         chunk: &[NodeId],
         base: usize,
     ) {
         let (w_in, w_out) = (layer.in_dim, layer.out_dim);
+        let bias = layer.bias();
         self.combined.clear();
         self.combined.resize(chunk.len() * w_out, 0.0);
         self.levels.resize(w_in, 0);
@@ -322,8 +316,7 @@ impl KernelArena {
 
                 // Sweep 2 — dispatch each tier group in M-lane blocks
                 // through one weight-tile pass per block. Remainder blocks
-                // reuse the same entry points: an m == 1 call falls back to
-                // the single-row kernel inside `*_dot_multi`.
+                // reuse the same entry points with fewer lanes.
                 let span = 2 * planes::words_for(w_in);
                 self.tile_words.resize(MAX_MULTI_ROWS * span, 0);
                 self.tile_levels.resize(MAX_MULTI_ROWS * w_in, 0);
@@ -401,6 +394,7 @@ impl KernelArena {
                 }
             }
             KernelMode::Scalar => {
+                self.tile_dots.resize(w_out, 0);
                 for (i, &u) in chunk.iter().enumerate() {
                     let scale = if first {
                         let row = rows.plane_row(u as usize);
@@ -420,10 +414,20 @@ impl KernelArena {
                         }
                         alpha * layer.alpha
                     };
+                    let dots = &mut self.tile_dots[..w_out];
+                    dots.fill(0);
+                    for (j, &xj) in self.levels.iter().enumerate() {
+                        if xj == 0 {
+                            continue;
+                        }
+                        let wrow = &layer.levels[j * w_out..][..w_out];
+                        for (d, &wv) in dots.iter_mut().zip(wrow) {
+                            *d += xj as i64 * wv as i64;
+                        }
+                    }
                     let out_row = &mut self.combined[i * w_out..][..w_out];
-                    for (c, out) in out_row.iter_mut().enumerate() {
-                        let dot = planes::dot_levels(&self.levels, layer.level_col(c));
-                        *out = dot as f32 * scale + bias[c];
+                    for ((out, &dot), &b) in out_row.iter_mut().zip(dots.iter()).zip(bias) {
+                        *out = dot as f32 * scale + b;
                     }
                 }
             }
@@ -510,13 +514,11 @@ fn scatter_tile(
 ///
 /// # Panics
 ///
-/// Panics if `rows` mismatches the model's input dimension, a target is
-/// out of range, or the packed weights do not match `model`.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_targets_packed_with_field<R, A>(
-    model: &Gnn,
+/// Panics if `rows` mismatches the model's input dimension or a target is
+/// out of range.
+pub fn forward_targets_packed_with_field<A>(
     packed: &PackedGnn,
-    rows: &R,
+    rows: &TierPackedFeatures,
     adjacency: &A,
     targets: &[NodeId],
     bits_of: &mut dyn FnMut(NodeId) -> u8,
@@ -524,12 +526,10 @@ pub fn forward_targets_packed_with_field<R, A>(
     arena: &mut KernelArena,
 ) -> (Matrix, ReceptiveField)
 where
-    R: PlaneRows,
     A: AdjacencyView + ?Sized,
 {
     let n = adjacency.rows();
-    let layers = model.config().layers;
-    assert_eq!(packed.layers.len(), layers, "packed weights mismatch model");
+    let layers = packed.layers.len();
     assert_eq!(
         rows.dim(),
         packed.layers[0].in_dim,
@@ -548,7 +548,6 @@ where
         let layer = &packed.layers[l];
         let w_out = layer.out_dim;
         out_dim = w_out;
-        let bias = model.biases()[l].row(0);
         let level_nodes = &field.needed[l];
         let out_nodes = &field.needed[l + 1];
 
@@ -571,7 +570,7 @@ where
         }));
         for (c, chunk) in level_nodes.chunks(CHUNK_ROWS).enumerate() {
             let base = c * CHUNK_ROWS;
-            arena.combine_chunk(l == 0, layer, bias, rows, bits_of, mode, chunk, base);
+            arena.combine_chunk(l == 0, layer, rows, bits_of, mode, chunk, base);
             arena.aggregate_chunk(adjacency, chunk, out_nodes, w_out);
         }
         if l + 1 < layers {
@@ -633,48 +632,40 @@ mod tests {
         }
     }
 
-    /// A 4-bit kernel model for `cfg` plus the f32 model built from the
-    /// same fake-quantized weights.
-    fn quantized_model(cfg: ModelConfig) -> (Gnn, PackedGnn) {
-        let trained = Gnn::new(cfg.clone());
-        let (packed, weights) = PackedGnn::from_model(&trained, 4);
-        let model = Gnn::from_parts(cfg, weights, trained.biases().to_vec());
-        (model, packed)
+    /// A 4-bit kernel model for `cfg`.
+    fn quantized_model(cfg: ModelConfig) -> PackedGnn {
+        PackedGnn::from_model(&Gnn::new(cfg), 4)
     }
 
     /// A dataset's model, packed at its degree tiers.
     fn setup_dataset(
         kind: GnnKind,
         spec: DatasetSpec,
-    ) -> (mega_graph::Dataset, Gnn, PackedGnn, TierPackedFeatures) {
+    ) -> (mega_graph::Dataset, PackedGnn, TierPackedFeatures) {
         let d = spec.materialize();
-        let (model, packed) = quantized_model(ModelConfig::for_dataset(kind, &d));
+        let packed = quantized_model(ModelConfig::for_dataset(kind, &d));
         let bits: Vec<u8> = (0..d.graph.num_nodes())
             .map(|v| tier_bits(d.graph.in_degree(v)))
             .collect();
         let store = pack_rows(d.spec.feature_dim, &bits, |v, row| d.fill_row(v, row));
-        (d, model, packed, store)
+        (d, packed, store)
     }
 
-    fn setup(kind: GnnKind) -> (mega_graph::Dataset, Gnn, PackedGnn, TierPackedFeatures) {
+    fn setup(kind: GnnKind) -> (mega_graph::Dataset, PackedGnn, TierPackedFeatures) {
         setup_dataset(kind, DatasetSpec::cora().scaled(0.05).with_feature_dim(48))
     }
 
     /// Logits of the global pass in `mode`, on a fresh arena.
     fn logits(
-        model: &Gnn,
         packed: &PackedGnn,
-        rows: &impl PlaneRows,
+        rows: &TierPackedFeatures,
         adj: &impl AdjacencyView,
         targets: &[NodeId],
         bits_of: &mut dyn FnMut(NodeId) -> u8,
         mode: KernelMode,
     ) -> Matrix {
         let mut arena = KernelArena::default();
-        forward_targets_packed_with_field(
-            model, packed, rows, adj, targets, bits_of, mode, &mut arena,
-        )
-        .0
+        forward_targets_packed_with_field(packed, rows, adj, targets, bits_of, mode, &mut arena).0
     }
 
     fn assert_bit_exact(a: &Matrix, b: &Matrix, what: &str) {
@@ -691,14 +682,57 @@ mod tests {
     }
 
     #[test]
+    fn from_model_keeps_the_fake_quantized_weights_and_source_biases() {
+        for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
+            let trained = Gnn::new(ModelConfig {
+                kind,
+                in_dim: 48,
+                hidden: kind.default_hidden(),
+                out_dim: 8,
+                layers: 2,
+                seed: 11,
+            });
+            let bits = 4;
+            let packed = PackedGnn::from_model(&trained, bits);
+            assert_eq!(
+                format!("{:?}", packed.config()),
+                format!("{:?}", trained.config())
+            );
+            assert_eq!(packed.layers().len(), trained.weights().len());
+            for (l, layer) in packed.layers().iter().enumerate() {
+                let w = &trained.weights()[l];
+                assert_eq!((layer.in_dim(), layer.out_dim()), w.shape());
+                assert_eq!(layer.bits, bits);
+                // The fake-quantized source weight is `level · α` at
+                // `α = max|w| / qmax`.
+                let max_abs = w.as_slice().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                let alpha = max_abs / planes::qmax_level(bits) as f32;
+                assert_eq!(layer.alpha.to_bits(), alpha.to_bits(), "layer {l} scale");
+                for (k, (&level, &x)) in layer.weight_rows().iter().zip(w.as_slice()).enumerate() {
+                    let fake = quantize_level(x, alpha, bits) as f32 * alpha;
+                    assert_eq!(
+                        (level as f32 * layer.alpha).to_bits(),
+                        fake.to_bits(),
+                        "{kind:?} layer {l} weight {k}"
+                    );
+                }
+                let bias = trained.biases()[l].row(0);
+                assert_eq!(layer.bias().len(), bias.len());
+                for (a, b) in layer.bias().iter().zip(bias) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} layer {l} bias");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn blocked_mode_is_bit_exact_with_scalar_mode() {
         for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
-            let (d, model, packed, store) = setup(kind);
+            let (d, packed, store) = setup(kind);
             let adj = build_adjacency(&d.graph, kind.aggregator(1));
             let targets: Vec<NodeId> = (0..d.graph.num_nodes() as NodeId).step_by(7).collect();
             let mut bits_of = |v: NodeId| tier_bits(d.graph.in_degree(v as usize));
             let scalar = logits(
-                &model,
                 &packed,
                 &store,
                 adj.as_ref(),
@@ -707,7 +741,6 @@ mod tests {
                 KernelMode::Scalar,
             );
             let blocked = logits(
-                &model,
                 &packed,
                 &store,
                 adj.as_ref(),
@@ -722,14 +755,13 @@ mod tests {
     #[test]
     fn blocked_mode_handles_every_remainder_width() {
         // Batch sizes that leave 1..=7-row remainders after chunking at
-        // MAX_MULTI_ROWS, including single-row batches (m == 1 fallback).
-        let (d, model, packed, store) = setup(GnnKind::Gcn);
+        // MAX_MULTI_ROWS, including single-row batches (m == 1 blocks).
+        let (d, packed, store) = setup(GnnKind::Gcn);
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
         let mut bits_of = |v: NodeId| if v.is_multiple_of(3) { 2u8 } else { 4 };
         for take in [1usize, 3, 4, 8, 9, 11] {
             let targets: Vec<NodeId> = (0..take as NodeId).collect();
             let scalar = logits(
-                &model,
                 &packed,
                 &store,
                 adj.as_ref(),
@@ -738,7 +770,6 @@ mod tests {
                 KernelMode::Scalar,
             );
             let blocked = logits(
-                &model,
                 &packed,
                 &store,
                 adj.as_ref(),
@@ -752,11 +783,10 @@ mod tests {
 
     #[test]
     fn kernel_pass_is_batch_invariant() {
-        let (d, model, packed, store) = setup(GnnKind::Gcn);
+        let (d, packed, store) = setup(GnnKind::Gcn);
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
         let mut bits_of = |_v: NodeId| 4u8;
         let solo = logits(
-            &model,
             &packed,
             &store,
             adj.as_ref(),
@@ -765,7 +795,6 @@ mod tests {
             KernelMode::Blocked,
         );
         let grouped = logits(
-            &model,
             &packed,
             &store,
             adj.as_ref(),
@@ -783,21 +812,26 @@ mod tests {
     /// each destination's sources in CSR row order (found by binary search,
     /// not through the kernel's chunk searches or cursors).
     fn whole_level_logits(
-        model: &Gnn,
         packed: &PackedGnn,
-        rows: &impl PlaneRows,
+        rows: &TierPackedFeatures,
         adj: &impl AdjacencyView,
         targets: &[NodeId],
         bits_of: &mut dyn FnMut(NodeId) -> u8,
     ) -> Matrix {
-        let layers = model.config().layers;
+        let layers = packed.config().layers;
         let field = ReceptiveField::expand(adj, targets, layers);
         let mut h: Vec<f32> = Vec::new();
         let mut out_dim = 0;
         for (l, layer) in packed.layers().iter().enumerate() {
             let (w_in, w_out) = (layer.in_dim(), layer.out_dim());
             out_dim = w_out;
-            let bias = model.biases()[l].row(0);
+            let bias = layer.bias();
+            // Column-major copies of the weights, so each output element
+            // is one `dot_levels` call, not the kernels' row-major loops.
+            let w = layer.weight_rows();
+            let cols: Vec<Vec<i16>> = (0..w_out)
+                .map(|c| (0..w_in).map(|j| w[j * w_out + c]).collect())
+                .collect();
             let level = &field.needed[l];
             let mut combined = vec![0.0f32; level.len() * w_out];
             let mut levels = vec![0i32; w_in];
@@ -822,7 +856,7 @@ mod tests {
                     alpha * layer.alpha
                 };
                 for (c, o) in out.iter_mut().enumerate() {
-                    *o = planes::dot_levels(&levels, layer.level_col(c)) as f32 * scale + bias[c];
+                    *o = planes::dot_levels(&levels, &cols[c]) as f32 * scale + bias[c];
                 }
             }
             let out_level = &field.needed[l + 1];
@@ -864,20 +898,18 @@ mod tests {
     /// Both modes on a shared arena against the whole-level reference.
     #[allow(clippy::too_many_arguments)]
     fn assert_matches_whole_level(
-        model: &Gnn,
         packed: &PackedGnn,
-        rows: &impl PlaneRows,
+        rows: &TierPackedFeatures,
         adj: &impl AdjacencyView,
         targets: &[NodeId],
         bits_of: &mut dyn FnMut(NodeId) -> u8,
         arena: &mut KernelArena,
         what: &str,
     ) {
-        let reference = whole_level_logits(model, packed, rows, adj, targets, bits_of);
+        let reference = whole_level_logits(packed, rows, adj, targets, bits_of);
         for mode in [KernelMode::Blocked, KernelMode::Scalar] {
-            let (got, _) = forward_targets_packed_with_field(
-                model, packed, rows, adj, targets, bits_of, mode, arena,
-            );
+            let (got, _) =
+                forward_targets_packed_with_field(packed, rows, adj, targets, bits_of, mode, arena);
             assert_bit_exact(&reference, &got, &format!("{what} {mode:?}"));
         }
     }
@@ -889,7 +921,7 @@ mod tests {
         // hidden 128, then SAGE at hidden 256).
         let mut arena = KernelArena::default();
         for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
-            let (d, model, packed, store) = setup_dataset(kind, DatasetSpec::synth(4000));
+            let (d, packed, store) = setup_dataset(kind, DatasetSpec::synth(4000));
             let adj = build_adjacency(&d.graph, kind.aggregator(1));
             let n = d.graph.num_nodes();
             let mut bits_of = |v: NodeId| tier_bits(d.graph.in_degree(v as usize));
@@ -918,7 +950,6 @@ mod tests {
                 (vec![small], "sub-chunk field"),
             ] {
                 assert_matches_whole_level(
-                    &model,
                     &packed,
                     &store,
                     adj.as_ref(),
@@ -951,7 +982,7 @@ mod tests {
         let targets: Vec<NodeId> = (4..(4 + 2 * CHUNK_ROWS - 4) as NodeId).collect();
         let mut arena = KernelArena::default();
         for kind in [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage] {
-            let (model, packed) = quantized_model(ModelConfig {
+            let packed = quantized_model(ModelConfig {
                 kind,
                 in_dim: 48,
                 hidden: kind.default_hidden(),
@@ -963,7 +994,6 @@ mod tests {
             let field = ReceptiveField::expand(adj.as_ref(), &targets, 2);
             assert_eq!(field.needed[0].len(), 2 * CHUNK_ROWS, "{kind:?}");
             assert_matches_whole_level(
-                &model,
                 &packed,
                 &store,
                 adj.as_ref(),
@@ -977,13 +1007,12 @@ mod tests {
 
     #[test]
     fn scratch_stays_chunk_sized_under_a_hub_field() {
-        let (d, model, packed, store) = setup_dataset(GnnKind::Gcn, DatasetSpec::synth(8000));
+        let (d, packed, store) = setup_dataset(GnnKind::Gcn, DatasetSpec::synth(8000));
         let adj = build_adjacency(&d.graph, GnnKind::Gcn.aggregator(1));
         let n = d.graph.num_nodes();
         let hub = (0..n).max_by_key(|&v| d.graph.in_degree(v)).unwrap() as NodeId;
         let mut arena = KernelArena::default();
         let (_, field) = forward_targets_packed_with_field(
-            &model,
             &packed,
             &store,
             adj.as_ref(),
@@ -1001,7 +1030,7 @@ mod tests {
         // cursor each (doubled for amortized Vec growth). Everything else
         // is chunk- or tile-sized. Nothing here grows with the graph or
         // with `needed[0].len() × width`.
-        let width = model.config().hidden.max(model.config().in_dim);
+        let width = packed.config().hidden.max(packed.config().in_dim);
         let f32s = std::mem::size_of::<f32>();
         let wide_rows = field.needed[1..].iter().map(Vec::len).max().unwrap();
         let bound =

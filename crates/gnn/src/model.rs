@@ -171,27 +171,6 @@ impl Gnn {
         }
     }
 
-    /// Builds a model from explicit parameters (e.g. quantized weights for
-    /// serving).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter shapes do not match `config.layer_dims()`.
-    pub fn from_parts(config: ModelConfig, weights: Vec<Matrix>, biases: Vec<Matrix>) -> Self {
-        let dims = config.layer_dims();
-        assert_eq!(weights.len(), dims.len(), "weight count mismatch");
-        assert_eq!(biases.len(), dims.len(), "bias count mismatch");
-        for (l, (i, o)) in dims.into_iter().enumerate() {
-            assert_eq!(weights[l].shape(), (i, o), "weight {l} shape mismatch");
-            assert_eq!(biases[l].shape(), (1, o), "bias {l} shape mismatch");
-        }
-        Self {
-            config,
-            weights,
-            biases,
-        }
-    }
-
     /// The model's configuration.
     pub fn config(&self) -> &ModelConfig {
         &self.config

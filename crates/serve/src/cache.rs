@@ -141,12 +141,10 @@ pub struct ModelArtifacts {
     /// representation is [`Self::packed_features`], and the unquantized
     /// source rows live in [`Self::raw_features`] (moved, not copied).
     pub dataset: Dataset,
-    /// Model with fake-quantized weights.
-    pub model: Gnn,
-    /// The same weights in kernel form (integer levels + bit planes),
-    /// built from one quantization pass with `model` so the two are the
-    /// same numbers by construction.
-    pub packed_model: PackedGnn,
+    /// The served model: its configuration, biases, and weights quantized
+    /// once to the row-major integer levels the kernels stream — the only
+    /// copy of the weights the artifacts keep.
+    pub model: PackedGnn,
     /// Input feature rows packed at rest in tier-contiguous bit-plane
     /// arenas — the *only* resident quantized representation; the kernels
     /// execute against it and [`ModelArtifacts::apply_delta`] keeps it
@@ -292,13 +290,9 @@ impl ModelArtifacts {
         dataset.features = None;
 
         // Weights are static too: per-layer symmetric quantization, done
-        // once — the kernel form and the fake-quantized f32 matrices come
-        // out of the same levels.
+        // once into the kernel form.
         let config = ModelConfig::for_dataset(spec.kind, &dataset);
-        let trained = Gnn::new(config.clone());
-        let (packed_model, weights) = PackedGnn::from_model(&trained, spec.weight_bits);
-        let biases = trained.biases().to_vec();
-        let model = Gnn::from_parts(config, weights, biases);
+        let model = PackedGnn::from_model(&Gnn::new(config), spec.weight_bits);
 
         // The live topology is `graph`: the frozen CSR's index vectors move
         // into it, and an empty graph takes the snapshot's place, so it can
@@ -337,7 +331,6 @@ impl ModelArtifacts {
             key: spec.key(),
             dataset,
             model,
-            packed_model,
             packed_features,
             graph,
             adjacency,

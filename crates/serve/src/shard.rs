@@ -163,8 +163,7 @@ mod tests {
             packed_features.push_row(&[2 * v, 2 * v + 1], 8, 1.0 + v as f32);
         }
         let labels = vec![0u16; 6];
-        let model = Gnn::new(CONFIG);
-        let (packed_model, _) = PackedGnn::from_model(&model, 4);
+        let model = PackedGnn::from_model(&Gnn::new(CONFIG), 4);
         ModelArtifacts {
             key: ModelKey::new("Fixture", GnnKind::Gcn),
             dataset: mega_graph::Dataset {
@@ -176,7 +175,6 @@ mod tests {
                 labels,
             },
             model,
-            packed_model,
             packed_features,
             graph,
             adjacency,

@@ -82,7 +82,6 @@ pub fn batch_logits_with_mode(
     with_arena(|arena| {
         forward_targets_packed_with_field(
             &artifacts.model,
-            &artifacts.packed_model,
             &artifacts.packed_features,
             &artifacts.adjacency,
             targets,

@@ -3,7 +3,7 @@
 //! *bit-exact* with the scalar integer reference (`KernelMode::Scalar`)
 //! for every aggregator, for K ∈ {1, 2, 4} shards, across batch shapes
 //! that exercise every M-block width (full 8-lane blocks, unaligned
-//! remainders, single-row fallbacks), and after random churn (node adds,
+//! remainders, one-lane blocks), and after random churn (node adds,
 //! edge inserts/removes) drives rows across tiers.
 //!
 //! Both modes share one quantize → integer-dot → dequantize pipeline, so
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 const KINDS: [GnnKind; 3] = [GnnKind::Gcn, GnnKind::Gin, GnnKind::GraphSage];
 
 /// Batch sizes covering the blocked dispatcher's shapes: single row
-/// (m == 1 fallback), partial blocks, one exact `MAX_MULTI_ROWS` block,
+/// (an m == 1 block), partial blocks, one exact `MAX_MULTI_ROWS` block,
 /// and a full-block-plus-remainder tail.
 const BATCH_SHAPES: [usize; 5] = [1, 3, 4, 8, 11];
 

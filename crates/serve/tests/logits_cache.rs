@@ -314,7 +314,6 @@ fn engine_drops_a_two_hop_target_of_a_degree_change() {
     );
     let (scalar, _) = forward_targets_packed_with_field(
         &reference.model,
-        &reference.packed_model,
         &reference.packed_features,
         rebuilt.as_ref(),
         &[t],

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mega_format::planes::{self, PlaneRows};
+use mega_format::planes;
 use mega_gnn::{build_adjacency, GnnKind};
 use mega_graph::{DatasetSpec, GraphDelta, NodeId};
 use mega_serve::{
