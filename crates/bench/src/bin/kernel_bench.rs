@@ -8,11 +8,12 @@
 //! cycles ([`mega_accel::combination::cycles`]), prints a per-tier table,
 //! and optionally writes a JSON report (first CLI argument).
 //!
-//! Exits non-zero if, on the 2–5 bit tiers, the packed kernel regresses
-//! below the scalar reference (threshold `KERNEL_GATE_MIN_SPEEDUP`) or
-//! the blocked kernel regresses below the one-row packed kernel
-//! (threshold `KERNEL_GATE_MIN_BLOCKED`) — a perf ratchet robust to
-//! absolute machine speed.
+//! Each tier times the three kernels in `ROUNDS` interleaved rounds and
+//! reports the median of the per-round ratios. Exits non-zero if, on the
+//! 2–5 bit tiers, the median packed/scalar ratio falls below
+//! `KERNEL_GATE_MIN_SPEEDUP` or the median blocked/one-row ratio below
+//! `KERNEL_GATE_MIN_BLOCKED` — a perf ratchet robust to absolute machine
+//! speed.
 
 #![forbid(unsafe_code)]
 
@@ -36,6 +37,8 @@ const OUT_DIM: usize = 64;
 const WEIGHT_BITS: u8 = 4;
 const ROWS: usize = 64;
 const REPS: usize = 7;
+/// Interleaved rounds per tier; the gate reads the median round ratio.
+const ROUNDS: usize = 5;
 /// Tier bitwidths: the paper's 2–5 bit degree tiers, the 1-bit
 /// bag-of-words floor, and the 8-bit ceiling as the baseline anchor.
 const TIERS: [u8; 6] = [1, 2, 3, 4, 5, 8];
@@ -68,6 +71,12 @@ impl Rng {
     }
 }
 
+/// The median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples[samples.len() / 2]
+}
+
 /// Median of `REPS` timed repetitions of `f`, in ns per processed row.
 fn time_ns_per_row(mut f: impl FnMut()) -> f64 {
     // Warm-up, then size the inner loop so each rep runs ≥ ~4 ms.
@@ -76,17 +85,28 @@ fn time_ns_per_row(mut f: impl FnMut()) -> f64 {
     f();
     let once = probe.elapsed().as_secs_f64().max(1e-9);
     let inner = ((4e-3 / once).ceil() as usize).max(1);
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..inner {
-                f();
-            }
-            start.elapsed().as_secs_f64() / (inner * ROWS) as f64 * 1e9
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[REPS / 2]
+    median(
+        (0..REPS)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..inner {
+                    f();
+                }
+                start.elapsed().as_secs_f64() / (inner * ROWS) as f64 * 1e9
+            })
+            .collect(),
+    )
+}
+
+/// One tier's medians over `ROUNDS` interleaved rounds.
+struct Timings {
+    scalar_ns: f64,
+    packed_ns: f64,
+    blocked_ns: f64,
+    /// Median of the per-round scalar/packed ratios.
+    speedup: f64,
+    /// Median of the per-round packed/blocked ratios.
+    blocked_vs_packed: f64,
 }
 
 struct TierResult {
@@ -100,7 +120,7 @@ struct TierResult {
     predicted_speedup_vs_8bit: f64,
 }
 
-fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
+fn bench_tier(bits: u8, rng: &mut Rng) -> Timings {
     // Weights: one quantized layer, row-major as the packed kernels stream
     // it, plus a column-major copy so the scalar baseline is one
     // `dot_levels` call per output element.
@@ -131,14 +151,14 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
         .collect();
 
     let mut dots = vec![0i64; OUT_DIM];
-    let scalar_ns = time_ns_per_row(|| {
+    let mut scalar = || {
         for x in &x_rows {
             for (c, d) in dots.iter_mut().enumerate() {
                 *d = dot_levels(x, &col_major[c * IN_DIM..(c + 1) * IN_DIM]);
             }
             black_box(&dots);
         }
-    });
+    };
 
     // The packed side mirrors the serve kernel's tier dispatch one row at
     // a time: ≤ 2 bit rows walk the packed planes directly; wider tiers
@@ -146,21 +166,32 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
     // kernel.
     let mut acc = vec![0i32; 2 * OUT_DIM];
     let mut levels = vec![0i32; IN_DIM];
-    let packed_ns = if bits <= 2 {
-        time_ns_per_row(|| {
-            for words in &packed_rows {
-                ternary_dot_multi(words, 1, IN_DIM, &wrow, OUT_DIM, &mut acc, &mut dots);
-                black_box(&dots);
-            }
-        })
-    } else {
-        time_ns_per_row(|| {
-            for words in &packed_rows {
+    let mut one_row_dots = vec![0i64; OUT_DIM];
+    let mut packed = || {
+        for words in &packed_rows {
+            if bits <= 2 {
+                ternary_dot_multi(
+                    words,
+                    1,
+                    IN_DIM,
+                    &wrow,
+                    OUT_DIM,
+                    &mut acc,
+                    &mut one_row_dots,
+                );
+            } else {
                 mega_format::planes::unpack_levels(words, bits, IN_DIM, &mut levels);
-                levels_dot_multi(&levels, 1, &wrow, OUT_DIM, &mut acc[..OUT_DIM], &mut dots);
-                black_box(&dots);
+                levels_dot_multi(
+                    &levels,
+                    1,
+                    &wrow,
+                    OUT_DIM,
+                    &mut acc[..OUT_DIM],
+                    &mut one_row_dots,
+                );
             }
-        })
+            black_box(&one_row_dots);
+        }
     };
 
     // The blocked side mirrors the serve dispatcher: gather M rows into a
@@ -172,10 +203,10 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
     let mut tile_levels = vec![0i32; M * IN_DIM];
     let mut tile_acc = vec![0i32; 2 * M * OUT_DIM];
     let mut tile_dots = vec![0i64; M * OUT_DIM];
-    let blocked_ns = if bits <= 2 {
-        time_ns_per_row(|| {
-            for block in packed_rows.chunks(M) {
-                let m = block.len();
+    let mut blocked = || {
+        for block in packed_rows.chunks(M) {
+            let m = block.len();
+            if bits <= 2 {
                 for (r, words) in block.iter().enumerate() {
                     tile_words[r * span..][..span].copy_from_slice(words);
                 }
@@ -188,13 +219,7 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
                     &mut tile_acc[..2 * m * OUT_DIM],
                     &mut tile_dots[..m * OUT_DIM],
                 );
-                black_box(&tile_dots);
-            }
-        })
-    } else {
-        time_ns_per_row(|| {
-            for block in packed_rows.chunks(M) {
-                let m = block.len();
+            } else {
                 for (r, words) in block.iter().enumerate() {
                     mega_format::planes::unpack_levels(
                         words,
@@ -211,11 +236,36 @@ fn bench_tier(bits: u8, rng: &mut Rng) -> (f64, f64, f64) {
                     &mut tile_acc[..m * OUT_DIM],
                     &mut tile_dots[..m * OUT_DIM],
                 );
-                black_box(&tile_dots);
             }
-        })
+            black_box(&tile_dots);
+        }
     };
-    (scalar_ns, packed_ns, blocked_ns)
+
+    // Interleaved rounds: a slow spell on a shared machine lands on all
+    // three kernels of a round alike, so the per-round ratios, and the
+    // gate on their median, see less of it than ratios of separate runs.
+    let mut ns = [Vec::new(), Vec::new(), Vec::new()];
+    let (mut speedups, mut blocked_ratios) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let round = [
+            time_ns_per_row(&mut scalar),
+            time_ns_per_row(&mut packed),
+            time_ns_per_row(&mut blocked),
+        ];
+        speedups.push(round[0] / round[1]);
+        blocked_ratios.push(round[1] / round[2]);
+        for (samples, t) in ns.iter_mut().zip(round) {
+            samples.push(t);
+        }
+    }
+    let [scalar_ns, packed_ns, blocked_ns] = ns.map(median);
+    Timings {
+        scalar_ns,
+        packed_ns,
+        blocked_ns,
+        speedup: median(speedups),
+        blocked_vs_packed: median(blocked_ratios),
+    }
 }
 
 fn main() {
@@ -251,15 +301,15 @@ fn main() {
     let results: Vec<TierResult> = TIERS
         .iter()
         .map(|&bits| {
-            let (scalar_ns, packed_ns, blocked_ns) = bench_tier(bits, &mut rng);
+            let t = bench_tier(bits, &mut rng);
             let predicted_cycles = predicted(bits);
             TierResult {
                 bits,
-                scalar_ns,
-                packed_ns,
-                blocked_ns,
-                measured_speedup: scalar_ns / packed_ns,
-                blocked_vs_packed: packed_ns / blocked_ns,
+                scalar_ns: t.scalar_ns,
+                packed_ns: t.packed_ns,
+                blocked_ns: t.blocked_ns,
+                measured_speedup: t.speedup,
+                blocked_vs_packed: t.blocked_vs_packed,
                 predicted_cycles,
                 predicted_speedup_vs_8bit: baseline_cycles / predicted_cycles as f64,
             }

@@ -792,55 +792,6 @@ impl TierPackedFeatures {
         self.rows[row] = RowSlot { bits, slot, alpha };
     }
 
-    /// Appends a verbatim copy of a packed row from another store: the
-    /// plane words, bitwidth, and scale are copied as-is,
-    /// so the new row is **bit-exact** with its source by construction — no
-    /// dequantize/re-quantize round trip. This is how shard slices
-    /// materialize halo rows out of the global store. Returns the row id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` was packed for a different feature dimension.
-    pub fn push_copy(&mut self, src: PlaneRow<'_>) -> usize {
-        let arena = &mut self.arenas[(src.bits - 1) as usize];
-        assert_eq!(src.words.len(), arena.slot, "packed row width mismatch");
-        let slot = arena.alloc();
-        let span = arena.slot;
-        arena.words[slot as usize * span..][..span].copy_from_slice(src.words);
-        self.rows.push(RowSlot {
-            bits: src.bits,
-            slot,
-            alpha: src.alpha,
-        });
-        self.rows.len() - 1
-    }
-
-    /// Rewrites row `row` as a verbatim copy of `src` (see
-    /// [`TierPackedFeatures::push_copy`]); a bitwidth change migrates the
-    /// row between arenas exactly like [`TierPackedFeatures::set_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` was packed for a different feature dimension.
-    pub fn set_copy(&mut self, row: usize, src: PlaneRow<'_>) {
-        let old = self.rows[row];
-        let slot = if old.bits == src.bits {
-            old.slot
-        } else {
-            self.arenas[(old.bits - 1) as usize].free.push(old.slot);
-            self.arenas[(src.bits - 1) as usize].alloc()
-        };
-        let arena = &mut self.arenas[(src.bits - 1) as usize];
-        assert_eq!(src.words.len(), arena.slot, "packed row width mismatch");
-        let span = arena.slot;
-        arena.words[slot as usize * span..][..span].copy_from_slice(src.words);
-        self.rows[row] = RowSlot {
-            bits: src.bits,
-            slot,
-            alpha: src.alpha,
-        };
-    }
-
     /// The packed row `row`: the slice of its tier's arena plus its bitwidth
     /// and scale.
     pub fn plane_row(&self, row: usize) -> PlaneRow<'_> {
@@ -1039,43 +990,6 @@ mod tests {
         // Untouched rows are intact.
         store.unpack_row(1, &mut back);
         assert_eq!(back, rows[1]);
-    }
-
-    #[test]
-    fn verbatim_copies_are_bit_exact_with_their_source() {
-        let dim = 96usize;
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut global = TierPackedFeatures::new(dim);
-        for bits in [1u8, 2, 3, 5, 8] {
-            let levels = random_levels(&mut rng, dim, bits, 0.5);
-            global.push_row(&levels, bits, 1.0 / bits as f32);
-        }
-        // push_copy: every field of the copied row matches the source.
-        let mut halo = TierPackedFeatures::new(dim);
-        for row in 0..global.len() {
-            halo.push_copy(global.plane_row(row));
-        }
-        for row in 0..global.len() {
-            let (a, b) = (global.plane_row(row), halo.plane_row(row));
-            assert_eq!(a.words, b.words, "row {row} words");
-            assert_eq!(a.bits, b.bits);
-            assert_eq!(a.alpha, b.alpha);
-        }
-        // set_copy across a bitwidth change migrates arenas and stays
-        // bit-exact; the vacated slot is recycled.
-        let promoted = random_levels(&mut rng, dim, 6, 0.5);
-        global.set_row(0, &promoted, 6, 0.05);
-        halo.set_copy(0, global.plane_row(0));
-        let (a, b) = (global.plane_row(0), halo.plane_row(0));
-        assert_eq!(a.words, b.words);
-        assert_eq!(a.bits, 6);
-        assert_eq!(b.bits, 6);
-        let one_bit_words = halo.arena_words(1);
-        let levels = random_levels(&mut rng, dim, 1, 0.5);
-        let mut src = TierPackedFeatures::new(dim);
-        src.push_row(&levels, 1, 1.0);
-        halo.push_copy(src.plane_row(0));
-        assert_eq!(halo.arena_words(1), one_bit_words, "freed slot reused");
     }
 
     #[test]

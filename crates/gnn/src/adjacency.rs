@@ -3,18 +3,23 @@
 //!
 //! Every weight of a normalized adjacency is a function of degrees: GCN's
 //! `1/sqrt(d̂_dst) · 1/sqrt(d̂_src)`, GIN's `1`, GraphSAGE's
-//! `1/(sampled + 1)`. So [`DynAdjacency`] stores only columns (one flat
-//! [`RowStore`], the self-loop merged in sorted position) plus, for GCN,
-//! one `1/sqrt(d̂)` per node, and [`AdjacencyView::row_weights`] hands the
+//! `1/(sampled + 1)`. And every row's columns are the node's in-neighbors
+//! (GraphSAGE: a seeded sample of them) plus its self-loop. So
+//! [`DynAdjacency`] stores no columns at all: it reads the live graph's
+//! in-lists and merges the self-loop in while iterating
+//! ([`AdjacencyRow::get`]), and [`AdjacencyView::row_weights`] hands the
 //! forward pass a [`RowWeights`] that evaluates the same `f32` expression
-//! [`build_adjacency`] stores, bit for bit. Per node that is a 12-byte span,
-//! four bytes per column, and (GCN) four bytes of `1/sqrt(d̂)`.
+//! [`build_adjacency`] stores, bit for bit. Per node it owns four bytes of
+//! `1/sqrt(d̂)` under GCN and nothing under GIN; GraphSAGE keeps the chosen
+//! lists of the rows whose in-degree exceeds the sample size.
 
+use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use mega_graph::dynamic::{DeltaEffect, DynamicGraph};
+use mega_graph::dynamic::{DeltaEffect, DeltaError, DynamicGraph};
 use mega_graph::generate::shuffle;
-use mega_graph::{Graph, NodeId, RowStore};
+use mega_graph::{Graph, GraphDelta, NodeId};
 use mega_tensor::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,8 +42,71 @@ pub enum AggregatorKind {
     },
 }
 
+/// One adjacency row: explicit columns, ascending, plus optionally the
+/// row's own id as an implicit self-loop. [`AdjacencyRow::get`] is the one
+/// merge rule every reader goes through: the own id takes its sorted place
+/// among the columns, so a destination sums its sources in ascending id
+/// order with the self-loop where a stored column list would hold it.
+#[derive(Debug, Clone, Copy)]
+pub struct AdjacencyRow<'a> {
+    cols: &'a [u32],
+    /// The implicit own id and its position in the merged row.
+    own: Option<(u32, usize)>,
+}
+
+impl<'a> AdjacencyRow<'a> {
+    /// A row whose columns are all stored (self-loop included, if any).
+    pub fn explicit(cols: &'a [u32]) -> Self {
+        Self { cols, own: None }
+    }
+
+    /// The row of node `own`: `cols` (ascending, without `own`) plus the
+    /// implicit self-loop.
+    pub fn with_self_loop(cols: &'a [u32], own: u32) -> Self {
+        debug_assert!(cols.binary_search(&own).is_err(), "{own} is implicit");
+        let at = cols.partition_point(|&c| c < own);
+        Self {
+            cols,
+            own: Some((own, at)),
+        }
+    }
+
+    /// The explicit columns, without the implicit self-loop.
+    pub fn columns(&self) -> &'a [u32] {
+        self.cols
+    }
+
+    /// Number of entries, the implicit self-loop included.
+    pub fn len(&self) -> usize {
+        self.cols.len() + usize::from(self.own.is_some())
+    }
+
+    /// Whether the row has no entry at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th entry of the merged row, `None` past its end.
+    #[inline]
+    pub fn get(&self, k: usize) -> Option<u32> {
+        match self.own {
+            None => self.cols.get(k).copied(),
+            Some((own, at)) => match k.cmp(&at) {
+                std::cmp::Ordering::Less => Some(self.cols[k]),
+                std::cmp::Ordering::Equal => Some(own),
+                std::cmp::Ordering::Greater => self.cols.get(k - 1).copied(),
+            },
+        }
+    }
+
+    /// The merged entries in order, through [`AdjacencyRow::get`].
+    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        (0..self.len()).map(move |k| self.get(k).expect("k is below len"))
+    }
+}
+
 /// The weights of one adjacency row, aligned with its
-/// [`AdjacencyView::row_indices`]: stored, or computed from degrees.
+/// [`AdjacencyView::row`]: stored, or computed from degrees.
 #[derive(Debug, Clone, Copy)]
 pub enum RowWeights<'a> {
     /// Stored values, one per column (the static [`CsrMatrix`]).
@@ -74,9 +142,9 @@ impl RowWeights<'_> {
 pub trait AdjacencyView {
     /// Number of rows (== columns; adjacencies here are square).
     fn rows(&self) -> usize;
-    /// Column indices of row `r`, sorted ascending.
-    fn row_indices(&self, r: usize) -> &[u32];
-    /// Weights of row `r`, aligned with [`AdjacencyView::row_indices`].
+    /// Row `r`, read through [`AdjacencyRow::get`].
+    fn row(&self, r: usize) -> AdjacencyRow<'_>;
+    /// Weights of row `r`, aligned with [`AdjacencyView::row`].
     fn row_weights(&self, r: usize) -> RowWeights<'_>;
 }
 
@@ -84,20 +152,20 @@ impl<T: AdjacencyView + ?Sized> AdjacencyView for Rc<T> {
     fn rows(&self) -> usize {
         (**self).rows()
     }
-    fn row_indices(&self, r: usize) -> &[u32] {
-        (**self).row_indices(r)
+    fn row(&self, r: usize) -> AdjacencyRow<'_> {
+        (**self).row(r)
     }
     fn row_weights(&self, r: usize) -> RowWeights<'_> {
         (**self).row_weights(r)
     }
 }
 
-impl<T: AdjacencyView + ?Sized> AdjacencyView for std::sync::Arc<T> {
+impl<T: AdjacencyView + ?Sized> AdjacencyView for Arc<T> {
     fn rows(&self) -> usize {
         (**self).rows()
     }
-    fn row_indices(&self, r: usize) -> &[u32] {
-        (**self).row_indices(r)
+    fn row(&self, r: usize) -> AdjacencyRow<'_> {
+        (**self).row(r)
     }
     fn row_weights(&self, r: usize) -> RowWeights<'_> {
         (**self).row_weights(r)
@@ -108,8 +176,8 @@ impl AdjacencyView for CsrMatrix {
     fn rows(&self) -> usize {
         CsrMatrix::rows(self)
     }
-    fn row_indices(&self, r: usize) -> &[u32] {
-        CsrMatrix::row_indices(self, r)
+    fn row(&self, r: usize) -> AdjacencyRow<'_> {
+        AdjacencyRow::explicit(CsrMatrix::row_indices(self, r))
     }
     fn row_weights(&self, r: usize) -> RowWeights<'_> {
         RowWeights::Explicit(CsrMatrix::row_values(self, r))
@@ -186,48 +254,50 @@ pub fn build_adjacency(graph: &Graph, kind: AggregatorKind) -> Rc<CsrMatrix> {
     Rc::new(CsrMatrix::from_triplets(n, n, &triplets))
 }
 
-/// A normalized adjacency under mutation: the columns of every row in one
-/// [`RowStore`] (sorted, self-loop merged in), weights computed from
-/// degrees ([`RowWeights`]), so a graph delta rewrites only the rows whose
-/// in-neighbor set changed instead of rebuilding the whole matrix.
+/// A normalized adjacency under mutation, as a view over the live graph:
+/// row `v` is `v`'s in-list in the [`DynamicGraph`] it shares, with the
+/// self-loop merged in by [`AdjacencyRow::get`], and its weights are
+/// computed from degrees ([`RowWeights`]). It owns only what the graph
+/// cannot give it: GCN's `1/sqrt(d̂)` per node, and GraphSAGE's chosen
+/// in-neighbors of the rows whose in-degree exceeds `sample`.
 ///
-/// Rewriting a row is `O(deg)`, and every row reads bit-exactly what
+/// [`DynAdjacency::apply`] mutates the shared graph and catches those up
+/// in `O(deg)` per changed row, and every row reads bit-exactly what
 /// [`build_adjacency`] would produce for the same graph (the incremental ==
 /// from-scratch equivalence the dynamic-graph property tests assert), so a
 /// [`DynAdjacency`] can serve the forward pass directly through
 /// [`AdjacencyView`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct DynAdjacency {
     kind: AggregatorKind,
-    cols: RowStore<u32>,
+    /// The live topology, shared with its owner.
+    graph: Arc<DynamicGraph>,
     /// GCN only (empty otherwise): `1/sqrt(d̂)` of every node.
     inv_sqrt: Vec<f32>,
+    /// GraphSAGE only: the chosen in-neighbors of every row whose
+    /// in-degree exceeds `sample`; the other rows read their in-list.
+    sampled: HashMap<NodeId, Vec<NodeId>>,
     refreshed: u64,
 }
 
 impl DynAdjacency {
-    /// Builds every row from scratch for the current state of `graph`,
-    /// reserving exactly: a fresh adjacency carries no slack.
-    pub fn build(graph: &DynamicGraph, kind: AggregatorKind) -> Self {
+    /// Builds every row for the current state of `graph`, holding a second
+    /// handle to it. Only [`DynAdjacency::apply`] may mutate it from then
+    /// on.
+    pub fn build(graph: &Arc<DynamicGraph>, kind: AggregatorKind) -> Self {
         let n = graph.num_nodes();
-        let row_len = |v: usize| match kind {
-            AggregatorKind::SageMean { sample, .. } => graph.in_degree(v).min(sample) + 1,
-            _ => graph.in_degree(v) + 1,
-        };
-        let entries = (0..n).map(row_len).sum();
         let mut adj = Self {
             kind,
-            cols: RowStore::with_capacity(n, entries),
+            graph: Arc::clone(graph),
             inv_sqrt: Vec::new(),
+            sampled: HashMap::new(),
             refreshed: 0,
         };
         if matches!(kind, AggregatorKind::GcnSymmetric) {
-            adj.inv_sqrt = (0..n).map(|v| gcn_inv_sqrt(graph.in_degree(v))).collect();
+            adj.inv_sqrt = vec![0.0; n];
         }
-        let mut row = Vec::new();
         for v in 0..n {
-            adj.columns_into(graph, v as NodeId, &mut row);
-            adj.cols.push_row(&row);
+            adj.refresh_row(v as NodeId);
         }
         adj
     }
@@ -239,14 +309,21 @@ impl DynAdjacency {
 
     /// Cumulative number of rows whose weights or columns
     /// [`DynAdjacency::apply`] changed since construction (the sum of the
-    /// [`DynAdjacency::dirty_rows`] it handled). The incremental-cost tests
-    /// assert this stays proportional to the touched neighborhoods, not the
-    /// graph.
+    /// dirty rows it returned). The incremental-cost tests assert this
+    /// stays proportional to the touched neighborhoods, not the graph.
     pub fn rows_refreshed(&self) -> u64 {
         self.refreshed
     }
 
-    /// The rows a [`DeltaEffect`] dirties under this aggregator:
+    /// Applies `delta` to the live graph and catches the adjacency up: the
+    /// one place the shared topology is mutated. `graph` is the owner's
+    /// handle to the graph this adjacency was built over; the adjacency
+    /// lets go of its own handle so the graph can be mutated in place, and
+    /// takes it back whether the delta applies or is rejected (a rejected
+    /// delta changes nothing).
+    ///
+    /// Returns the graph's [`DeltaEffect`] and the sorted rows whose
+    /// columns or weights changed:
     ///
     /// * every row whose in-neighbor set changed,
     /// * every freshly added node's row, and
@@ -254,97 +331,93 @@ impl DynAdjacency {
     ///   degree-changed node as a *column* (its `1/sqrt(d̂)` factor moved),
     ///   i.e. the out-neighbors of each changed node.
     ///
-    /// Sorted and deduplicated.
-    pub fn dirty_rows(&self, graph: &DynamicGraph, effect: &DeltaEffect) -> Vec<NodeId> {
+    /// Consumers that keep *derived* per-row state (e.g. a serving
+    /// engine's logits cache) key their invalidation off that list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` is not the graph the adjacency was built over, or
+    /// if a third handle to it exists.
+    pub fn apply(
+        &mut self,
+        graph: &mut Arc<DynamicGraph>,
+        delta: &GraphDelta,
+    ) -> Result<(DeltaEffect, Vec<NodeId>), DeltaError> {
+        assert!(
+            Arc::ptr_eq(&self.graph, graph),
+            "the graph this adjacency was built over"
+        );
+        drop(std::mem::take(&mut self.graph));
+        let applied = Arc::get_mut(graph).map(|g| g.apply(delta));
+        self.graph = Arc::clone(graph);
+        let effect = applied.expect("no third handle to the live graph")?;
+
+        if matches!(self.kind, AggregatorKind::GcnSymmetric) {
+            self.inv_sqrt.resize(self.graph.num_nodes(), 0.0);
+        }
+        for &v in effect.rows_changed.iter().chain(&effect.added_nodes) {
+            self.refresh_row(v);
+        }
         let mut dirty: Vec<NodeId> = effect.rows_changed.clone();
         dirty.extend_from_slice(&effect.added_nodes);
         if matches!(self.kind, AggregatorKind::GcnSymmetric) {
             for &b in &effect.rows_changed {
-                dirty.extend_from_slice(graph.out_neighbors(b as usize));
+                dirty.extend_from_slice(self.graph.out_neighbors(b as usize));
             }
         }
         dirty.sort_unstable();
         dirty.dedup();
-        dirty
-    }
-
-    /// Catches the adjacency up with a mutation that already happened on
-    /// `graph`. Returns how many rows it dirtied.
-    ///
-    /// `graph` must be the post-mutation state and `effect` the value
-    /// [`DynamicGraph::apply`] returned for it.
-    pub fn apply(&mut self, graph: &DynamicGraph, effect: &DeltaEffect) -> usize {
-        self.apply_dirty(graph, effect).len()
-    }
-
-    /// Like [`DynAdjacency::apply`], but returns the sorted
-    /// [`DynAdjacency::dirty_rows`]: every row whose columns or weights
-    /// changed. Consumers that keep *derived* per-row state (e.g. a serving
-    /// engine's logits cache) key their invalidation off this list.
-    ///
-    /// Only the columns of rows whose in-neighbor set changed and of added
-    /// nodes are rewritten (and, under GCN, those nodes' `1/sqrt(d̂)`); the
-    /// other dirty rows read their new weights through the degrees.
-    pub fn apply_dirty(&mut self, graph: &DynamicGraph, effect: &DeltaEffect) -> Vec<NodeId> {
-        // Added nodes first, as empty rows the rewrite below fills (an
-        // added node needs its self-loop row even when no edge touched it).
-        for _ in self.cols.len()..graph.num_nodes() {
-            self.cols.push_row(&[]);
-            if matches!(self.kind, AggregatorKind::GcnSymmetric) {
-                self.inv_sqrt.push(0.0);
-            }
-        }
-        let mut row = Vec::new();
-        for &v in effect.rows_changed.iter().chain(&effect.added_nodes) {
-            self.columns_into(graph, v, &mut row);
-            self.cols.set_row(v as usize, &row);
-            if let Some(inv) = self.inv_sqrt.get_mut(v as usize) {
-                *inv = gcn_inv_sqrt(graph.in_degree(v as usize));
-            }
-        }
-        let dirty = self.dirty_rows(graph, effect);
         self.refreshed += dirty.len() as u64;
-        dirty
+        Ok((effect, dirty))
     }
 
-    /// Row `v`'s columns, from scratch, into `out`: the sorted merge of the
-    /// self-loop and the (possibly sampled) in-neighbors — the column order
-    /// of [`build_adjacency`].
-    fn columns_into(&self, graph: &DynamicGraph, v: NodeId, out: &mut Vec<u32>) {
-        let sampled;
-        let neighbors = match self.kind {
-            AggregatorKind::SageMean { sample, seed } => {
-                sampled = sage_sample(graph.in_neighbors(v as usize), sample, seed, v);
-                &sampled
+    /// Recomputes what the adjacency owns for row `v` from its in-list.
+    fn refresh_row(&mut self, v: NodeId) {
+        let neighbors = self.graph.in_neighbors(v as usize);
+        match self.kind {
+            AggregatorKind::GcnSymmetric => {
+                self.inv_sqrt[v as usize] = gcn_inv_sqrt(neighbors.len());
             }
-            _ => graph.in_neighbors(v as usize),
-        };
-        let split = neighbors.partition_point(|&src| src < v);
-        out.clear();
-        out.extend_from_slice(&neighbors[..split]);
-        out.push(v);
-        out.extend_from_slice(&neighbors[split..]);
+            AggregatorKind::GinSum => {}
+            AggregatorKind::SageMean { sample, seed } => {
+                if neighbors.len() > sample {
+                    let chosen = sage_sample(neighbors, sample, seed, v);
+                    self.sampled.insert(v, chosen);
+                } else {
+                    self.sampled.remove(&v);
+                }
+            }
+        }
     }
 
-    /// Heap bytes held: the capacities of the column store and of the
-    /// `1/sqrt(d̂)` vector, for serving-side memory telemetry.
+    /// Heap bytes owned: the `1/sqrt(d̂)` vector and the GraphSAGE chosen
+    /// lists, for serving-side memory telemetry. The shared graph is not
+    /// counted.
     pub fn approx_heap_bytes(&self) -> usize {
-        self.cols.heap_bytes() + self.inv_sqrt.capacity() * std::mem::size_of::<f32>()
+        let slot = std::mem::size_of::<(NodeId, Vec<NodeId>)>() + 1;
+        self.inv_sqrt.capacity() * std::mem::size_of::<f32>()
+            + self.sampled.capacity() * slot
+            + self
+                .sampled
+                .values()
+                .map(|chosen| chosen.capacity() * std::mem::size_of::<NodeId>())
+                .sum::<usize>()
     }
 
     /// Freezes the rows, weights evaluated, into a [`CsrMatrix`] (full
     /// copy; equivalence tests and offline consumers only).
     pub fn to_csr(&self) -> CsrMatrix {
-        let n = self.cols.len();
+        let n = self.rows();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         for r in 0..n {
-            let cols = self.cols.row(r);
             let weights = self.row_weights(r);
-            indices.extend_from_slice(cols);
-            values.extend(cols.iter().enumerate().map(|(k, &c)| weights.at(k, c)));
+            for (k, c) in self.row(r).iter().enumerate() {
+                indices.push(c);
+                values.push(weights.at(k, c));
+            }
             offsets.push(indices.len());
         }
         CsrMatrix::from_raw(n, n, offsets, indices, values)
@@ -353,10 +426,17 @@ impl DynAdjacency {
 
 impl AdjacencyView for DynAdjacency {
     fn rows(&self) -> usize {
-        self.cols.len()
+        self.graph.num_nodes()
     }
-    fn row_indices(&self, r: usize) -> &[u32] {
-        self.cols.row(r)
+    fn row(&self, r: usize) -> AdjacencyRow<'_> {
+        let neighbors = self.graph.in_neighbors(r);
+        let cols = match self.kind {
+            AggregatorKind::SageMean { sample, .. } if neighbors.len() > sample => {
+                &self.sampled[&(r as NodeId)]
+            }
+            _ => neighbors,
+        };
+        AdjacencyRow::with_self_loop(cols, r as NodeId)
     }
     fn row_weights(&self, r: usize) -> RowWeights<'_> {
         match self.kind {
@@ -365,8 +445,8 @@ impl AdjacencyView for DynAdjacency {
                 src: &self.inv_sqrt,
             },
             AggregatorKind::GinSum => RowWeights::Uniform(1.0),
-            AggregatorKind::SageMean { .. } => {
-                RowWeights::Uniform(1.0 / self.cols.row_len(r) as f32)
+            AggregatorKind::SageMean { sample, .. } => {
+                RowWeights::Uniform(1.0 / (self.graph.in_degree(r).min(sample) + 1) as f32)
             }
         }
     }
@@ -472,11 +552,11 @@ mod tests {
         assert!(gin.get(0, 0) > 3.0 * gin.get(1, 0));
     }
 
-    fn dyn_diamond() -> DynamicGraph {
-        DynamicGraph::from_graph(Graph::from_directed_edges(
+    fn dyn_diamond() -> Arc<DynamicGraph> {
+        Arc::new(DynamicGraph::from_graph(Graph::from_directed_edges(
             4,
             vec![(0, 1), (0, 2), (1, 3), (2, 3)],
-        ))
+        )))
     }
 
     #[test]
@@ -499,11 +579,10 @@ mod tests {
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
         let mut delta = GraphDelta::new();
         delta.insert_edge(3, 1);
-        let effect = dg.apply(&delta).unwrap();
-        let refreshed = adj.apply(&dg, &effect);
+        let (_, dirty) = adj.apply(&mut dg, &delta).unwrap();
         // Dirty rows for GCN: row 1 (new in-edge) plus rows referencing
         // node 1 as a column = out-neighbors of 1 = {3}.
-        assert_eq!(refreshed, 2);
+        assert_eq!(dirty, vec![1, 3]);
         assert_eq!(adj.rows_refreshed(), 2);
         assert_eq!(
             adj.to_csr(),
@@ -517,9 +596,8 @@ mod tests {
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GinSum);
         let mut delta = GraphDelta::new();
         delta.insert_edge(3, 0).remove_edge(0, 1);
-        let effect = dg.apply(&delta).unwrap();
-        let refreshed = adj.apply(&dg, &effect);
-        assert_eq!(refreshed, 2); // rows 0 and 1, nothing else
+        let (_, dirty) = adj.apply(&mut dg, &delta).unwrap();
+        assert_eq!(dirty, vec![0, 1]); // rows 0 and 1, nothing else
         assert_eq!(
             adj.to_csr(),
             *build_adjacency(&dg.to_graph(), AggregatorKind::GinSum)
@@ -532,11 +610,10 @@ mod tests {
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
         let mut delta = GraphDelta::new();
         delta.add_node().add_node().insert_edge(4, 5);
-        let effect = dg.apply(&delta).unwrap();
-        adj.apply(&dg, &effect);
+        adj.apply(&mut dg, &delta).unwrap();
         assert_eq!(AdjacencyView::rows(&adj), 6);
-        assert_eq!(adj.row_indices(4), &[4]);
-        assert_eq!(adj.row_indices(5), &[4, 5]);
+        assert_eq!(adj.row(4).iter().collect::<Vec<_>>(), [4]);
+        assert_eq!(adj.row(5).iter().collect::<Vec<_>>(), [4, 5]);
         assert_eq!(
             adj.to_csr(),
             *build_adjacency(&dg.to_graph(), AggregatorKind::GcnSymmetric)
@@ -549,12 +626,87 @@ mod tests {
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
         let mut delta = GraphDelta::new();
         delta.isolate_node(3);
-        let effect = dg.apply(&delta).unwrap();
-        adj.apply(&dg, &effect);
-        assert_eq!(adj.row_indices(3), &[3]);
+        adj.apply(&mut dg, &delta).unwrap();
+        assert_eq!(adj.row(3).iter().collect::<Vec<_>>(), [3]);
         assert_eq!(
             adj.to_csr(),
             *build_adjacency(&dg.to_graph(), AggregatorKind::GcnSymmetric)
         );
+    }
+
+    #[test]
+    fn rejected_delta_leaves_graph_and_rows_attached() {
+        let mut dg = dyn_diamond();
+        let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
+        let mut delta = GraphDelta::new();
+        delta.insert_edge(0, 9);
+        assert!(adj.apply(&mut dg, &delta).is_err());
+        assert_eq!(Arc::strong_count(&dg), 2, "the adjacency re-attached");
+        assert_eq!(adj.rows_refreshed(), 0);
+        assert_eq!(
+            adj.to_csr(),
+            *build_adjacency(&dg.to_graph(), AggregatorKind::GcnSymmetric)
+        );
+    }
+
+    #[test]
+    fn merged_row_places_the_self_loop_in_sorted_position() {
+        for (cols, own, merged) in [
+            (vec![], 3, vec![3]),
+            (vec![4, 7], 2, vec![2, 4, 7]),
+            (vec![1, 4, 7], 5, vec![1, 4, 5, 7]),
+            (vec![1, 4], 9, vec![1, 4, 9]),
+        ] {
+            let row = AdjacencyRow::with_self_loop(&cols, own);
+            assert_eq!(row.len(), merged.len());
+            assert_eq!(row.iter().collect::<Vec<_>>(), merged);
+            assert_eq!(row.get(merged.len()), None);
+            assert_eq!(row.columns(), cols.as_slice());
+        }
+        let explicit = AdjacencyRow::explicit(&[0, 2]);
+        assert_eq!(explicit.iter().collect::<Vec<_>>(), [0, 2]);
+    }
+
+    /// The adjacency owns `1/sqrt(d̂)` under GCN and nothing under GIN:
+    /// every column is a read of the shared graph.
+    #[test]
+    fn the_view_owns_only_what_the_graph_cannot_give() {
+        let dg = dyn_diamond();
+        let gcn = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
+        assert_eq!(gcn.approx_heap_bytes(), 4 * dg.num_nodes());
+        let gin = DynAdjacency::build(&dg, AggregatorKind::GinSum);
+        assert_eq!(gin.approx_heap_bytes(), 0);
+    }
+
+    /// A GraphSAGE row stores its chosen list only while its in-degree
+    /// exceeds `sample`: crossing upward starts reading the stored sample,
+    /// crossing back down returns to the in-list, and both steps land on
+    /// the rebuild.
+    #[test]
+    fn sage_row_crossing_the_sample_size_matches_rebuild() {
+        let kind = AggregatorKind::SageMean { sample: 3, seed: 7 };
+        // Node 0 starts with in-degree 3 (== sample: nothing stored).
+        let mut dg = Arc::new(DynamicGraph::from_graph(Graph::from_directed_edges(
+            8,
+            vec![(1, 0), (2, 0), (3, 0), (4, 5)],
+        )));
+        let mut adj = DynAdjacency::build(&dg, kind);
+        assert_eq!(adj.approx_heap_bytes(), 0);
+        let rebuilt = |dg: &DynamicGraph| (*build_adjacency(&dg.to_graph(), kind)).clone();
+
+        let mut up = GraphDelta::new();
+        up.insert_edge(6, 0).insert_edge(7, 0);
+        let (_, dirty) = adj.apply(&mut dg, &up).unwrap();
+        assert_eq!(dirty, vec![0]);
+        assert!(adj.approx_heap_bytes() > 0, "row 0 now stores its sample");
+        assert_eq!(adj.row(0).len(), 4, "3 sampled + self");
+        assert_eq!(adj.to_csr(), rebuilt(&dg));
+
+        let mut down = GraphDelta::new();
+        down.remove_edge(6, 0).remove_edge(1, 0);
+        adj.apply(&mut dg, &down).unwrap();
+        assert_eq!(adj.row(0).columns(), dg.in_neighbors(0));
+        assert_eq!(adj.to_csr(), rebuilt(&dg));
+        assert_eq!(adj.sampled.len(), 0, "nothing stored at in-degree 3");
     }
 }

@@ -35,7 +35,7 @@ impl ReceptiveField {
         for l in (0..layers).rev() {
             let mut frontier: Vec<NodeId> = needed[l + 1]
                 .iter()
-                .flat_map(|&v| adjacency.row_indices(v as usize).iter().copied())
+                .flat_map(|&v| adjacency.row(v as usize).iter())
                 .collect();
             frontier.sort_unstable();
             frontier.dedup();

@@ -18,7 +18,8 @@
 //!   computes the *same* exact `i64` sums with a plain `i64`
 //!   multiply-accumulate over the same row-major weights; it is the oracle
 //!   the blocked kernels are tested against.
-//! * **Aggregation stays `f32` in CSR row order**, a fixed per-node order,
+//! * **Aggregation stays `f32` in CSR row order** (ascending source ids,
+//!   the self-loop in its sorted place), a fixed per-node order,
 //!   so a node's logits are identical whichever other nodes share its batch.
 //! * **Chunk pipeline.** A level is combined [`CHUNK_ROWS`] rows at a time,
 //!   and each chunk is aggregated into the next level before the following
@@ -456,7 +457,7 @@ impl KernelArena {
             if next > last {
                 continue;
             }
-            let cols = adjacency.row_indices(v as usize);
+            let cols = adjacency.row(v as usize);
             let weights = adjacency.row_weights(v as usize);
             let row = &mut self.next[vi * w_out..][..w_out];
             let (mut k, mut u, mut i) = (done as usize, next, 0);
@@ -473,7 +474,7 @@ impl KernelArena {
                     *dst += a * s;
                 }
                 k += 1;
-                u = cols.get(k).copied().unwrap_or(NodeId::MAX);
+                u = cols.get(k).unwrap_or(NodeId::MAX);
             }
             self.cursor[vi] = Cursor {
                 done: k as u32,
@@ -558,15 +559,9 @@ where
         arena.next.clear();
         arena.next.resize(out_nodes.len() * w_out, 0.0);
         arena.cursor.clear();
-        arena.cursor.extend(out_nodes.iter().map(|&v| {
-            Cursor {
-                done: 0,
-                next: adjacency
-                    .row_indices(v as usize)
-                    .first()
-                    .copied()
-                    .unwrap_or(NodeId::MAX),
-            }
+        arena.cursor.extend(out_nodes.iter().map(|&v| Cursor {
+            done: 0,
+            next: adjacency.row(v as usize).get(0).unwrap_or(NodeId::MAX),
         }));
         for (c, chunk) in level_nodes.chunks(CHUNK_ROWS).enumerate() {
             let base = c * CHUNK_ROWS;
@@ -595,10 +590,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::build_adjacency;
+    use crate::adjacency::{build_adjacency, DynAdjacency};
     use crate::model::{GnnKind, ModelConfig};
     use mega_format::TierPackedFeatures;
     use mega_graph::datasets::DatasetSpec;
+    use mega_graph::DynamicGraph;
+    use std::sync::Arc;
 
     /// Packs `nodes` raw feature rows (`fill(v, row)`) at per-node
     /// bitwidths.
@@ -864,7 +861,7 @@ mod tests {
             for (vi, &v) in out_level.iter().enumerate() {
                 let row = &mut next[vi * w_out..][..w_out];
                 let weights = adj.row_weights(v as usize);
-                for (k, &u) in adj.row_indices(v as usize).iter().enumerate() {
+                for (k, u) in adj.row(v as usize).iter().enumerate() {
                     let a = weights.at(k, u);
                     let ui = level.binary_search(&u).expect("source in the field");
                     for (dst, &s) in row.iter_mut().zip(&combined[ui * w_out..][..w_out]) {
@@ -944,11 +941,16 @@ mod tests {
             );
             assert!(chunks_of(adj.as_ref(), &mixed) >= 4, "{kind:?} mixed");
             assert_eq!(chunks_of(adj.as_ref(), &[small]), 1, "{kind:?} small");
+            // The live-graph view merges each self-loop in while reading;
+            // the stored CSR holds it as a column. Same sums, same bits.
+            let graph = Arc::new(DynamicGraph::from_graph(d.graph.clone()));
+            let view = DynAdjacency::build(&graph, kind.aggregator(1));
             for (targets, what) in [
                 (vec![hub], "hub"),
                 (mixed, "mixed batch"),
                 (vec![small], "sub-chunk field"),
             ] {
+                let what = format!("{kind:?} {what}");
                 assert_matches_whole_level(
                     &packed,
                     &store,
@@ -956,7 +958,26 @@ mod tests {
                     &targets,
                     &mut bits_of,
                     &mut arena,
-                    &format!("{kind:?} {what}"),
+                    &what,
+                );
+                assert_bit_exact(
+                    &logits(
+                        &packed,
+                        &store,
+                        &view,
+                        &targets,
+                        &mut bits_of,
+                        KernelMode::Blocked,
+                    ),
+                    &logits(
+                        &packed,
+                        &store,
+                        adj.as_ref(),
+                        &targets,
+                        &mut bits_of,
+                        KernelMode::Blocked,
+                    ),
+                    &format!("{what}: view vs CSR"),
                 );
             }
         }

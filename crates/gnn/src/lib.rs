@@ -30,7 +30,9 @@ pub mod kernel;
 pub mod model;
 pub mod train;
 
-pub use adjacency::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency, RowWeights};
+pub use adjacency::{
+    build_adjacency, AdjacencyRow, AdjacencyView, AggregatorKind, DynAdjacency, RowWeights,
+};
 pub use infer::ReceptiveField;
 pub use kernel::{
     forward_targets_packed_with_field, KernelArena, KernelMode, PackedGnn, QuantizedLayer,

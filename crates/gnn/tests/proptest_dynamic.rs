@@ -3,6 +3,8 @@
 //! [`DynAdjacency`] is bit-exact with [`build_adjacency`] rebuilt from
 //! scratch on the final graph — for every aggregator kind.
 
+use std::sync::Arc;
+
 use mega_gnn::{build_adjacency, AdjacencyView, AggregatorKind, DynAdjacency};
 use mega_graph::{DynamicGraph, Graph, GraphDelta, NodeId};
 use proptest::prelude::*;
@@ -35,7 +37,7 @@ fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
 /// Builds deltas from raw ops in chunks of `chunk`, applying each to the
 /// graph + incremental adjacency. Returns the number of deltas applied.
 fn apply_raw_ops(
-    dg: &mut DynamicGraph,
+    dg: &mut Arc<DynamicGraph>,
     adj: &mut DynAdjacency,
     ops: &[(u8, u32, u32)],
     chunk: usize,
@@ -70,8 +72,7 @@ fn apply_raw_ops(
                 }
             }
         }
-        let effect = dg.apply(&delta).expect("ops valid by construction");
-        adj.apply(dg, &effect);
+        adj.apply(dg, &delta).expect("ops valid by construction");
         deltas += 1;
     }
     deltas
@@ -88,7 +89,7 @@ proptest! {
     ) {
         for kind in KINDS {
             let start = Graph::from_directed_edges(n, edges.clone());
-            let mut dg = DynamicGraph::from_graph(start.clone());
+            let mut dg = Arc::new(DynamicGraph::from_graph(start.clone()));
             let mut adj = DynAdjacency::build(&dg, kind);
             apply_raw_ops(&mut dg, &mut adj, &ops, chunk);
             let rebuilt = build_adjacency(&dg.to_graph(), kind);
@@ -105,10 +106,10 @@ proptest! {
     ) {
         let start = Graph::from_directed_edges(n, edges);
         let kind = AggregatorKind::GcnSymmetric;
-        let mut fine_g = DynamicGraph::from_graph(start.clone());
+        let mut fine_g = Arc::new(DynamicGraph::from_graph(start.clone()));
         let mut fine_a = DynAdjacency::build(&fine_g, kind);
         apply_raw_ops(&mut fine_g, &mut fine_a, &ops, 1);
-        let mut coarse_g = DynamicGraph::from_graph(start);
+        let mut coarse_g = Arc::new(DynamicGraph::from_graph(start));
         let mut coarse_a = DynAdjacency::build(&coarse_g, kind);
         apply_raw_ops(&mut coarse_g, &mut coarse_a, &ops, ops.len());
         prop_assert_eq!(fine_g, coarse_g);
@@ -124,7 +125,7 @@ proptest! {
         chunk in 1..6usize,
     ) {
         let start = Graph::from_directed_edges(n, edges);
-        let mut dg = DynamicGraph::from_graph(start);
+        let mut dg = Arc::new(DynamicGraph::from_graph(start));
         let mut adj = DynAdjacency::build(&dg, AggregatorKind::GinSum);
         apply_raw_ops(&mut dg, &mut adj, &ops, chunk);
         let frozen = dg.to_graph();
@@ -146,7 +147,7 @@ fn single_insert_touches_only_affected_rows() {
     let spec = mega_graph::DatasetSpec::cora().scaled(0.3);
     let graph = spec.materialize().graph;
     let n = graph.num_nodes();
-    let mut dg = DynamicGraph::from_graph(graph.clone());
+    let mut dg = Arc::new(DynamicGraph::from_graph(graph.clone()));
 
     // GCN: dirty set is {dst} ∪ out_neighbors(dst).
     let mut adj = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
@@ -155,8 +156,7 @@ fn single_insert_touches_only_affected_rows() {
     let expected = 1 + dg.out_degree(dst as usize);
     let mut delta = GraphDelta::new();
     delta.insert_edge(src, dst);
-    let effect = dg.apply(&delta).unwrap();
-    let refreshed = adj.apply(&dg, &effect);
+    let refreshed = adj.apply(&mut dg, &delta).unwrap().1.len();
     assert_eq!(refreshed, expected);
     assert_eq!(adj.rows_refreshed(), expected as u64);
     assert!(
@@ -172,12 +172,12 @@ fn single_insert_touches_only_affected_rows() {
             seed: 1,
         },
     ] {
-        let mut dg2 = DynamicGraph::from_graph(graph.clone());
+        let mut dg2 = Arc::new(DynamicGraph::from_graph(graph.clone()));
         let mut adj2 = DynAdjacency::build(&dg2, kind);
         let mut delta = GraphDelta::new();
         delta.insert_edge(src, dst);
-        let effect = dg2.apply(&delta).unwrap();
-        assert_eq!(adj2.apply(&dg2, &effect), 1, "{kind:?}");
+        let (_, dirty) = adj2.apply(&mut dg2, &delta).unwrap();
+        assert_eq!(dirty, vec![dst], "{kind:?}");
     }
 }
 
@@ -192,7 +192,7 @@ fn gcn_weights_follow_a_column_degree_change() {
         .materialize()
         .graph;
     let n = graph.num_nodes() as NodeId;
-    let mut dg = DynamicGraph::from_graph(graph);
+    let mut dg = Arc::new(DynamicGraph::from_graph(graph));
     let kind = AggregatorKind::GcnSymmetric;
     let mut adj = DynAdjacency::build(&dg, kind);
     let d = (0..n)
@@ -202,21 +202,16 @@ fn gcn_weights_follow_a_column_degree_change() {
     let src = (0..n)
         .find(|&s| s != d && s != r && !dg.has_edge(s, d))
         .expect("an absent in-edge of d");
-    let columns = adj.row_indices(r as usize).to_vec();
+    let columns: Vec<NodeId> = adj.row(r as usize).iter().collect();
     let k = columns.binary_search(&d).expect("r reads d");
     let old = adj.row_weights(r as usize).at(k, d);
 
     let mut delta = GraphDelta::new();
     delta.insert_edge(src, d);
-    let effect = dg.apply(&delta).unwrap();
-    assert_eq!(
-        effect.rows_changed,
-        vec![d],
-        "r's columns are not rewritten"
-    );
-    let dirty = adj.apply_dirty(&dg, &effect);
+    let (effect, dirty) = adj.apply(&mut dg, &delta).unwrap();
+    assert_eq!(effect.rows_changed, vec![d], "r's in-list is unchanged");
     assert!(dirty.contains(&r), "r is still reported dirty");
-    assert_eq!(adj.row_indices(r as usize), columns.as_slice());
+    assert_eq!(adj.row(r as usize).iter().collect::<Vec<_>>(), columns);
 
     let inv_sqrt = |v: NodeId| 1.0 / ((dg.in_degree(v as usize) + 1) as f32).sqrt();
     let new = adj.row_weights(r as usize).at(k, d);

@@ -4,7 +4,7 @@
 //! membership check — sound exactly when:
 //!
 //! 1. every per-level `needed` list is sorted ascending and deduplicated,
-//! 2. every aggregation source (`row_indices` of a level-`l+1` node) is
+//! 2. every aggregation source (the `row` of a level-`l+1` node) is
 //!    present in level `l`, and
 //! 3. the requested targets are exactly the last level (sorted, deduped).
 
@@ -62,7 +62,7 @@ fn assert_field_invariants<A: AdjacencyView + ?Sized>(
     for l in 0..layers {
         let level = &field.needed[l];
         for &v in &field.needed[l + 1] {
-            for &u in adjacency.row_indices(v as usize) {
+            for u in adjacency.row(v as usize).iter() {
                 prop_assert!(
                     level.binary_search(&u).is_ok(),
                     "source {} of node {} missing from level {}",

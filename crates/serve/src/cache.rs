@@ -11,8 +11,9 @@
 //! Artifacts are no longer frozen at build time: each resident entry is a
 //! [`ModelEntry`] wrapping the artifacts in an `RwLock`, and
 //! [`ModelArtifacts::apply_delta`] advances them *incrementally* — graph
-//! mutation through [`DynamicGraph`], normalized-adjacency row refresh
-//! through [`DynAdjacency`], and re-quantization of exactly the feature
+//! mutation and normalized-adjacency refresh through one
+//! [`DynAdjacency::apply`] (the adjacency is a view over the live
+//! [`DynamicGraph`]), and re-quantization of exactly the feature
 //! rows whose degree tier moved. Readers (batch execution) and the single
 //! writer (an update) serialize on the lock, so a batch never observes a
 //! half-applied mutation and stale artifacts are never served.
@@ -30,7 +31,7 @@ use mega_gnn::{DynAdjacency, Gnn, ModelConfig, PackedGnn};
 use mega_graph::datasets::{Features, RowSynth};
 use mega_graph::{Dataset, DynamicGraph, GraphDelta, NodeId};
 use mega_partition::{influence_closure_with, Partitioning};
-use mega_quant::quantizer::{dequantize, fake_quantize, qmax, quantize};
+use mega_quant::quantizer::{qmax, quantize};
 use mega_quant::DegreePolicy;
 
 use crate::logits::LogitsCache;
@@ -150,10 +151,14 @@ pub struct ModelArtifacts {
     /// execute against it and [`ModelArtifacts::apply_delta`] keeps it
     /// current.
     pub packed_features: TierPackedFeatures,
-    /// Live topology under mutation.
-    pub graph: DynamicGraph,
-    /// Normalized adjacency `Ã` (rows = destinations), incrementally
-    /// maintained.
+    /// Live topology under mutation, shared with [`Self::adjacency`] (the
+    /// only other handle). [`DynAdjacency::apply`] is the one place it
+    /// changes.
+    pub graph: Arc<DynamicGraph>,
+    /// Normalized adjacency `Ã` (rows = destinations): a view over
+    /// [`Self::graph`]'s in-lists plus what the graph cannot give it
+    /// (GCN's `1/sqrt(d̂)`, GraphSAGE's chosen lists of rows above the
+    /// sample size).
     pub adjacency: DynAdjacency,
     /// Unquantized source rows for re-quantization when a node changes
     /// tier — resident, regenerated on demand, or discarded depending on
@@ -203,24 +208,12 @@ fn place_next_node(graph: &DynamicGraph, partitioning: &mut Partitioning) {
     partitioning.push_balanced(&neighbor_parts);
 }
 
-/// Symmetric per-row fake quantization with a dynamic scale
-/// (`α = max|x| / qmax`). Deterministic in the row contents alone, which is
-/// what keeps batched and sequential execution bit-exact.
-pub fn quantize_row(row: &mut [f32], bits: u8) {
-    let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-    if max_abs == 0.0 {
-        return;
-    }
-    let alpha = max_abs / qmax(bits) as f32;
-    for x in row.iter_mut() {
-        *x = fake_quantize(*x, alpha, bits);
-    }
-}
-
-/// [`quantize_row`] that also yields the integer levels and scale for the
-/// packed mirror — one quantization pass feeds both representations, so
-/// the f32 row and the bit-plane row cannot drift apart.
-fn quantize_row_with_levels(row: &mut [f32], bits: u8, levels: &mut Vec<i32>) -> f32 {
+/// Symmetric per-row quantization with a dynamic scale
+/// (`α = max|x| / qmax`): the integer levels of `row` at `bits` into
+/// `levels`, and `α` returned (0 for an all-zero row). Deterministic in the
+/// row contents alone, which is what keeps batched and sequential
+/// execution bit-exact.
+fn quantize_row_with_levels(row: &[f32], bits: u8, levels: &mut Vec<i32>) -> f32 {
     levels.clear();
     let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     if max_abs == 0.0 {
@@ -228,11 +221,7 @@ fn quantize_row_with_levels(row: &mut [f32], bits: u8, levels: &mut Vec<i32>) ->
         return 0.0;
     }
     let alpha = max_abs / qmax(bits) as f32;
-    for x in row.iter_mut() {
-        let level = quantize(*x, alpha, bits);
-        levels.push(level);
-        *x = dequantize(level, alpha);
-    }
+    levels.extend(row.iter().map(|&x| quantize(x, alpha, bits)));
     alpha
 }
 
@@ -270,7 +259,7 @@ impl ModelArtifacts {
         for (v, &node_bits) in bits.iter().enumerate().take(dataset.graph.num_nodes()) {
             dataset.fill_row(v, &mut scratch);
             let input_bits = if input_follows_degree { node_bits } else { 1 };
-            let alpha = quantize_row_with_levels(&mut scratch, input_bits, &mut levels);
+            let alpha = quantize_row_with_levels(&scratch, input_bits, &mut levels);
             packed_features.push_row(&levels, input_bits, alpha);
         }
         // Keep unquantized sources only where re-tiering can actually
@@ -297,10 +286,10 @@ impl ModelArtifacts {
         // The live topology is `graph`: the frozen CSR's index vectors move
         // into it, and an empty graph takes the snapshot's place, so it can
         // neither waste memory nor serve stale degrees after mutations.
-        let graph = DynamicGraph::from_graph(std::mem::replace(
+        let graph = Arc::new(DynamicGraph::from_graph(std::mem::replace(
             &mut dataset.graph,
             mega_graph::Graph::from_directed_edges(0, vec![]),
-        ));
+        )));
         let adjacency = DynAdjacency::build(&graph, spec.kind.aggregator(spec.dataset.seed));
 
         // Build is growth replayed from empty: every node streams into its
@@ -381,7 +370,11 @@ impl ModelArtifacts {
                 row.len()
             ));
         }
-        let effect = self.graph.apply(delta).map_err(|e| e.to_string())?;
+        let (effect, adjacency_dirty) = self
+            .adjacency
+            .apply(&mut self.graph, delta)
+            .map_err(|e| e.to_string())?;
+        let dirty_rows = adjacency_dirty.len();
 
         // Grow per-node state for added nodes. Quantized rows and
         // bits/tiers are finalized in the re-tier pass below (an added
@@ -406,9 +399,6 @@ impl ModelArtifacts {
             self.packed_features.push_empty(1);
             place_next_node(&self.graph, &mut self.partitioning);
         }
-
-        let adjacency_dirty = self.adjacency.apply_dirty(&self.graph, &effect);
-        let dirty_rows = adjacency_dirty.len();
 
         // Re-tier every node whose in-degree changed, plus the added nodes.
         // `feature_dirty` collects the nodes whose *quantized feature row*
@@ -457,7 +447,7 @@ impl ModelArtifacts {
                     debug_assert!(resolved, "re-tier without a raw feature source");
                 }
                 let mut levels = Vec::with_capacity(dim);
-                let alpha = quantize_row_with_levels(&mut scratch, input_bits, &mut levels);
+                let alpha = quantize_row_with_levels(&scratch, input_bits, &mut levels);
                 self.packed_features.set_row(vu, &levels, input_bits, alpha);
                 feature_dirty.push(v);
             }
@@ -833,22 +823,6 @@ mod tests {
         let reference =
             build_adjacency(&a.graph.to_graph(), spec.kind.aggregator(spec.dataset.seed));
         assert_eq!(a.adjacency.to_csr(), *reference);
-    }
-
-    #[test]
-    fn quantize_row_is_idempotent_and_bounded() {
-        let mut row = vec![0.5f32, -1.5, 0.0, 3.2];
-        quantize_row(&mut row, 4);
-        let once = row.clone();
-        quantize_row(&mut row, 4);
-        // Levels stay on the same grid after requantization.
-        for (a, b) in once.iter().zip(&row) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        assert_eq!(row[2], 0.0);
-        let mut zeros = vec![0.0f32; 4];
-        quantize_row(&mut zeros, 2);
-        assert!(zeros.iter().all(|&x| x == 0.0));
     }
 
     #[test]

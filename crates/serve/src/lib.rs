@@ -54,8 +54,9 @@
 //! routes a [`mega_graph::GraphDelta`] (edge upserts/removals, node
 //! adds/isolations) through the same scheduler→worker path as inference.
 //! The worker applies it incrementally — [`mega_graph::DynamicGraph`]
-//! mutation, [`mega_gnn::DynAdjacency`] row refresh for only the dirtied
-//! rows, and degree re-tiering that re-quantizes only the nodes whose
+//! mutation through [`mega_gnn::DynAdjacency::apply`], which refreshes
+//! only what the adjacency owns for the dirtied rows (it reads its columns
+//! from the graph), and degree re-tiering that re-quantizes only the nodes whose
 //! in-degree crossed a policy boundary — so a node's served bitwidth
 //! tracks its live degree (a promoted hub is answered at more bits on the
 //! very next batch).

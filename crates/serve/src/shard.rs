@@ -83,7 +83,8 @@ pub fn estimate_batch_hw(
     let dense_of = |v: NodeId| nodes.binary_search(&v).expect("field node") as u32;
 
     // Edges: the aggregation rows the pass actually reads (levels >= 1),
-    // minus self-loops (the normalized adjacency adds its own).
+    // explicit columns only: the self-loop is implicit in every row, and
+    // the normalized adjacency adds its own.
     let mut agg_rows: Vec<NodeId> = field.needed[1..].concat();
     agg_rows.sort_unstable();
     agg_rows.dedup();
@@ -91,10 +92,8 @@ pub fn estimate_batch_hw(
     let mut edges = Vec::new();
     for &v in &agg_rows {
         let dv = dense_of(v);
-        for &u in adjacency.row_indices(v as usize) {
-            if u != v {
-                edges.push((dense_of(u), dv));
-            }
+        for &u in adjacency.row(v as usize).columns() {
+            edges.push((dense_of(u), dv));
         }
     }
     let graph = std::rc::Rc::new(mega_graph::Graph::from_directed_edges(nodes.len(), edges));
@@ -156,7 +155,7 @@ mod tests {
     /// 2->3 and 5->0.
     fn fixture() -> ModelArtifacts {
         let g = Graph::from_directed_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5), (2, 3), (5, 0)]);
-        let graph = DynamicGraph::from_graph(g);
+        let graph = std::sync::Arc::new(DynamicGraph::from_graph(g));
         let adjacency = DynAdjacency::build(&graph, AggregatorKind::GcnSymmetric);
         let mut packed_features = TierPackedFeatures::new(2);
         for v in 0..6i32 {

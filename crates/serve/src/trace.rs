@@ -482,9 +482,10 @@ pub struct ModelMemory {
     /// only for dense datasets; synth class tables + delta overlay for
     /// streaming ones; zero for 1-bit inputs.
     pub raw_features_bytes: usize,
-    /// Global incremental adjacency (`Ã`) heap bytes: the capacities of
-    /// its flat column rows and (GCN) its `1/sqrt(d̂)` vector. Weights are
-    /// computed from degrees, so none are stored.
+    /// Heap bytes the normalized adjacency (`Ã`) owns: (GCN) its
+    /// `1/sqrt(d̂)` vector and (GraphSAGE) the chosen lists of rows above
+    /// the sample size. Its columns are reads of the live graph, which is
+    /// not counted here, and its weights are computed from degrees.
     pub adjacency_bytes: usize,
     /// Per-shard state. Shards are views over the global structures, so
     /// this is 0; the field stays so existing readers keep compiling.

@@ -1,8 +1,9 @@
-//! The adjacency's memory ratchet: at `synth:50k` under GCN the counted
-//! adjacency stays at most 64 B per node (a 12-byte row span, 4 bytes per
-//! column, 4 bytes of `1/sqrt(d̂)`), after build and after single-edge
-//! inserts, so per-row vectors or stored weights cannot creep back.
-//! Release-only: the `synth:50k` build is too slow for debug codegen.
+//! The adjacency's memory ratchet: at `synth:50k` the counted adjacency is
+//! at most 4 B per node under GCN (its `1/sqrt(d̂)`) and exactly 0 under
+//! GIN, after build and after single-edge inserts. Every column is a read
+//! of the live graph's in-lists, so stored columns, per-row vectors or
+//! stored weights cannot creep back. Release-only: the `synth:50k` build
+//! is too slow for debug codegen.
 
 #![cfg(not(debug_assertions))]
 
@@ -12,21 +13,20 @@ use mega_serve::{ModelArtifacts, ModelSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const MAX_ADJACENCY_BYTES_PER_NODE: f64 = 64.0;
-
 fn adjacency_bytes_per_node(artifacts: &ModelArtifacts) -> f64 {
     let memory = artifacts.resident_bytes();
     memory.adjacency_bytes as f64 / memory.nodes as f64
 }
 
-#[test]
-fn adjacency_stays_within_64_bytes_per_node() {
-    let spec = ModelSpec::standard(DatasetSpec::synth(50_000), GnnKind::Gcn);
+/// Builds `kind` at `synth:50k`, checks the bound, inserts 200 random new
+/// edges one delta at a time, and checks it again.
+fn assert_adjacency_within(kind: GnnKind, max_bytes_per_node: f64) {
+    let spec = ModelSpec::standard(DatasetSpec::synth(50_000), kind);
     let mut artifacts = ModelArtifacts::build(&spec);
     let built = adjacency_bytes_per_node(&artifacts);
     assert!(
-        built <= MAX_ADJACENCY_BYTES_PER_NODE,
-        "after build: {built:.2} B/node"
+        built <= max_bytes_per_node,
+        "{kind:?} after build: {built:.2} B/node"
     );
     let n = artifacts.num_nodes() as NodeId;
     let mut rng = StdRng::seed_from_u64(5);
@@ -43,7 +43,17 @@ fn adjacency_stays_within_64_bytes_per_node() {
     }
     let churned = adjacency_bytes_per_node(&artifacts);
     assert!(
-        churned <= MAX_ADJACENCY_BYTES_PER_NODE,
-        "after {inserted} inserts: {churned:.2} B/node (built: {built:.2})"
+        churned <= max_bytes_per_node,
+        "{kind:?} after {inserted} inserts: {churned:.2} B/node (built: {built:.2})"
     );
+}
+
+#[test]
+fn gcn_adjacency_stays_within_4_bytes_per_node() {
+    assert_adjacency_within(GnnKind::Gcn, 4.0);
+}
+
+#[test]
+fn gin_adjacency_owns_nothing() {
+    assert_adjacency_within(GnnKind::Gin, 0.0);
 }
