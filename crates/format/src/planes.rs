@@ -687,19 +687,45 @@ impl Arena {
     }
 }
 
-/// Where one row lives: its bitwidth selects the arena, `slot` the slice
-/// inside it.
+/// Where one row lives, in 8 bytes: its bitwidth selects the arena and
+/// its slot index the slice inside it, packed into one `u32` as
+/// `slot << 3 | (bits - 1)`, beside the row's scale.
 #[derive(Debug, Clone, Copy)]
 struct RowSlot {
-    bits: u8,
-    slot: u32,
+    packed: u32,
     alpha: f32,
 }
 
+/// Bits of [`RowSlot::packed`] holding `bits - 1` (bitwidths 1..=8).
+const BITS_FIELD: u32 = 3;
+
+impl RowSlot {
+    fn new(bits: u8, slot: u32, alpha: f32) -> Self {
+        debug_assert!((1..=MAX_PLANE_BITS).contains(&bits));
+        assert!(
+            slot < 1 << (32 - BITS_FIELD),
+            "arena slot {slot} exceeds 2^29 rows per bitwidth"
+        );
+        Self {
+            packed: slot << BITS_FIELD | u32::from(bits - 1),
+            alpha,
+        }
+    }
+
+    fn bits(self) -> u8 {
+        (self.packed & ((1 << BITS_FIELD) - 1)) as u8 + 1
+    }
+
+    fn slot(self) -> u32 {
+        self.packed >> BITS_FIELD
+    }
+}
+
 /// The packed-at-rest feature store: per-bitwidth tier-contiguous arenas
-/// plus per-row `(bits, slot, α)` metadata. This is what the serving
-/// engine keeps resident instead of dequantized `f32` rows — ~`bits/32` of
-/// the dense footprint — and what the bit-plane kernels read directly.
+/// plus 8 bytes of per-row `(bits, slot, α)` metadata. This is what the
+/// serving engine keeps resident instead of dequantized `f32` rows —
+/// ~`bits/32` of the dense footprint — and what the bit-plane kernels read
+/// directly.
 pub struct TierPackedFeatures {
     dim: usize,
     arenas: Vec<Arena>,
@@ -751,7 +777,7 @@ impl TierPackedFeatures {
             bits,
             &mut arena.words[slot as usize * span..][..span],
         );
-        self.rows.push(RowSlot { bits, slot, alpha });
+        self.rows.push(RowSlot::new(bits, slot, alpha));
         self.rows.len() - 1
     }
 
@@ -762,11 +788,7 @@ impl TierPackedFeatures {
         let slot = arena.alloc();
         let span = arena.slot;
         arena.words[slot as usize * span..][..span].fill(0);
-        self.rows.push(RowSlot {
-            bits,
-            slot,
-            alpha: 0.0,
-        });
+        self.rows.push(RowSlot::new(bits, slot, 0.0));
         self.rows.len() - 1
     }
 
@@ -776,10 +798,10 @@ impl TierPackedFeatures {
     pub fn set_row(&mut self, row: usize, levels: &[i32], bits: u8, alpha: f32) {
         assert_eq!(levels.len(), self.dim, "row width mismatch");
         let old = self.rows[row];
-        let slot = if old.bits == bits {
-            old.slot
+        let slot = if old.bits() == bits {
+            old.slot()
         } else {
-            self.arenas[(old.bits - 1) as usize].free.push(old.slot);
+            self.arenas[(old.bits() - 1) as usize].free.push(old.slot());
             self.arenas[(bits - 1) as usize].alloc()
         };
         let arena = &mut self.arenas[(bits - 1) as usize];
@@ -789,18 +811,19 @@ impl TierPackedFeatures {
             bits,
             &mut arena.words[slot as usize * span..][..span],
         );
-        self.rows[row] = RowSlot { bits, slot, alpha };
+        self.rows[row] = RowSlot::new(bits, slot, alpha);
     }
 
     /// The packed row `row`: the slice of its tier's arena plus its bitwidth
     /// and scale.
     pub fn plane_row(&self, row: usize) -> PlaneRow<'_> {
         let r = self.rows[row];
-        let arena = &self.arenas[(r.bits - 1) as usize];
+        let bits = r.bits();
+        let arena = &self.arenas[(bits - 1) as usize];
         let span = arena.slot;
         PlaneRow {
-            words: &arena.words[r.slot as usize * span..][..span],
-            bits: r.bits,
+            words: &arena.words[r.slot() as usize * span..][..span],
+            bits,
             alpha: r.alpha,
         }
     }
@@ -993,9 +1016,26 @@ mod tests {
     }
 
     #[test]
-    fn row_metadata_stays_twelve_bytes() {
+    fn row_metadata_stays_eight_bytes() {
         // `resident_bytes` charges this per row: bits, slot, and alpha.
-        assert_eq!(std::mem::size_of::<RowSlot>(), 12);
+        assert_eq!(std::mem::size_of::<RowSlot>(), 8);
+    }
+
+    #[test]
+    fn row_slots_round_trip_every_bitwidth_and_the_largest_slot() {
+        let top = (1u32 << 29) - 1;
+        for bits in 1..=MAX_PLANE_BITS {
+            for slot in [0, 1, 12_345, top] {
+                let r = RowSlot::new(bits, slot, 0.5);
+                assert_eq!((r.bits(), r.slot(), r.alpha), (bits, slot, 0.5));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^29")]
+    fn row_slots_reject_a_slot_past_29_bits() {
+        let _ = RowSlot::new(3, 1 << 29, 1.0);
     }
 
     #[test]

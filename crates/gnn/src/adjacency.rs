@@ -9,9 +9,10 @@
 //! in-lists and merges the self-loop in while iterating
 //! ([`AdjacencyRow::get`]), and [`AdjacencyView::row_weights`] hands the
 //! forward pass a [`RowWeights`] that evaluates the same `f32` expression
-//! [`build_adjacency`] stores, bit for bit. Per node it owns four bytes of
-//! `1/sqrt(d̂)` under GCN and nothing under GIN; GraphSAGE keeps the chosen
-//! lists of the rows whose in-degree exceeds the sample size.
+//! [`build_adjacency`] stores, bit for bit. It owns nothing per node under
+//! GCN (each `1/sqrt(d̂)` is computed from the live in-degree) or GIN;
+//! GraphSAGE keeps the chosen lists of the rows whose in-degree exceeds the
+//! sample size.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -113,13 +114,14 @@ pub enum RowWeights<'a> {
     Explicit(&'a [f32]),
     /// One weight for every column (GIN: `1`; GraphSAGE: `1 / len`).
     Uniform(f32),
-    /// GCN symmetric normalization: column `c` weighs `dst · src[c]`,
-    /// where `src` holds every node's `1/sqrt(d̂)` and `dst` is the row's.
+    /// GCN symmetric normalization: column `c` weighs
+    /// `dst · 1/sqrt(d̂_c)`, where `dst` is the row's own `1/sqrt(d̂)` and
+    /// `d̂_c` is one more than `c`'s in-degree in `graph`.
     Symmetric {
         /// The row's own `1/sqrt(d̂)`.
         dst: f32,
-        /// `1/sqrt(d̂)` of every node, indexed by column id.
-        src: &'a [f32],
+        /// The live graph, whose in-degrees give every column's factor.
+        graph: &'a DynamicGraph,
     },
 }
 
@@ -130,7 +132,9 @@ impl RowWeights<'_> {
         match *self {
             RowWeights::Explicit(values) => values[k],
             RowWeights::Uniform(w) => w,
-            RowWeights::Symmetric { dst, src } => dst * src[col as usize],
+            RowWeights::Symmetric { dst, graph } => {
+                dst * gcn_inv_sqrt(graph.in_degree(col as usize))
+            }
         }
     }
 }
@@ -212,6 +216,7 @@ fn sage_sample(neighbors: &[NodeId], sample: usize, seed: u64, dst: NodeId) -> V
 }
 
 /// `1/sqrt(d̂)` with the self-loop degree `d̂ = in_degree + 1`.
+#[inline]
 fn gcn_inv_sqrt(in_degree: usize) -> f32 {
     1.0 / ((in_degree + 1) as f32).sqrt()
 }
@@ -258,22 +263,20 @@ pub fn build_adjacency(graph: &Graph, kind: AggregatorKind) -> Rc<CsrMatrix> {
 /// row `v` is `v`'s in-list in the [`DynamicGraph`] it shares, with the
 /// self-loop merged in by [`AdjacencyRow::get`], and its weights are
 /// computed from degrees ([`RowWeights`]). It owns only what the graph
-/// cannot give it: GCN's `1/sqrt(d̂)` per node, and GraphSAGE's chosen
-/// in-neighbors of the rows whose in-degree exceeds `sample`.
+/// cannot give it: GraphSAGE's chosen in-neighbors of the rows whose
+/// in-degree exceeds `sample` (nothing under GCN or GIN).
 ///
-/// [`DynAdjacency::apply`] mutates the shared graph and catches those up
-/// in `O(deg)` per changed row, and every row reads bit-exactly what
-/// [`build_adjacency`] would produce for the same graph (the incremental ==
-/// from-scratch equivalence the dynamic-graph property tests assert), so a
-/// [`DynAdjacency`] can serve the forward pass directly through
-/// [`AdjacencyView`].
+/// [`DynAdjacency::apply`] mutates the shared graph and catches those
+/// lists up in `O(deg)` per changed row, and every row reads bit-exactly
+/// what [`build_adjacency`] would produce for the same graph (the
+/// incremental == from-scratch equivalence the dynamic-graph property
+/// tests assert), so a [`DynAdjacency`] can serve the forward pass
+/// directly through [`AdjacencyView`].
 #[derive(Debug)]
 pub struct DynAdjacency {
     kind: AggregatorKind,
     /// The live topology, shared with its owner.
     graph: Arc<DynamicGraph>,
-    /// GCN only (empty otherwise): `1/sqrt(d̂)` of every node.
-    inv_sqrt: Vec<f32>,
     /// GraphSAGE only: the chosen in-neighbors of every row whose
     /// in-degree exceeds `sample`; the other rows read their in-list.
     sampled: HashMap<NodeId, Vec<NodeId>>,
@@ -289,13 +292,9 @@ impl DynAdjacency {
         let mut adj = Self {
             kind,
             graph: Arc::clone(graph),
-            inv_sqrt: Vec::new(),
             sampled: HashMap::new(),
             refreshed: 0,
         };
-        if matches!(kind, AggregatorKind::GcnSymmetric) {
-            adj.inv_sqrt = vec![0.0; n];
-        }
         for v in 0..n {
             adj.refresh_row(v as NodeId);
         }
@@ -352,9 +351,6 @@ impl DynAdjacency {
         self.graph = Arc::clone(graph);
         let effect = applied.expect("no third handle to the live graph")?;
 
-        if matches!(self.kind, AggregatorKind::GcnSymmetric) {
-            self.inv_sqrt.resize(self.graph.num_nodes(), 0.0);
-        }
         for &v in effect.rows_changed.iter().chain(&effect.added_nodes) {
             self.refresh_row(v);
         }
@@ -371,32 +367,25 @@ impl DynAdjacency {
         Ok((effect, dirty))
     }
 
-    /// Recomputes what the adjacency owns for row `v` from its in-list.
+    /// Recomputes what the adjacency owns for row `v` from its in-list:
+    /// GraphSAGE's chosen list (GCN and GIN own nothing).
     fn refresh_row(&mut self, v: NodeId) {
-        let neighbors = self.graph.in_neighbors(v as usize);
-        match self.kind {
-            AggregatorKind::GcnSymmetric => {
-                self.inv_sqrt[v as usize] = gcn_inv_sqrt(neighbors.len());
-            }
-            AggregatorKind::GinSum => {}
-            AggregatorKind::SageMean { sample, seed } => {
-                if neighbors.len() > sample {
-                    let chosen = sage_sample(neighbors, sample, seed, v);
-                    self.sampled.insert(v, chosen);
-                } else {
-                    self.sampled.remove(&v);
-                }
+        if let AggregatorKind::SageMean { sample, seed } = self.kind {
+            let neighbors = self.graph.in_neighbors(v as usize);
+            if neighbors.len() > sample {
+                let chosen = sage_sample(neighbors, sample, seed, v);
+                self.sampled.insert(v, chosen);
+            } else {
+                self.sampled.remove(&v);
             }
         }
     }
 
-    /// Heap bytes owned: the `1/sqrt(d̂)` vector and the GraphSAGE chosen
-    /// lists, for serving-side memory telemetry. The shared graph is not
-    /// counted.
+    /// Heap bytes owned: the GraphSAGE chosen lists, for serving-side
+    /// memory telemetry. The shared graph is not counted.
     pub fn approx_heap_bytes(&self) -> usize {
         let slot = std::mem::size_of::<(NodeId, Vec<NodeId>)>() + 1;
-        self.inv_sqrt.capacity() * std::mem::size_of::<f32>()
-            + self.sampled.capacity() * slot
+        self.sampled.capacity() * slot
             + self
                 .sampled
                 .values()
@@ -441,8 +430,8 @@ impl AdjacencyView for DynAdjacency {
     fn row_weights(&self, r: usize) -> RowWeights<'_> {
         match self.kind {
             AggregatorKind::GcnSymmetric => RowWeights::Symmetric {
-                dst: self.inv_sqrt[r],
-                src: &self.inv_sqrt,
+                dst: gcn_inv_sqrt(self.graph.in_degree(r)),
+                graph: &self.graph,
             },
             AggregatorKind::GinSum => RowWeights::Uniform(1.0),
             AggregatorKind::SageMean { sample, .. } => {
@@ -667,13 +656,13 @@ mod tests {
         assert_eq!(explicit.iter().collect::<Vec<_>>(), [0, 2]);
     }
 
-    /// The adjacency owns `1/sqrt(d̂)` under GCN and nothing under GIN:
-    /// every column is a read of the shared graph.
+    /// The adjacency owns nothing under GCN or GIN: every column is a read
+    /// of the shared graph, and every weight a function of its degrees.
     #[test]
     fn the_view_owns_only_what_the_graph_cannot_give() {
         let dg = dyn_diamond();
         let gcn = DynAdjacency::build(&dg, AggregatorKind::GcnSymmetric);
-        assert_eq!(gcn.approx_heap_bytes(), 4 * dg.num_nodes());
+        assert_eq!(gcn.approx_heap_bytes(), 0);
         let gin = DynAdjacency::build(&dg, AggregatorKind::GinSum);
         assert_eq!(gin.approx_heap_bytes(), 0);
     }

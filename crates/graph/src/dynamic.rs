@@ -197,13 +197,13 @@ impl DynamicGraph {
 
     /// Thaws a static [`Graph`] into mutable form. Each direction's CSR
     /// index vector moves into its [`RowStore`] as the entry vector
-    /// ([`RowStore::from_csr`]), so the neighbor ids are never copied and
-    /// only the offsets give way to row spans. A caller that still needs
-    /// the graph passes a clone.
+    /// ([`RowStore::from_csr`]), so the neighbor ids are never copied, and
+    /// the row spans are written over the offsets in their own buffer. A
+    /// caller that still needs the graph passes a clone.
     pub fn from_graph(graph: Graph) -> Self {
         fn thaw(csr: Csr) -> RowStore<NodeId> {
             let (offsets, indices) = csr.into_parts();
-            RowStore::from_csr(&offsets, indices)
+            RowStore::from_csr(offsets, indices)
         }
         let num_edges = graph.num_edges();
         let (csr, csc) = graph.into_parts();
@@ -235,6 +235,12 @@ impl DynamicGraph {
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
         self.num_edges
+    }
+
+    /// Heap bytes held by both directions' [`RowStore`]s
+    /// ([`RowStore::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.out.heap_bytes() + self.inn.heap_bytes()
     }
 
     /// Sorted out-neighbors of `v`.

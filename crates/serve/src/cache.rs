@@ -156,8 +156,8 @@ pub struct ModelArtifacts {
     /// changes.
     pub graph: Arc<DynamicGraph>,
     /// Normalized adjacency `Ã` (rows = destinations): a view over
-    /// [`Self::graph`]'s in-lists plus what the graph cannot give it
-    /// (GCN's `1/sqrt(d̂)`, GraphSAGE's chosen lists of rows above the
+    /// [`Self::graph`]'s in-lists, weighted from its degrees, plus what the
+    /// graph cannot give it (GraphSAGE's chosen lists of rows above the
     /// sample size).
     pub adjacency: DynAdjacency,
     /// Unquantized source rows for re-quantization when a node changes
@@ -166,8 +166,10 @@ pub struct ModelArtifacts {
     pub raw_features: RawFeatures,
     /// Per-node activation bitwidth from the degree-aware policy.
     pub bits: Vec<u8>,
-    /// Per-node precision tier (0 = fewest bits).
-    pub tiers: Vec<usize>,
+    /// Per-node precision tier (0 = fewest bits), one byte each: a policy
+    /// has at most 255 tiers ([`ModelArtifacts::build`] asserts it), and
+    /// `u8::MAX` marks an added node whose tier a delta has yet to set.
+    pub tiers: Vec<u8>,
     /// The k-way node-to-shard assignment: shard `p` owns the nodes of
     /// part `p` ([`ModelArtifacts::shard`]). Every node, at build and when
     /// a delta adds it, is placed by one streaming rule
@@ -240,9 +242,14 @@ impl ModelArtifacts {
             "{} materialized with neither dense features nor a row synthesizer; serving needs one",
             spec.dataset.name
         );
+        assert!(
+            spec.policy.num_tiers() <= usize::from(u8::MAX),
+            "a served policy has at most {} tiers",
+            u8::MAX
+        );
         let bits = spec.policy.profile(&dataset.graph);
-        let tiers: Vec<usize> = (0..dataset.graph.num_nodes())
-            .map(|v| spec.policy.tier_of_degree(dataset.graph.in_degree(v)))
+        let tiers: Vec<u8> = (0..dataset.graph.num_nodes())
+            .map(|v| spec.policy.tier_of_degree(dataset.graph.in_degree(v)) as u8)
             .collect();
 
         // Input features are constant between mutations, so quantize them
@@ -393,7 +400,7 @@ impl ModelArtifacts {
                 RawFeatures::Discarded => {}
             }
             self.bits.push(0);
-            self.tiers.push(usize::MAX);
+            self.tiers.push(u8::MAX);
             // Placeholder packed row keeps ids aligned; the re-tier pass
             // below rewrites it at the node's final bitwidth.
             self.packed_features.push_empty(1);
@@ -412,20 +419,20 @@ impl ModelArtifacts {
             let new_tier = self.policy.tier_of_degree(self.graph.in_degree(vu));
             let new_bits = self.policy.tier_bits(new_tier);
             let is_new = vu >= added_start;
-            let tier_changed = self.tiers[vu] != new_tier;
+            let tier_changed = usize::from(self.tiers[vu]) != new_tier;
             if !is_new && !tier_changed {
                 continue;
             }
             if !is_new {
                 retiered.push(Retier {
                     node: v,
-                    old_tier: self.tiers[vu],
+                    old_tier: usize::from(self.tiers[vu]),
                     new_tier,
                     old_bits: self.bits[vu],
                     new_bits,
                 });
             }
-            self.tiers[vu] = new_tier;
+            self.tiers[vu] = new_tier as u8;
             self.bits[vu] = new_bits;
             // Only degree-following inputs change representation with the
             // tier; bag-of-words inputs stay at 1 bit.
@@ -568,10 +575,13 @@ impl ModelArtifacts {
     }
 
     /// Approximate heap bytes these artifacts hold resident, split by
-    /// component (the structures that dominate a model's footprint:
-    /// feature matrices, the incremental adjacency, logits caches). Model
-    /// weights and per-node policy vectors are small by comparison and not
-    /// itemized. Shards are views and hold nothing, so `shard_bytes` is 0.
+    /// component: feature matrices, the incremental adjacency, logits
+    /// caches. Not itemized: the model weights; the live graph
+    /// ([`DynamicGraph::heap_bytes`]: an 8 B span per node and direction
+    /// plus 4 B per in- and out-entry, 96 B/node at `synth:100k`, nearly
+    /// three times the packed features); and 6 B per node of `bits`,
+    /// `tiers` and the partition assignment. Shards are views and hold nothing, so
+    /// `shard_bytes` is 0.
     /// Feeds `/metrics`' per-model gauges.
     pub fn resident_bytes(&self) -> crate::trace::ModelMemory {
         crate::trace::ModelMemory {
@@ -593,7 +603,7 @@ impl ModelArtifacts {
 
     /// The precision tier of `node`.
     pub fn node_tier(&self, node: NodeId) -> usize {
-        self.tiers[node as usize]
+        usize::from(self.tiers[node as usize])
     }
 }
 

@@ -993,7 +993,7 @@ fn render_metrics(engine: &ServeEngine, stats: &HttpStats) -> String {
     let models = engine.memory();
     if !models.is_empty() {
         out.push_str(
-            "# HELP mega_serve_model_resident_bytes Resident heap bytes per model component. adjacency: flat column rows (a 12 B span per node, 4 B per column) plus the GCN 1/sqrt(degree) vector, at vector capacity; weights are computed from degrees, not stored.\n\
+            "# HELP mega_serve_model_resident_bytes Resident heap bytes per model component. adjacency: the GraphSAGE sampled rows above the sample size (0 under GCN and GIN); columns are reads of the live graph and weights are computed from its degrees, neither stored.\n\
              # TYPE mega_serve_model_resident_bytes gauge\n",
         );
         for memory in &models {

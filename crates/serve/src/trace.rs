@@ -482,10 +482,10 @@ pub struct ModelMemory {
     /// only for dense datasets; synth class tables + delta overlay for
     /// streaming ones; zero for 1-bit inputs.
     pub raw_features_bytes: usize,
-    /// Heap bytes the normalized adjacency (`Ã`) owns: (GCN) its
-    /// `1/sqrt(d̂)` vector and (GraphSAGE) the chosen lists of rows above
-    /// the sample size. Its columns are reads of the live graph, which is
-    /// not counted here, and its weights are computed from degrees.
+    /// Heap bytes the normalized adjacency (`Ã`) owns: the GraphSAGE
+    /// chosen lists of rows above the sample size (0 under GCN and GIN).
+    /// Its columns are reads of the live graph, which is not counted here,
+    /// and its weights are computed from the graph's degrees.
     pub adjacency_bytes: usize,
     /// Per-shard state. Shards are views over the global structures, so
     /// this is 0; the field stays so existing readers keep compiling.

@@ -40,7 +40,7 @@ fn assert_equivalent_to_rebuild(artifacts: &ModelArtifacts, kind: GnnKind, seed:
     assert_eq!(artifacts.bits, expected_bits, "bits diverged from policy");
     for v in 0..artifacts.num_nodes() {
         assert_eq!(
-            artifacts.tiers[v],
+            artifacts.node_tier(v as NodeId),
             artifacts.policy.tier_of_degree(frozen.in_degree(v)),
             "tier of node {v}"
         );
