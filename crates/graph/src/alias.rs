@@ -46,27 +46,33 @@ impl AliasTable {
         let scale = n as f64 / total;
         let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
         let mut alias = vec![0u32; n];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
+        // Two stacks in one buffer: outcomes below 1 grow from the front,
+        // the rest from the back; together they never hold more than `n`.
+        let mut stacks = vec![0u32; n];
+        let (mut small, mut large) = (0, n);
         for (i, &p) in prob.iter().enumerate() {
             if p < 1.0 {
-                small.push(i as u32);
+                stacks[small] = i as u32;
+                small += 1;
             } else {
-                large.push(i as u32);
+                large -= 1;
+                stacks[large] = i as u32;
             }
         }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
+        while small > 0 && large < n {
+            small -= 1;
+            let (s, l) = (stacks[small], stacks[large]);
             alias[s as usize] = l;
             let leftover = prob[l as usize] + prob[s as usize] - 1.0;
             prob[l as usize] = leftover;
             if leftover < 1.0 {
-                large.pop();
-                small.push(l);
+                large += 1;
+                stacks[small] = l;
+                small += 1;
             }
         }
         // Numerical leftovers: anything still queued has probability ~1.
-        for &i in small.iter().chain(large.iter()) {
+        for &i in stacks[..small].iter().chain(&stacks[large..]) {
             prob[i as usize] = 1.0;
         }
         Self { prob, alias }

@@ -3,7 +3,8 @@
 //! A [`Csr`] stores one row per source node with sorted, deduplicated
 //! neighbor indices. Storing the transpose of a CSR yields the CSC view
 //! ([`Csr::transpose`]), which is how [`crate::Graph`] serves in-neighbor
-//! queries without a second format.
+//! queries without a second format — unless the CSR is symmetric
+//! ([`Csr::is_symmetric`]) and so its own transpose.
 
 use crate::{Coo, NodeId};
 
@@ -206,6 +207,17 @@ impl Csr {
         }
     }
 
+    /// Whether the matrix equals its transpose: it is square and every
+    /// stored `(row, col)` has its reverse `(col, row)` stored. Checked in
+    /// place, one binary search per entry, without allocating; rows must
+    /// be sorted and deduplicated.
+    pub fn is_symmetric(&self) -> bool {
+        self.num_rows == self.num_cols
+            && self
+                .iter_rows()
+                .all(|(r, row)| row.iter().all(|&c| self.contains(c as usize, r as NodeId)))
+    }
+
     /// Iterates `(row, neighbors)` pairs.
     pub fn iter_rows(&self) -> impl Iterator<Item = (usize, &[NodeId])> + '_ {
         (0..self.num_rows).map(move |r| (r, self.row(r)))
@@ -277,6 +289,20 @@ mod tests {
         assert!(csr.contains(0, 3));
         assert!(!csr.contains(0, 2));
         assert!(!csr.contains(2, 0));
+    }
+
+    #[test]
+    fn symmetry_needs_every_reverse_entry() {
+        assert!(!sample().is_symmetric());
+        let pairs = [(0, 1), (1, 0), (1, 3), (3, 1)];
+        assert!(Csr::from_edges(4, 4, &pairs).is_symmetric());
+        assert!(!Csr::from_edges(4, 4, &pairs[..3]).is_symmetric());
+        assert!(
+            !Csr::from_edges(4, 4, &pairs[1..]).is_symmetric(),
+            "an entry below the diagonal without its reverse"
+        );
+        assert!(Csr::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]).is_symmetric());
+        assert!(!Csr::from_edges(2, 3, &[]).is_symmetric(), "not square");
     }
 
     #[test]

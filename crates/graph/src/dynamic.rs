@@ -1,15 +1,19 @@
 //! Mutable graphs: [`DynamicGraph`] and the [`GraphDelta`] mutation batches
 //! applied to them.
 //!
-//! The static [`crate::Graph`] freezes adjacency into flat CSR/CSC arrays —
+//! The static [`crate::Graph`] freezes adjacency into flat CSR arrays —
 //! ideal for read-mostly kernels, but inserting one edge would shift `O(E)`
-//! indices. [`DynamicGraph`] keeps one sorted neighbor list per node in each
-//! direction instead, as rows of a [`RowStore`] (one flat entry vector with
-//! per-row slack), so an edge upsert or removal costs `O(deg)` for the two
-//! endpoints and nothing else. Downstream consumers (the incremental
-//! normalized adjacency in `mega-gnn`, degree re-tiering in `mega-serve`)
-//! key off the [`DeltaEffect`] an application returns: exactly which nodes
-//! gained or lost in-neighbors, so they can refresh only the affected rows.
+//! indices. [`DynamicGraph`] keeps one sorted in-neighbor list per node
+//! instead, as rows of a [`RowStore`] (one flat entry vector with per-row
+//! slack), so an edge upsert or removal costs `O(deg)` for the two
+//! endpoints and nothing else. Out-lists are stored only where they differ
+//! from in-lists: a node whose out-neighbors equal its in-neighbors (every
+//! node of a symmetric graph) reads its in-list for both, and any other
+//! node keeps an explicit out-list in a side store. Downstream consumers
+//! (the incremental normalized adjacency in `mega-gnn`, degree re-tiering
+//! in `mega-serve`) key off the [`DeltaEffect`] an application returns:
+//! exactly which nodes gained or lost in-neighbors, so they can refresh
+//! only the affected rows.
 //!
 //! Node *removal* is isolation: every incident edge is dropped but the id
 //! slot survives as a degree-zero node. Stable ids are what let a serving
@@ -29,7 +33,9 @@
 //! assert_eq!(effect.rows_changed, vec![1]);
 //! ```
 
-use crate::{Coo, Csr, Graph, NodeId, RowStore};
+use std::collections::HashMap;
+
+use crate::{Csr, Graph, NodeId, RowStore};
 
 /// One graph mutation inside a [`GraphDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +166,6 @@ pub struct DeltaEffect {
     /// Exactly these nodes changed in-degree; freshly added nodes appear
     /// only if the same delta also wired an in-edge to them.
     pub rows_changed: Vec<NodeId>,
-    /// Nodes whose *out*-neighbor set changed, sorted and deduplicated.
-    pub out_changed: Vec<NodeId>,
 }
 
 impl DeltaEffect {
@@ -171,17 +175,21 @@ impl DeltaEffect {
     }
 }
 
-/// A directed graph under mutation: one sorted neighbor list per node per
-/// direction, each direction one [`RowStore`].
+/// A directed graph under mutation: one sorted in-neighbor list per node in
+/// a [`RowStore`], and an explicit out-list only for the nodes whose
+/// out-neighbors differ from their in-neighbors.
 ///
-/// Neighbor lists are kept sorted ascending, matching the row order of
+/// A node is in the out-list side store exactly when its two lists differ;
+/// every update restores that, so equal graphs have equal stores. Neighbor
+/// lists are kept sorted ascending, matching the row order of
 /// [`crate::Csr`], so snapshots ([`DynamicGraph::to_graph`]) and row-level
 /// consumers see identical layouts to a from-scratch build. Equality
 /// compares neighbor lists, not how the stores laid them out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DynamicGraph {
-    out: RowStore<NodeId>,
     inn: RowStore<NodeId>,
+    /// The out-list of every node whose out-list differs from its in-list.
+    out: HashMap<NodeId, Vec<NodeId>>,
     num_edges: usize,
 }
 
@@ -195,21 +203,33 @@ impl DynamicGraph {
         g
     }
 
-    /// Thaws a static [`Graph`] into mutable form. Each direction's CSR
-    /// index vector moves into its [`RowStore`] as the entry vector
+    /// Thaws a static [`Graph`] into mutable form. The in-edge CSR's index
+    /// vector moves into the [`RowStore`] as the entry vector
     /// ([`RowStore::from_csr`]), so the neighbor ids are never copied, and
     /// the row spans are written over the offsets in their own buffer. A
-    /// caller that still needs the graph passes a clone.
+    /// symmetric graph keeps nothing else; a directed one copies the
+    /// out-list of each node whose lists differ. A caller that still needs
+    /// the graph passes a clone.
     pub fn from_graph(graph: Graph) -> Self {
-        fn thaw(csr: Csr) -> RowStore<NodeId> {
-            let (offsets, indices) = csr.into_parts();
-            RowStore::from_csr(offsets, indices)
-        }
         let num_edges = graph.num_edges();
         let (csr, csc) = graph.into_parts();
+        let Some(csc) = csc else {
+            let (offsets, indices) = csr.into_parts();
+            return Self {
+                inn: RowStore::from_csr(offsets, indices),
+                out: HashMap::new(),
+                num_edges,
+            };
+        };
+        let out = csr
+            .iter_rows()
+            .filter(|&(v, row)| row != csc.row(v))
+            .map(|(v, row)| (v as NodeId, row.to_vec()))
+            .collect();
+        let (offsets, indices) = csc.into_parts();
         Self {
-            out: thaw(csr),
-            inn: thaw(csc),
+            inn: RowStore::from_csr(offsets, indices),
+            out,
             num_edges,
         }
     }
@@ -218,18 +238,20 @@ impl DynamicGraph {
     /// rebuild, `O(V + E)` — for snapshots and equivalence tests, not the
     /// mutation hot path).
     pub fn to_graph(&self) -> Graph {
-        let mut coo = Coo::new(self.num_nodes());
-        for src in 0..self.num_nodes() {
-            for &dst in self.out.row(src) {
-                coo.push(src as NodeId, dst);
-            }
+        let n = self.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(self.num_edges);
+        offsets.push(0);
+        for v in 0..n {
+            indices.extend_from_slice(self.out_neighbors(v));
+            offsets.push(indices.len());
         }
-        Graph::from_coo(&coo)
+        Graph::from_csr(Csr::from_parts(n, n, offsets, indices))
     }
 
     /// Number of nodes (including isolated slots).
     pub fn num_nodes(&self) -> usize {
-        self.out.len()
+        self.inn.len()
     }
 
     /// Number of directed edges.
@@ -237,15 +259,30 @@ impl DynamicGraph {
         self.num_edges
     }
 
-    /// Heap bytes held by both directions' [`RowStore`]s
-    /// ([`RowStore::heap_bytes`]).
+    /// Heap bytes held: the in-lists' [`RowStore::heap_bytes`] plus
+    /// [`DynamicGraph::out_list_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.out.heap_bytes() + self.inn.heap_bytes()
+        self.inn.heap_bytes() + self.out_list_bytes()
+    }
+
+    /// Heap bytes of the out-list side store: its table slots (a key, a
+    /// `Vec` header and a control byte each) and the lists' capacities.
+    /// Zero for a graph whose every node has equal lists.
+    pub fn out_list_bytes(&self) -> usize {
+        self.out.capacity() * (std::mem::size_of::<(NodeId, Vec<NodeId>)>() + 1)
+            + self
+                .out
+                .values()
+                .map(|row| row.capacity() * std::mem::size_of::<NodeId>())
+                .sum::<usize>()
     }
 
     /// Sorted out-neighbors of `v`.
     pub fn out_neighbors(&self, v: usize) -> &[NodeId] {
-        self.out.row(v)
+        match self.out.get(&(v as NodeId)) {
+            Some(row) => row,
+            None => self.inn.row(v),
+        }
     }
 
     /// Sorted in-neighbors of `v`.
@@ -255,7 +292,7 @@ impl DynamicGraph {
 
     /// Out-degree of `v`.
     pub fn out_degree(&self, v: usize) -> usize {
-        self.out.row_len(v)
+        self.out_neighbors(v).len()
     }
 
     /// In-degree of `v`.
@@ -265,7 +302,7 @@ impl DynamicGraph {
 
     /// Whether the directed edge `(src, dst)` is present.
     pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        self.out_neighbors(src as usize).binary_search(&dst).is_ok()
+        self.in_neighbors(dst as usize).binary_search(&src).is_ok()
     }
 
     /// Inserts the directed edge `(src, dst)`. Returns `true` if the edge
@@ -277,15 +314,16 @@ impl DynamicGraph {
     /// [`DynamicGraph::apply`] for validated batches.
     pub fn insert_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
         assert_ne!(src, dst, "self-loop ({src}, {dst}) not allowed");
-        let Err(slot) = self.out_neighbors(src as usize).binary_search(&dst) else {
+        let Err(in_slot) = self.in_neighbors(dst as usize).binary_search(&src) else {
             return false;
         };
-        self.out.insert_at(src as usize, slot, dst);
-        let in_slot = self
-            .in_neighbors(dst as usize)
-            .binary_search(&src)
-            .expect_err("out/in lists diverged");
+        self.detach(dst);
+        let out = self.detach(src);
+        let slot = out.binary_search(&dst).expect_err("out/in lists diverged");
+        out.insert(slot, dst);
         self.inn.insert_at(dst as usize, in_slot, src);
+        self.reattach(src);
+        self.reattach(dst);
         self.num_edges += 1;
         true
     }
@@ -293,22 +331,22 @@ impl DynamicGraph {
     /// Removes the directed edge `(src, dst)`. Returns `true` if it was
     /// present. `O(deg)` for the two endpoints.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId) -> bool {
-        let Ok(slot) = self.out_neighbors(src as usize).binary_search(&dst) else {
+        let Ok(in_slot) = self.in_neighbors(dst as usize).binary_search(&src) else {
             return false;
         };
-        self.out.remove_at(src as usize, slot);
-        let in_slot = self
-            .in_neighbors(dst as usize)
-            .binary_search(&src)
-            .expect("out/in lists diverged");
+        self.detach(dst);
+        let out = self.detach(src);
+        let slot = out.binary_search(&dst).expect("out/in lists diverged");
+        out.remove(slot);
         self.inn.remove_at(dst as usize, in_slot);
+        self.reattach(src);
+        self.reattach(dst);
         self.num_edges -= 1;
         true
     }
 
     /// Appends a fresh isolated node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.out.push_row(&[]);
         self.inn.push_row(&[]);
         (self.num_nodes() - 1) as NodeId
     }
@@ -316,8 +354,12 @@ impl DynamicGraph {
     /// Drops every edge incident to `v`, keeping the id slot. Returns the
     /// number of edges removed.
     pub fn isolate_node(&mut self, v: NodeId) -> usize {
-        let outgoing = self.out_neighbors(v as usize).to_vec();
-        self.out.clear_row(v as usize);
+        let outgoing = self
+            .out
+            .remove(&v)
+            .unwrap_or_else(|| self.in_neighbors(v as usize).to_vec());
+        let incoming = self.in_neighbors(v as usize).to_vec();
+        self.inn.clear_row(v as usize);
         for &dst in &outgoing {
             let slot = self
                 .in_neighbors(dst as usize)
@@ -325,18 +367,40 @@ impl DynamicGraph {
                 .expect("out/in lists diverged");
             self.inn.remove_at(dst as usize, slot);
         }
-        let incoming = self.in_neighbors(v as usize).to_vec();
-        self.inn.clear_row(v as usize);
+        // A neighbor without its own out-list has `v` in both lists, and
+        // its in-list has just lost it; only explicit out-lists are left.
         for &src in &incoming {
-            let slot = self
-                .out_neighbors(src as usize)
-                .binary_search(&v)
-                .expect("out/in lists diverged");
-            self.out.remove_at(src as usize, slot);
+            if let Some(out) = self.out.get_mut(&src) {
+                let slot = out.binary_search(&v).expect("out/in lists diverged");
+                out.remove(slot);
+            }
+        }
+        for &u in outgoing.iter().chain(&incoming) {
+            self.reattach(u);
         }
         let dropped = outgoing.len() + incoming.len();
         self.num_edges -= dropped;
         dropped
+    }
+
+    /// `v`'s explicit out-list, first copied from its in-list if `v` has
+    /// none: called before an update makes `v`'s two lists differ.
+    fn detach(&mut self, v: NodeId) -> &mut Vec<NodeId> {
+        let inn = &self.inn;
+        self.out
+            .entry(v)
+            .or_insert_with(|| inn.row(v as usize).to_vec())
+    }
+
+    /// Drops `v`'s explicit out-list if it equals its in-list again.
+    fn reattach(&mut self, v: NodeId) {
+        if self
+            .out
+            .get(&v)
+            .is_some_and(|row| row[..] == *self.inn.row(v as usize))
+        {
+            self.out.remove(&v);
+        }
     }
 
     /// Validates `delta` against the current state without applying it.
@@ -380,14 +444,12 @@ impl DynamicGraph {
                     if self.insert_edge(s, d) {
                         effect.inserted += 1;
                         effect.rows_changed.push(d);
-                        effect.out_changed.push(s);
                     }
                 }
                 GraphOp::RemoveEdge(s, d) => {
                     if self.remove_edge(s, d) {
                         effect.removed += 1;
                         effect.rows_changed.push(d);
-                        effect.out_changed.push(s);
                     }
                 }
                 GraphOp::AddNode => {
@@ -395,30 +457,20 @@ impl DynamicGraph {
                 }
                 GraphOp::IsolateNode(v) => {
                     // Record before the lists are emptied: out-neighbors
-                    // lose an in-edge (their row changes); in-neighbors
-                    // lose an out-edge.
+                    // lose an in-edge, so their rows change.
                     effect
                         .rows_changed
                         .extend_from_slice(self.out_neighbors(v as usize));
-                    effect
-                        .out_changed
-                        .extend_from_slice(self.in_neighbors(v as usize));
                     let had_in = self.in_degree(v as usize) > 0;
-                    let had_out = self.out_degree(v as usize) > 0;
                     effect.removed += self.isolate_node(v);
                     if had_in {
                         effect.rows_changed.push(v);
-                    }
-                    if had_out {
-                        effect.out_changed.push(v);
                     }
                 }
             }
         }
         effect.rows_changed.sort_unstable();
         effect.rows_changed.dedup();
-        effect.out_changed.sort_unstable();
-        effect.out_changed.dedup();
         Ok(effect)
     }
 }
@@ -426,6 +478,9 @@ impl DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn diamond() -> DynamicGraph {
         // 0 → 1 → 3, 0 → 2 → 3
@@ -494,7 +549,6 @@ mod tests {
         assert_eq!(effect.removed, 1);
         assert_eq!(effect.added_nodes, vec![4]);
         assert_eq!(effect.rows_changed, vec![0, 3]);
-        assert_eq!(effect.out_changed, vec![2, 3]);
         assert_eq!(g.num_nodes(), 5);
         assert!(!effect.is_noop());
     }
@@ -539,31 +593,163 @@ mod tests {
         // 0 had no in-edges, so its own row is unchanged; rows of its
         // out-neighbors 1 and 2 lost an in-edge.
         assert_eq!(effect.rows_changed, vec![1, 2]);
-        assert_eq!(effect.out_changed, vec![0]);
         assert_eq!(effect.removed, 2);
+    }
+
+    /// The two-list reference: every edge `(src, dst)` in `out` and
+    /// reversed in `inn`.
+    #[derive(Default)]
+    struct Reference {
+        nodes: usize,
+        out: BTreeSet<(NodeId, NodeId)>,
+        inn: BTreeSet<(NodeId, NodeId)>,
+    }
+
+    impl Reference {
+        fn of(g: &Graph) -> Self {
+            let mut r = Self {
+                nodes: g.num_nodes(),
+                ..Self::default()
+            };
+            for (src, row) in g.csr().iter_rows() {
+                for &dst in row {
+                    r.insert(src as NodeId, dst);
+                }
+            }
+            r
+        }
+
+        fn insert(&mut self, src: NodeId, dst: NodeId) -> bool {
+            self.inn.insert((dst, src));
+            self.out.insert((src, dst))
+        }
+
+        fn remove(&mut self, src: NodeId, dst: NodeId) -> bool {
+            self.inn.remove(&(dst, src));
+            self.out.remove(&(src, dst))
+        }
+
+        fn list(set: &BTreeSet<(NodeId, NodeId)>, v: NodeId) -> Vec<NodeId> {
+            set.range((v, 0)..=(v, NodeId::MAX))
+                .map(|&(_, u)| u)
+                .collect()
+        }
+
+        fn random_edge(&self, rng: &mut StdRng) -> Option<(NodeId, NodeId)> {
+            let k = rng.gen_range(0..self.out.len().max(1));
+            self.out.iter().nth(k).copied()
+        }
+
+        /// Applies `op` and returns the nodes whose in-list changed.
+        fn apply(&mut self, op: GraphOp) -> BTreeSet<NodeId> {
+            let mut rows = BTreeSet::new();
+            match op {
+                GraphOp::InsertEdge(s, d) => {
+                    if self.insert(s, d) {
+                        rows.insert(d);
+                    }
+                }
+                GraphOp::RemoveEdge(s, d) => {
+                    if self.remove(s, d) {
+                        rows.insert(d);
+                    }
+                }
+                GraphOp::AddNode => self.nodes += 1,
+                GraphOp::IsolateNode(v) => {
+                    for d in Self::list(&self.out, v) {
+                        self.remove(v, d);
+                        rows.insert(d);
+                    }
+                    for s in Self::list(&self.inn, v) {
+                        self.remove(s, v);
+                        rows.insert(v);
+                    }
+                }
+            }
+            rows
+        }
+
+        /// Every list of `g` equals the reference's, and exactly the nodes
+        /// whose lists differ carry an explicit out-list.
+        fn check(&self, g: &DynamicGraph) {
+            assert_eq!(g.num_nodes(), self.nodes);
+            assert_eq!(g.num_edges(), self.out.len());
+            for v in 0..self.nodes {
+                let (out, inn) = (
+                    Self::list(&self.out, v as NodeId),
+                    Self::list(&self.inn, v as NodeId),
+                );
+                assert_eq!(g.out_neighbors(v), out, "out-list of {v}");
+                assert_eq!(g.in_neighbors(v), inn, "in-list of {v}");
+                assert_eq!(g.out_degree(v), out.len());
+                assert_eq!(
+                    g.out.contains_key(&(v as NodeId)),
+                    out != inn,
+                    "node {v} in the side store iff its lists differ"
+                );
+            }
+        }
     }
 
     #[test]
     fn random_mutations_match_rebuilt_graph() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut g = DynamicGraph::new(12);
-        let mut edges: std::collections::BTreeSet<(NodeId, NodeId)> = Default::default();
-        for _ in 0..400 {
-            let s = rng.gen_range(0..12u32);
-            let d = rng.gen_range(0..12u32);
-            if s == d {
-                continue;
+        for symmetric in [true, false] {
+            let start = crate::generate::PowerLawSbm {
+                nodes: 40,
+                directed_edges: 240,
+                exponent: 2.1,
+                communities: 4,
+                homophily: 0.8,
+                symmetric,
+                seed: 7,
             }
-            if rng.gen_bool(0.6) {
-                assert_eq!(g.insert_edge(s, d), edges.insert((s, d)));
-            } else {
-                assert_eq!(g.remove_edge(s, d), edges.remove(&(s, d)));
+            .generate()
+            .graph;
+            assert_eq!(start.is_symmetric(), symmetric);
+            let mut reference = Reference::of(&start);
+            let mut g = DynamicGraph::from_graph(start);
+            reference.check(&g);
+            assert_eq!(g.out.is_empty(), symmetric);
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..600 {
+                let n = g.num_nodes() as NodeId;
+                let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let existing = reference.random_edge(&mut rng);
+                let mut delta = GraphDelta::new();
+                match rng.gen_range(0..8u32) {
+                    0 if s != d => delta.insert_edge(s, d),
+                    1 if s != d => delta.insert_undirected(s, d),
+                    2 if s != d => delta.remove_edge(s, d),
+                    3 => match existing {
+                        Some((a, b)) => delta.remove_edge(a, b),
+                        None => continue,
+                    },
+                    4 => match existing {
+                        Some((a, b)) => delta.remove_edge(a, b).remove_edge(b, a),
+                        None => continue,
+                    },
+                    // Re-symmetrise: add the missing reverse of an edge.
+                    5 => match existing {
+                        Some((a, b)) => delta.insert_edge(b, a),
+                        None => continue,
+                    },
+                    6 => delta.isolate_node(s),
+                    7 => delta.add_node(),
+                    _ => continue,
+                };
+                let mut rows = BTreeSet::new();
+                for &op in delta.ops() {
+                    rows.extend(reference.apply(op));
+                }
+                let effect = g.apply(&delta).unwrap();
+                assert_eq!(effect.rows_changed, rows.into_iter().collect::<Vec<_>>());
+                reference.check(&g);
             }
+            let edges = reference.out.iter().copied().collect();
+            assert_eq!(
+                g.to_graph(),
+                Graph::from_directed_edges(reference.nodes, edges)
+            );
         }
-        let rebuilt = Graph::from_directed_edges(12, edges.iter().copied().collect());
-        assert_eq!(g.to_graph(), rebuilt);
-        assert_eq!(g.num_edges(), edges.len());
     }
 }

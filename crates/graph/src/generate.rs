@@ -134,7 +134,13 @@ impl PowerLawSbm {
         // Global and per-community destination samplers. One scratch weight
         // buffer serves every community table (hoisted out of the loop).
         let global = AliasTable::new(&weights);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); self.communities];
+        // Each member list is sized exactly up front: lists grown by
+        // pushing leave their outgrown buffers behind while edges are drawn.
+        let mut sizes = vec![0usize; self.communities];
+        for &c in &communities {
+            sizes[c as usize] += 1;
+        }
+        let mut members: Vec<Vec<NodeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
         for (v, &c) in communities.iter().enumerate() {
             members[c as usize].push(v as NodeId);
         }
@@ -220,10 +226,9 @@ impl PowerLawSbm {
         // Only the communities outlive sampling.
         let communities = std::mem::take(&mut s.communities);
         drop(s);
-        let csr = csr_from_keys(self.nodes, &keys, self.symmetric);
-        drop(keys);
+        let csr = csr_from_keys(self.nodes, keys, self.symmetric);
         Generated {
-            graph: Graph::from_csr(csr),
+            graph: graph_of(csr, self.symmetric),
             communities,
         }
     }
@@ -317,7 +322,7 @@ impl PowerLawSbm {
         indices.truncate(write);
         indices.shrink_to_fit();
 
-        let graph = Graph::from_csr(Csr::from_parts(n, n, offsets, indices));
+        let graph = graph_of(Csr::from_parts(n, n, offsets, indices), self.symmetric);
         Generated {
             graph,
             communities: s.communities,
@@ -344,7 +349,7 @@ pub fn uniform_random(nodes: usize, directed_edges: usize, seed: u64) -> Graph {
         let d = rng.gen_range(0..nodes) as NodeId;
         (s != d).then_some((s as u64) << 32 | d as u64)
     });
-    Graph::from_csr(csr_from_keys(nodes, &keys, false))
+    Graph::from_csr(csr_from_keys(nodes, keys, false))
 }
 
 /// The distinct keys a sequential rejection loop accepts, sorted: draw
@@ -406,19 +411,50 @@ fn merge_new(accepted: &mut Vec<u64>, fresh: &mut Vec<u64>) {
     }
 }
 
+/// The graph of a generated CSR. A symmetric generator writes every pair
+/// in both directions, so its CSR skips the symmetry check.
+fn graph_of(csr: Csr, symmetric: bool) -> Graph {
+    if symmetric {
+        Graph::from_symmetric_csr(csr)
+    } else {
+        Graph::from_csr(csr)
+    }
+}
+
 /// Fills a CSR straight from sorted keys: `(src, dst)` pairs, or with
 /// `symmetric` canonical `(a, b)` pairs (`a < b`) that stand for both
-/// directions. Directed keys already come in row order. For symmetric
-/// ones, row `r` receives its smaller neighbours from keys `(x, r)`, which
-/// sort before its own keys `(r, c)`, so a scan in key order writes every
-/// row ascending.
-fn csr_from_keys(n: usize, keys: &[u64], symmetric: bool) -> Csr {
-    let split = |key: u64| ((key >> 32) as usize, key as NodeId);
+/// directions. Keys come in row order, so the keyed entries form a CSR as
+/// they stand; it takes 4 B an entry where a key took 8, and the keys are
+/// freed before a symmetric graph's second direction is added
+/// ([`mirror_upper`]).
+fn csr_from_keys(n: usize, keys: Vec<u64>, symmetric: bool) -> Csr {
     let mut offsets = vec![0usize; n + 1];
-    for &key in keys {
-        let (a, b) = split(key);
-        offsets[a + 1] += 1;
-        if symmetric {
+    for &key in &keys {
+        offsets[(key >> 32) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let indices: Vec<NodeId> = keys.iter().map(|&key| key as NodeId).collect();
+    drop(keys);
+    let keyed = Csr::from_parts(n, n, offsets, indices);
+    if symmetric {
+        mirror_upper(&keyed)
+    } else {
+        keyed
+    }
+}
+
+/// The symmetric closure of a CSR whose every entry `(a, b)` has `a < b`.
+/// Row `r` receives its smaller neighbours from entries `(x, r)`, which
+/// come before its own entries `(r, c)` in row order, so a scan in row
+/// order writes every row ascending.
+fn mirror_upper(upper: &Csr) -> Csr {
+    let n = upper.num_rows();
+    let mut offsets = vec![0usize; n + 1];
+    for (a, row) in upper.iter_rows() {
+        offsets[a + 1] += row.len();
+        for &b in row {
             offsets[b as usize + 1] += 1;
         }
     }
@@ -428,11 +464,10 @@ fn csr_from_keys(n: usize, keys: &[u64], symmetric: bool) -> Csr {
     // `offsets[r]` serves as row `r`'s write cursor, ending at row `r + 1`'s
     // start; one shift afterwards restores the row starts.
     let mut indices = vec![0 as NodeId; offsets[n]];
-    for &key in keys {
-        let (a, b) = split(key);
-        indices[offsets[a]] = b;
-        offsets[a] += 1;
-        if symmetric {
+    for (a, row) in upper.iter_rows() {
+        for &b in row {
+            indices[offsets[a]] = b;
+            offsets[a] += 1;
             indices[offsets[b as usize]] = a as NodeId;
             offsets[b as usize] += 1;
         }

@@ -2,11 +2,15 @@
 
 use crate::{Coo, Csr, NodeId};
 
-/// A directed graph stored as CSR (out-edges) plus its transpose (in-edges).
+/// A directed graph stored as CSR (out-edges) plus, when the two differ, its
+/// transpose (in-edges).
 ///
 /// Degree-Aware quantization keys on *in*-degree (paper §IV), while the
 /// aggregation engines stream *out*-neighbors of freshly combined nodes
 /// (outer-product dataflow, paper §V-D) — so both directions are first-class.
+/// A symmetric graph's transpose is its CSR, so it stores the CSR once and
+/// [`Graph::csc`] returns it. The choice is a function of the edges, so
+/// equal graphs have equal representations.
 ///
 /// # Example
 ///
@@ -21,7 +25,8 @@ use crate::{Coo, Csr, NodeId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     csr: Csr,
-    csc: Csr,
+    /// The transpose, stored only if it differs from `csr`.
+    csc: Option<Csr>,
 }
 
 impl Graph {
@@ -42,18 +47,26 @@ impl Graph {
 
     /// Builds a graph from a canonicalized COO list.
     pub fn from_coo(coo: &Coo) -> Self {
-        let csr = Csr::from_coo(coo);
-        let csc = csr.transpose();
-        Self { csr, csc }
+        Self::from_csr(Csr::from_coo(coo))
     }
 
     /// Builds a graph directly from a canonical out-edge CSR (sorted,
-    /// deduplicated rows — see [`Csr::from_parts`]); the in-edge view is
-    /// derived by one transpose. Streaming builders use this to avoid
-    /// materializing an intermediate COO copy of the edge list.
+    /// deduplicated rows — see [`Csr::from_parts`]). A symmetric CSR is
+    /// kept alone; any other is transposed once for the in-edge view.
+    /// Streaming builders use this to avoid materializing an intermediate
+    /// COO copy of the edge list.
     pub fn from_csr(csr: Csr) -> Self {
-        let csc = csr.transpose();
+        let csc = (!csr.is_symmetric()).then(|| csr.transpose());
         Self { csr, csc }
+    }
+
+    /// Builds a graph from a CSR its builder wrote symmetric (every entry
+    /// with its reverse), without [`Graph::from_csr`]'s check: the
+    /// generators know their output's symmetry, and at `synth:100k` the
+    /// check costs three times the transpose it saves.
+    pub(crate) fn from_symmetric_csr(csr: Csr) -> Self {
+        debug_assert!(csr.is_symmetric(), "CSR built as symmetric is not");
+        Self { csr, csc: None }
     }
 
     /// Number of nodes.
@@ -75,11 +88,12 @@ impl Graph {
     /// In-adjacency (the transpose) in CSR form — i.e. the CSC view of the
     /// adjacency matrix.
     pub fn csc(&self) -> &Csr {
-        &self.csc
+        self.csc.as_ref().unwrap_or(&self.csr)
     }
 
-    /// Consumes the graph, returning its `(csr, csc)` adjacency.
-    pub fn into_parts(self) -> (Csr, Csr) {
+    /// Consumes the graph, returning its CSR and, unless the graph is
+    /// symmetric, its transpose.
+    pub fn into_parts(self) -> (Csr, Option<Csr>) {
         (self.csr, self.csc)
     }
 
@@ -90,7 +104,7 @@ impl Graph {
 
     /// Sorted in-neighbors of `v`.
     pub fn in_neighbors(&self, v: usize) -> &[NodeId] {
-        self.csc.row(v)
+        self.csc().row(v)
     }
 
     /// Out-degree of `v`.
@@ -100,7 +114,7 @@ impl Graph {
 
     /// In-degree of `v`.
     pub fn in_degree(&self, v: usize) -> usize {
-        self.csc.degree(v)
+        self.csc().degree(v)
     }
 
     /// All in-degrees, indexed by node.
@@ -137,13 +151,37 @@ impl Graph {
 
     /// Returns `true` if every edge has its reverse.
     pub fn is_symmetric(&self) -> bool {
-        self.csr == self.csc
+        self.csc.is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn symmetric_csr_is_stored_once() {
+        let csr = Graph::from_undirected_edges(4, vec![(0, 1), (1, 2), (1, 3)])
+            .csr()
+            .clone();
+        let g = Graph::from_csr(csr.clone());
+        assert!(g.csc.is_none(), "a symmetric graph keeps no transpose");
+        assert_eq!(g.csc(), &csr);
+        assert_eq!(g.in_neighbors(1), &[0, 2, 3]);
+        assert_eq!(g.into_parts(), (csr, None));
+    }
+
+    #[test]
+    fn asymmetric_csr_stores_its_transpose() {
+        let csr = Graph::from_directed_edges(3, vec![(0, 1), (1, 0), (1, 2)])
+            .csr()
+            .clone();
+        let g = Graph::from_csr(csr.clone());
+        assert_eq!(g.csc, Some(csr.transpose()));
+        assert_eq!(g.in_neighbors(2), &[1]);
+        assert_eq!(g.out_neighbors(2), &[] as &[NodeId]);
+        assert_ne!(g, Graph::from_undirected_edges(3, vec![(0, 1), (1, 2)]));
+    }
 
     #[test]
     fn directed_edges_keep_direction() {

@@ -7,7 +7,7 @@
 //!   the transpose), the canonical representation consumed by the GNN layers,
 //!   the partitioner and the accelerator simulators.
 //! * [`Graph`] — a node set with both out- (CSR) and in- (CSC) adjacency,
-//!   plus degree queries.
+//!   plus degree queries; a symmetric graph stores its CSR once.
 //! * [`generate`] — power-law (Chung–Lu style) generators with a
 //!   stochastic-block-model community overlay, so generated graphs have both
 //!   the in-degree distribution that motivates Degree-Aware quantization

@@ -65,6 +65,21 @@ proptest! {
     }
 
     #[test]
+    fn is_symmetric_matches_explicit_transpose(
+        (n, edges) in arb_edges(32, 120),
+        unmirrored in 0usize..4,
+    ) {
+        // Every edge gets its reverse except the first `unmirrored`, so both
+        // symmetric and nearly symmetric graphs come up.
+        let mut all = edges.clone();
+        all.extend(edges.iter().skip(unmirrored).map(|&(s, d)| (d, s)));
+        let g = Graph::from_directed_edges(n, all);
+        let transpose = g.csr().transpose();
+        prop_assert_eq!(g.is_symmetric(), *g.csr() == transpose);
+        prop_assert_eq!(g.csc(), &transpose);
+    }
+
+    #[test]
     fn dedup_is_idempotent((n, edges) in arb_edges(48, 200)) {
         let mut coo = Coo::from_edges(n, edges);
         coo.dedup();

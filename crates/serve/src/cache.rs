@@ -577,9 +577,10 @@ impl ModelArtifacts {
     /// Approximate heap bytes these artifacts hold resident, split by
     /// component: feature matrices, the incremental adjacency, logits
     /// caches. Not itemized: the model weights; the live graph
-    /// ([`DynamicGraph::heap_bytes`]: an 8 B span per node and direction
-    /// plus 4 B per in- and out-entry, 96 B/node at `synth:100k`, nearly
-    /// three times the packed features); and 6 B per node of `bits`,
+    /// ([`DynamicGraph::heap_bytes`]: an 8 B span per node plus 4 B per
+    /// in-list entry, and out-lists only for nodes whose out- and
+    /// in-neighbors differ; 48 B/node at `synth:100k` after build, about
+    /// 1.4 times the packed features); and 6 B per node of `bits`,
     /// `tiers` and the partition assignment. Shards are views and hold nothing, so
     /// `shard_bytes` is 0.
     /// Feeds `/metrics`' per-model gauges.
